@@ -2,8 +2,8 @@
 
 The pipeline: load a simplicial model, take its cell poset, check reach
 formulas on it directly, or first minimise it modulo logical equivalence
-(via a labelled-transition-system encoding and branching bisimilarity) and
-map the answers back to the original cells.
+(strong bisimilarity of a labelled transition system over same-valuation
+components) and map the answers back to the original cells.
 """
 
 from .bisim import (

@@ -1,12 +1,13 @@
 """LTS encodings of poset models and bisimulation partition refinement.
 
-The concrete encoding turns a poset model into an LTS over the labels
-``atoms + {tau, c, d}``; branching bisimilarity on it coincides with logical
-equivalence of the reach logic on the poset.  The abstract encoding quotients
-same-valuation connected components first and uses labels
-``atom sets + {s, d}``, where plain (strong) bisimilarity suffices.  A direct
-fixpoint computation of the same equivalence straight from the model is kept
-alongside as an oracle; the three routes must always agree.
+The abstract encoding quotients same-valuation connected components and uses
+labels ``atom sets + {s, d}``; strong bisimilarity on it, pulled back to the
+cells, is logical equivalence of the reach logic on the poset, and it is the
+route minimisation uses.  The concrete encoding turns a poset model into an
+LTS over the labels ``atoms + {tau, c, d}`` whose branching bisimilarity gives
+the same classes; it is kept for Aldebaran export and, with a direct fixpoint
+computation straight from the model, as an oracle.  The three routes must
+always agree.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import InputError
 from .simplicial import PosetModel
@@ -23,8 +24,8 @@ __all__ = [
     "TAU", "CHANGE", "DOWN", "STEP",
     "Lts", "Partition", "AutFormatError",
     "encode_concrete", "components_same_valuation", "encode_abstract",
-    "branching_partition", "strong_partition", "weak_pm_partition",
-    "is_weak_pm_bisimulation", "quotient_lts", "pull_back",
+    "branching_partition", "strong_partition", "strong_rounds", "weak_pm_partition",
+    "quotient_lts", "pull_back",
     "to_aut", "from_aut",
 ]
 
@@ -134,9 +135,6 @@ class Partition:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def as_sets(self) -> frozenset[frozenset[str]]:
-        return frozenset(self.classes)
-
     def same_class(self, a: str, b: str) -> bool:
         return self._index[a] == self._index[b]
 
@@ -231,18 +229,18 @@ def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
 
 def strong_partition(l: Lts) -> Partition:
     """Coarsest partition stable under the classic transfer condition."""
-    block = {s: 0 for s in l.states}
-    n_blocks = 1
-    while True:
-        signatures = {
-            s: (block[s], frozenset((_label_text(lab), block[t]) for lab, t in l.outgoing(s)))
-            for s in l.states
-        }
-        block, n_new = _regroup(l.states, signatures)
-        if n_new == n_blocks:
-            break
-        n_blocks = n_new
+    for block in strong_rounds(l):
+        pass
     return _partition_from_assignment(l.states, block)
+
+
+def strong_rounds(l: Lts) -> Iterator[dict[str, int]]:
+    """The block map of every round of :func:`strong_partition`'s refinement,
+    where a state's signature is its set of moves (label, target block)."""
+    def signature(s: str, block: dict[str, int]) -> frozenset[tuple[str, int]]:
+        return frozenset((_label_text(lab), block[t]) for lab, t in l.outgoing(s))
+
+    return _rounds(l.states, signature)
 
 
 def branching_partition(l: Lts, tau: Label = TAU) -> Partition:
@@ -253,22 +251,16 @@ def branching_partition(l: Lts, tau: Label = TAU) -> Partition:
     moves within the block are inert.  Without ``tau`` among the labels this
     degrades to strong bisimulation.
     """
-    block = {s: 0 for s in l.states}
-    n_blocks = 1
-    while True:
-        signatures = {}
-        for s in l.states:
-            sig = set()
-            for v in _inert_closure(l, s, block, tau):
-                for lab, t in l.outgoing(v):
-                    if lab == tau and block[t] == block[s]:
-                        continue
+    def signature(s: str, block: dict[str, int]) -> frozenset[tuple[str, int]]:
+        sig = set()
+        for v in _inert_closure(l, s, block, tau):
+            for lab, t in l.outgoing(v):
+                if lab != tau or block[t] != block[s]:
                     sig.add((_label_text(lab), block[t]))
-            signatures[s] = (block[s], frozenset(sig))
-        block, n_new = _regroup(l.states, signatures)
-        if n_new == n_blocks:
-            break
-        n_blocks = n_new
+        return frozenset(sig)
+
+    for block in _rounds(l.states, signature):
+        pass
     return _partition_from_assignment(l.states, block)
 
 
@@ -286,15 +278,19 @@ def _inert_closure(l: Lts, s: str, block: dict[str, int], tau: Label) -> list[st
     return list(seen)
 
 
-def _regroup(states, signatures) -> tuple[dict[str, int], int]:
-    groups: dict[object, int] = {}
-    assignment = {}
-    for s in states:  # construction order keeps block ids deterministic
-        key = signatures[s]
-        if key not in groups:
-            groups[key] = len(groups)
-        assignment[s] = groups[key]
-    return assignment, len(groups)
+def _rounds(states, signature) -> Iterator[dict[str, int]]:
+    """Signature-based refinement from a single block, round by round: each
+    round splits every block by ``signature(state, previous blocks)``, with
+    block ids in order of first state.  The last map yielded is stable."""
+    block = {s: 0 for s in states}
+    n_blocks = 1
+    while True:
+        yield block
+        groups: dict[object, int] = {}
+        new = {s: groups.setdefault((block[s], signature(s, block)), len(groups)) for s in states}
+        if len(groups) == n_blocks:
+            return
+        block, n_blocks = new, len(groups)
 
 
 def _partition_from_assignment(states, block) -> Partition:
@@ -381,23 +377,6 @@ def _matching_path(
                 seen.add(u)
                 queue.append(u)
     return False
-
-
-def is_weak_pm_bisimulation(p: PosetModel, part: Partition) -> bool:
-    """Check the matching condition for every same-class pair of ``part``."""
-    for block in part.classes:
-        for w1 in block:
-            if p.valuation_of(w1) != p.valuation_of(next(iter(block))):
-                return False
-            for w2 in block:
-                for u1 in p.undirected_neighbours(w1):
-                    allowed = block | part.class_members(part.class_of(u1))
-                    for d1 in p.down_set(u1):
-                        if not _matching_path(
-                            p, w2, allowed, set(part.class_members(part.class_of(d1)))
-                        ):
-                            return False
-    return True
 
 
 # -- quotients and pull-backs ---------------------------------------------------

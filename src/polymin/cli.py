@@ -50,25 +50,23 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _self_check_pipeline(poset: PosetModel) -> None:
-    """Assert that the three equivalence routes and both relation
-    constructions agree on this input."""
-    direct = bisim.weak_pm_partition(poset)
-    concrete = bisim.branching_partition(bisim.encode_concrete(poset))
-    abstract_lts, components = bisim.encode_abstract(poset)
-    pulled = bisim.pull_back(bisim.strong_partition(abstract_lts), components)
-    if not (direct == concrete == pulled):
+def _self_check_pipeline(poset: PosetModel, mm: minimize.MinimalModel) -> None:
+    """Assert that the oracle routes agree with the minimal model: the direct
+    fixpoint and concrete branching bisimilarity give its partition, and the
+    concrete quotient's ``d`` transitions give its relation."""
+    lts = bisim.encode_concrete(poset)
+    concrete = bisim.branching_partition(lts)
+    if not (bisim.weak_pm_partition(poset) == concrete == mm.partition):
         raise SelfCheckFailure("equivalence routes disagree")
-    mm = minimize.minimal_model(poset)
-    if minimize.rmin_via_quotient_d(poset) != mm.kripke.relation_pairs():
+    if minimize.rmin_via_quotient_d(lts, concrete) != mm.kripke.relation_pairs():
         raise SelfCheckFailure("quotient d-transitions disagree with the minimal relation")
 
 
 def cmd_minimize(args) -> int:
     poset, _ = _load_poset(args.model)
-    if args.self_check:
-        _self_check_pipeline(poset)
     mm = minimize.minimal_model(poset)
+    if args.self_check:
+        _self_check_pipeline(poset, mm)
     classes = _classes_payload(mm.partition, poset)
     stem = Path(args.model).stem
     outdir = Path(args.outdir)
@@ -101,7 +99,6 @@ def cmd_check(args) -> int:
         raise InputError("no model given: pass --model or add a load line to the script")
     poset, _ = _load_poset(model_path)
 
-    results: dict[str, list[bool]] = {}
     if args.on_minimal:
         # the quotient preserves only the eta fragment; answering gamma or
         # diamond on it would be silently wrong
@@ -111,7 +108,11 @@ def cmd_check(args) -> int:
                     f"save {name!r} uses gamma or diamond, which the minimal "
                     "model does not preserve; check it without --on-minimal"
                 )
+    if args.on_minimal or args.self_check:
         mm = minimize.minimal_model(poset)
+
+    results: dict[str, list[bool]] = {}
+    if args.on_minimal:
         class_results = checker.check_script(mm.kripke, script, strict_atoms=args.strict_atoms)
         for name, sat_set in class_results.items():
             results[name] = minimize.map_back(mm, sat_set)
@@ -121,7 +122,6 @@ def cmd_check(args) -> int:
             results[name] = sat_set.to_bools(poset)
 
     if args.self_check:
-        mm = minimize.minimal_model(poset)
         for name, f in script.saves.items():
             if not is_eta_pure(f):
                 continue  # transfer only holds for the eta fragment

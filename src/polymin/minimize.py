@@ -1,10 +1,11 @@
 """Quotient Kripke models and answers mapped back to cells.
 
-The minimal model's nodes are the equivalence classes computed by branching
-bisimilarity on the concrete LTS encoding; its accessibility relation holds
-between two classes when some member pair is ordered.  The result is a
-reflexive Kripke model but in general not a poset (transitivity can fail), so
-it is never re-interpreted as one.
+The minimal model's nodes are the equivalence classes computed by strong
+bisimilarity on the abstract LTS over same-valuation components, pulled back
+to the cells; its accessibility relation holds between two classes when some
+member pair is ordered.  The result is a reflexive Kripke model but in general
+not a poset (transitivity can fail), so it is never re-interpreted as one.
+Distinguishing formulas are read off the rounds of that same refinement.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import (
-    DOWN, Partition, _matching_path, branching_partition, encode_concrete, quotient_lts,
+    DOWN, STEP, Lts, Partition, encode_abstract, pull_back, quotient_lts, strong_partition,
+    strong_rounds,
 )
 from .checker import SatSet
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
-from .logic import TOP, And, Atom, Eta, Formula, Not, Or
+from .logic import TOP, And, Atom, Eta, Formula, Not, Or, node_count
 from .simplicial import PosetModel
 
 __all__ = [
@@ -51,21 +53,21 @@ class MinimalModel:
         return class_id(self.partition.class_of(element))
 
     def members_of(self, cid: str) -> frozenset[str]:
-        try:
-            i = int(cid.removeprefix("C"))
-            return self.partition.classes[i]
-        except (ValueError, IndexError):
-            raise UnknownClassError(f"unknown class {cid!r}") from None
+        if cid not in self.kripke:
+            raise UnknownClassError(f"unknown class {cid!r}")
+        return self.partition.classes[self.kripke.index_of(cid)]
 
 
 def minimal_model(p: PosetModel) -> MinimalModel:
-    """Build the quotient model over branching-bisimilarity classes.
+    """Build the quotient model over logical-equivalence classes.
 
-    The relation holds between classes with an ordered member pair, so it is
-    reflexive by reflexivity of the order; the valuation is lifted from any
-    member (all members agree, which is asserted).
+    The classes are strong-bisimilarity classes of the abstract encoding,
+    pulled back to cells.  The relation holds between classes with an ordered
+    member pair, so it is reflexive by reflexivity of the order; the valuation
+    is lifted from any member (all members agree, which is asserted).
     """
-    part = branching_partition(encode_concrete(p))
+    lts, components = encode_abstract(p)
+    part = pull_back(strong_partition(lts), components)
     ids = [class_id(i) for i in range(len(part))]
 
     relation = set()
@@ -85,14 +87,10 @@ def minimal_model(p: PosetModel) -> MinimalModel:
     return MinimalModel(kripke=kripke, partition=part, source=p)
 
 
-def rmin_via_quotient_d(p: PosetModel) -> frozenset[tuple[str, str]]:
-    """The minimal model's relation recovered from the quotient LTS.
-
-    Project the concrete LTS onto the branching partition and reverse its
-    ``d`` transitions; must equal :func:`minimal_model`'s relation.
-    """
-    lts = encode_concrete(p)
-    part = branching_partition(lts)
+def rmin_via_quotient_d(lts: Lts, part: Partition) -> frozenset[tuple[str, str]]:
+    """The reversed ``d`` transitions of the concrete LTS ``lts`` projected onto
+    its branching partition ``part``, over ``part``'s class ids ``C0, C1, ...``;
+    must equal :func:`minimal_model`'s relation."""
     quotient = quotient_lts(lts, part)
     name_to_id = {part.names[i]: class_id(i) for i in range(len(part))}
     return frozenset(
@@ -126,62 +124,80 @@ def _valuation_formula(atoms: tuple[str, ...], held: frozenset[str]) -> Formula:
     return f if f is not None else TOP
 
 
-def _can_reach(p: PosetModel, w: str, allowed: frozenset[str], targets: frozenset[str]) -> bool:
-    return _matching_path(p, w, allowed, set(targets))
+class _RoundLog:
+    """The rounds of the abstract route's strong refinement, with an exact
+    formula (its extension is the block's cells) and that formula's tree size
+    for every block of every round, built on demand."""
 
+    def __init__(self, p: PosetModel):
+        self.poset = p
+        self.lts, self.components = encode_abstract(p)
+        self.rounds = list(strong_rounds(self.lts))
+        self.reps = [{block[s]: s for s in self.lts.states} for block in self.rounds]
+        self._formulas: dict[tuple[int, int], tuple[Formula, int]] = {}
 
-def _refine_with_formulas(p: PosetModel):
-    """Partition refinement that carries an exact formula for every class.
+    def signature(self, k: int, s: str) -> frozenset[tuple[str, int]]:
+        """Component ``s``'s ``s`` and ``d`` moves by round-``k`` target block;
+        past round 1 nothing else differs inside a block."""
+        return frozenset(
+            (lab, self.rounds[k][t]) for lab, t in self.lts.outgoing(s) if lab in (STEP, DOWN)
+        )
 
-    Starts from the valuation partition (pinned by literal conjunctions) and
-    repeatedly splits a class on a reach capability some members have and
-    others lack; the capability is expressible as an eta formula over the
-    current class formulas, which keeps every class exactly characterised.
-    Returns the final blocks, their formulas, and the list of splits as
-    (formula, members-satisfying-it, members-not) events.
-    """
-    by_val: dict[frozenset[str], list[str]] = {}
-    for w in p.elements:
-        by_val.setdefault(p.valuation_of(w), []).append(w)
-    order = {w: i for i, w in enumerate(p.elements)}
-    blocks = [frozenset(ws) for ws in by_val.values()]
-    blocks.sort(key=lambda b: min(order[w] for w in b))
-    formulas = [_valuation_formula(p.atoms, p.valuation_of(next(iter(b)))) for b in blocks]
-    splits: list[tuple[Formula, frozenset[str], frozenset[str]]] = []
+    def formula(self, k: int, j: int) -> tuple[Formula, int]:
+        """Round 0 is one block and round 1 splits it by valuation, as every
+        component has ``s`` and ``d`` self-loops.  A later block adds to its
+        parent's formula literals that exclude the parent's other blocks."""
+        if (k, j) not in self._formulas:
+            rep = self.reps[k][j]
+            if k == 0:
+                out = (TOP, 1)
+            elif k == 1:
+                f = _valuation_formula(self.poset.atoms, self.poset.valuation_of(rep))
+                out = (f, node_count(f))
+            else:
+                parent = self.rounds[k - 1][rep]
+                out = self.formula(k - 1, parent)
+                siblings = [
+                    self.signature(k - 1, r) for i, r in self.reps[k].items()
+                    if i != j and self.rounds[k - 1][r] == parent
+                ]
+                for lit, size in self.separate(k - 1, rep, siblings):
+                    out = (And(out[0], lit), out[1] + 1 + size)
+            self._formulas[k, j] = out
+        return self._formulas[k, j]
 
-    changed = True
-    while changed:
-        changed = False
-        for k, block in enumerate(blocks):
-            if len(block) < 2:
-                continue
-            for u_idx in range(len(blocks)):
-                allowed = block | blocks[u_idx]
-                for d_idx in range(len(blocks)):
-                    targets = blocks[d_idx]
-                    have = frozenset(
-                        w for w in block if _can_reach(p, w, allowed, targets)
-                    )
-                    if have and have != block:
-                        cond = (
-                            formulas[k]
-                            if u_idx == k
-                            else Or(formulas[k], formulas[u_idx])
-                        )
-                        witness = Eta(cond, formulas[d_idx])
-                        lack = block - have
-                        splits.append((witness, have, lack))
-                        blocks[k] = have
-                        blocks.append(lack)
-                        formulas.append(And(formulas[k], Not(witness)))
-                        formulas[k] = And(formulas[k], witness)
-                        changed = True
-                        break
-                if changed:
-                    break
-            if changed:
-                break
-    return blocks, formulas, splits
+    def literal(self, k: int, s: str, entry: tuple[str, int], positive: bool):
+        """On components valued like ``s``: true where the round-``k`` signature
+        has ``entry`` (label, block B), or lacks it if not ``positive``.
+
+        With V pinning the valuation and F exact for B, ``d`` gives ``eta(V, F)``
+        and ``s`` gives ``eta(V | F, F)``: a path inside V stays in its
+        component, and a path that steps into F has made an ``s`` move."""
+        v, v_size = self.formula(1, self.rounds[1][s])
+        lab, b = entry
+        target, size = self.formula(k, b)
+        if lab == DOWN:
+            lit, size = Eta(v, target), 1 + v_size + size
+        else:
+            lit, size = Eta(Or(v, target), target), 2 + v_size + 2 * size
+        return (lit, size) if positive else (Not(lit), size + 1)
+
+    def separate(self, k: int, s: str, others: list[frozenset]) -> list[tuple[Formula, int]]:
+        """Literals true on ``s``'s round-``k`` signature that together fail
+        on each of ``others``: greedily, the smallest still separating one."""
+        own = self.signature(k, s)
+        candidates = sorted(
+            (self.literal(k, s, e, e in own)[1], e)
+            for e in own.union(*others)
+            if any((e in own) != (e in o) for o in others)
+        )
+        chosen = []
+        for _, e in candidates:
+            rest = [o for o in others if (e in own) == (e in o)]
+            if len(rest) < len(others):
+                chosen.append(self.literal(k, s, e, e in own))
+                others = rest
+        return chosen
 
 
 def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
@@ -189,8 +205,8 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
 
     None is returned exactly when the cells are logically equivalent.  When a
     formula is returned it holds at ``a`` and fails at ``b``: either an atom
-    literal (different valuations) or the reach capability recorded by the
-    first refinement split that separated the pair.
+    literal (different valuations) or one signature entry that differs
+    between their components in the first refinement round that splits them.
     """
     p.index_of(a)
     p.index_of(b)
@@ -202,10 +218,10 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
         if gained:
             return Atom(gained[0])
         return Not(Atom(sorted(vb - va)[0]))
-    _, _, splits = _refine_with_formulas(p)
-    for witness, have, lack in splits:
-        if a in have and b in lack:
+    log = _RoundLog(p)
+    x, y = (log.components.names[log.components.class_of(c)] for c in (a, b))
+    for k, block in enumerate(log.rounds):
+        if block[x] != block[y]:
+            [(witness, _)] = log.separate(k - 1, x, [log.signature(k - 1, y)])
             return witness
-        if b in have and a in lack:
-            return Not(witness)
     return None

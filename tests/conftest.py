@@ -2,7 +2,10 @@ from pathlib import Path
 
 import pytest
 
-from polymin import cell_poset, load_simplicial_model, random_model
+from polymin import (
+    branching_partition, cell_poset, encode_concrete, load_simplicial_model, random_model,
+    rmin_via_quotient_d,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -55,3 +58,10 @@ def random_posets(count, max_cells=12, seed_base=0, n_vertices=4, max_dim=2, n_a
             continue
         produced += 1
         yield seed - 1, cell_poset(model)
+
+
+def concrete_d_relation(p):
+    """The minimal relation rebuilt from the concrete route's quotient ``d``
+    transitions, independently of :func:`polymin.minimal_model`."""
+    lts = encode_concrete(p)
+    return rmin_via_quotient_d(lts, branching_partition(lts))

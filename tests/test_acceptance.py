@@ -18,7 +18,6 @@ from polymin import (
     parse_formula,
     random_formula,
     random_model,
-    rmin_via_quotient_d,
     sat,
     sat_eta_path_oracle,
     strong_partition,
@@ -28,6 +27,8 @@ from polymin.bisim import pull_back
 from polymin.cli import main
 from polymin.logic import atoms_of, format_formula
 from polymin.simplicial import model_to_document
+
+from conftest import concrete_d_relation
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -221,10 +222,10 @@ def test_criterion_8_relation_routes_agree():
         mismatches = 0
         for name in ("segment3.json", "triangle_abc.json", "strip4.json"):
             p = fixture_poset(name)
-            if rmin_via_quotient_d(p) != minimal_model(p).kripke.relation_pairs():
+            if concrete_d_relation(p) != minimal_model(p).kripke.relation_pairs():
                 mismatches += 1
         for seed, p in small_random_posets(100, seed_base=4000):
-            if rmin_via_quotient_d(p) != minimal_model(p).kripke.relation_pairs():
+            if concrete_d_relation(p) != minimal_model(p).kripke.relation_pairs():
                 mismatches += 1
         assert mismatches == 0
 

@@ -21,10 +21,11 @@ from polymin.bisim import (
     Partition,
     STEP,
     TAU,
-    is_weak_pm_bisimulation,
     pull_back,
 )
 from polymin.simplicial import PosetModel
+
+from oracles import is_weak_pm_bisimulation
 
 from conftest import random_posets
 

@@ -1,9 +1,13 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from polymin import from_aut, load_simplicial_model
+from polymin import (
+    Partition, PosetModel, bisim, checker, from_aut, load_simplicial_model, minimize,
+)
+from polymin.checker import SatSet
 from polymin.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -147,6 +151,71 @@ class TestCheck:
         assert run(*base, "-o", str(out), "--self-check") == 0
         payload = json.loads(out.read_text())
         assert sum(payload["results"]["prox"]) == 6  # everything but the interior
+
+
+def discrete(elements):
+    return Partition.from_blocks(elements, [[w] for w in elements])
+
+
+def check_on_minimal_with_self_check(outdir):
+    script = outdir / "script.txt"
+    script.write_text('save "reach" eta(ap("green") | ap("grey"), ap("green"))\n')
+    return run(
+        "check", str(script), "--model", str(FIXTURES / "strip4.json"),
+        "-o", str(outdir / "results.json"), "--on-minimal", "--self-check",
+    )
+
+
+class TestSelfCheckFailures:
+    @pytest.mark.parametrize("module, name, fake", [
+        (bisim, "weak_pm_partition", lambda p: discrete(p.elements)),
+        (bisim, "branching_partition", lambda lts: discrete(lts.states)),
+        (minimize, "rmin_via_quotient_d", lambda lts, part: frozenset()),
+    ], ids=["direct-fixpoint", "concrete-branching", "quotient-d"])
+    def test_minimize_reports_a_disagreeing_oracle(
+        self, outdir, capsys, monkeypatch, module, name, fake
+    ):
+        monkeypatch.setattr(module, name, fake)
+        rc = run("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir), "--self-check")
+        assert rc == 1
+        assert "self-check failed:" in capsys.readouterr().err
+
+    def test_check_reports_a_failed_transfer(self, outdir, capsys, monkeypatch):
+        real = checker.sat
+
+        def flipped(model, f, strict_atoms=False):
+            got = real(model, f, strict_atoms)
+            if isinstance(model, PosetModel):  # the direct route
+                got = SatSet(frozenset(model.elements) - got.members, f)
+            return got
+
+        monkeypatch.setattr(checker, "sat", flipped)
+        assert check_on_minimal_with_self_check(outdir) == 1
+        assert "self-check failed:" in capsys.readouterr().err
+
+    def test_each_route_runs_once(self, outdir, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return wrapper
+
+        names = ("weak_pm_partition", "encode_concrete", "branching_partition", "minimal_model")
+        for module in (bisim, minimize):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+
+        rc = run("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir), "--self-check")
+        assert rc == 0
+        assert calls == Counter(dict.fromkeys(names, 1))
+
+        calls.clear()
+        assert check_on_minimal_with_self_check(outdir) == 0
+        assert calls == Counter(minimal_model=1)
 
 
 class TestGenRandom:

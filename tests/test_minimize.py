@@ -1,23 +1,30 @@
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import polymin
 from polymin import (
+    bisim,
+    cell_poset,
     distinguishing_formula,
     map_back,
     minimal_model,
     random_formula,
-    rmin_via_quotient_d,
+    random_model,
     sat,
     weak_pm_partition,
 )
 from polymin.checker import SatSet
 from polymin.kripke import UnknownElementError
-from polymin.logic import TOP, is_eta_pure
-from polymin.minimize import UnknownClassError, _refine_with_formulas
+from polymin.logic import TOP, is_eta_pure, node_count
+from polymin.minimize import UnknownClassError, _RoundLog
 from polymin.simplicial import PosetModel
 
-from conftest import random_posets
+from conftest import concrete_d_relation, random_posets
 
 
 def cid_of(mm, element):
@@ -53,6 +60,22 @@ class TestMinimalModel:
         assert len(mm.partition) == 2
         assert len(mm.kripke.relation_pairs()) == 4
 
+    @pytest.mark.parametrize("cid", ["C-1", "1", "C01", "C+1", "C4", "C", "c1", " C1", "C1 ", "C\u0661"])
+    def test_members_of_rejects_foreign_ids(self, strip4, cid):
+        mm = minimal_model(strip4)
+        assert [len(mm.members_of(f"C{i}")) for i in range(4)] == [1, 9, 8, 1]
+        with pytest.raises(UnknownClassError):
+            mm.members_of(cid)
+
+    def test_production_routes_skip_the_concrete_encoding(self, strip4, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("the concrete route is an oracle only")
+
+        monkeypatch.setattr(bisim, "encode_concrete", forbidden)
+        monkeypatch.setattr(bisim, "branching_partition", forbidden)
+        assert len(minimal_model(strip4).partition) == 4
+        assert distinguishing_formula(strip4, "A", "D") is not None
+
     def test_relation_is_reflexive(self):
         for _, p in random_posets(15):
             mm = minimal_model(p)
@@ -63,15 +86,15 @@ class TestMinimalModel:
 class TestQuotientDRoute:
     def test_matches_on_fixtures(self, segment3, triangle, strip4):
         for p in (segment3, triangle, strip4):
-            assert rmin_via_quotient_d(p) == minimal_model(p).kripke.relation_pairs()
+            assert concrete_d_relation(p) == minimal_model(p).kripke.relation_pairs()
 
     def test_matches_on_random_models(self):
         for seed, p in random_posets(30):
-            assert rmin_via_quotient_d(p) == minimal_model(p).kripke.relation_pairs(), seed
+            assert concrete_d_relation(p) == minimal_model(p).kripke.relation_pairs(), seed
 
     def test_one_element_poset(self):
         p = PosetModel(["A"], [], {"A": ["p"]})
-        assert rmin_via_quotient_d(p) == frozenset({("C0", "C0")})
+        assert concrete_d_relation(p) == frozenset({("C0", "C0")})
 
 
 class TestMapBack:
@@ -142,13 +165,57 @@ class TestDistinguishingFormula:
                     assert f is not None and is_eta_pure(f), (seed, a, b)
                     extension = sat(p, f).members
                     assert (a in extension) != (b in extension), (seed, a, b, f)
+        # 171 and 229 cells; a sample of the same-valuation pairs
+        for seed in (11, 37):
+            p = cell_poset(random_model(seed, 12, 5, 2))
+            part = minimal_model(p).partition
+            pairs = [
+                (a, b) for a, b in combinations(p.elements, 2)
+                if p.valuation_of(a) == p.valuation_of(b)
+            ]
+            for a, b in pairs[::47]:
+                f = distinguishing_formula(p, a, b)
+                if part.same_class(a, b):
+                    assert f is None, (seed, a, b)
+                else:
+                    assert f is not None and is_eta_pure(f), (seed, a, b)
+                    extension = sat(p, f).members
+                    assert a in extension and b not in extension, (seed, a, b, f)
 
     def test_refinement_agrees_with_direct_fixpoint(self):
         for seed, p in random_posets(20):
-            blocks, formulas, _ = _refine_with_formulas(p)
-            assert set(blocks) == set(weak_pm_partition(p).classes), seed
-            for block, formula in zip(blocks, formulas):
-                assert sat(p, formula).members == block, seed
+            log = _RoundLog(p)
+            members = dict(zip(log.components.names, log.components.classes))
+            for k, block in enumerate(log.rounds):
+                cells: dict[int, set[str]] = {}
+                for s, j in block.items():
+                    cells.setdefault(j, set()).update(members[s])
+                for j, extension in cells.items():
+                    formula, size = log.formula(k, j)
+                    assert sat(p, formula).members == extension, (seed, k, j)
+                    assert node_count(formula) == size, (seed, k, j)
+            assert set(map(frozenset, cells.values())) == set(weak_pm_partition(p).classes), seed
+
+    def test_witness_text_is_independent_of_hash_seed(self):
+        program = (
+            "from itertools import combinations\n"
+            "from polymin import cell_poset, distinguishing_formula, format_formula, random_model\n"
+            "p = cell_poset(random_model(11, 12, 5, 2))\n"
+            "for a, b in list(combinations(p.elements, 2))[::211]:\n"
+            "    f = distinguishing_formula(p, a, b)\n"
+            "    print(a, b, f and format_formula(f))\n"
+        )
+        src = str(Path(polymin.__file__).parent.parent)
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", program],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1]
+        assert "eta(" in outputs[0]
 
 
 class TestIdempotence:
