@@ -48,30 +48,22 @@ class Lts:
     transitions are a set of (source, label, target) triples.
     """
 
-    __slots__ = ("states", "labels", "transitions", "_index", "_out")
+    __slots__ = ("states", "transitions", "_index", "_out")
 
-    def __init__(
-        self,
-        states: Iterable[str],
-        transitions: Iterable[tuple[str, Label, str]],
-        labels: Iterable[Label] | None = None,
-    ):
+    def __init__(self, states: Iterable[str], transitions: Iterable[tuple[str, Label, str]]):
         self.states: tuple[str, ...] = tuple(states)
         self._index = {s: i for i, s in enumerate(self.states)}
         if len(self._index) != len(self.states):
             raise ValueError("duplicate state names")
         self.transitions: frozenset[tuple[str, Label, str]] = frozenset(transitions)
         out: dict[str, list[tuple[Label, str]]] = {s: [] for s in self.states}
-        seen_labels: set[Label] = set()
         for src, lab, dst in self.transitions:
             if src not in self._index or dst not in self._index:
                 raise ValueError(f"transition ({src!r}, {lab!r}, {dst!r}) has an unknown endpoint")
             out[src].append((lab, dst))
-            seen_labels.add(lab)
         for s in self.states:
             out[s].sort(key=lambda t: (_label_text(t[0]), self._index[t[1]]))
         self._out = {s: tuple(v) for s, v in out.items()}
-        self.labels: frozenset[Label] = frozenset(labels) if labels is not None else frozenset(seen_labels)
 
     def index_of(self, state: str) -> int:
         return self._index[state]
@@ -171,10 +163,9 @@ def encode_concrete(p: PosetModel) -> Lts:
                 transitions.append((w, TAU, u))
             else:
                 transitions.append((w, CHANGE, u))
-        for u in p.down_set(w):
+        for u in p.predecessors(w):
             transitions.append((w, DOWN, u))
-    labels = set(p.atoms) | {TAU, CHANGE, DOWN}
-    return Lts(p.elements, transitions, labels)
+    return Lts(p.elements, transitions)
 
 
 def components_same_valuation(p: PosetModel) -> Partition:
@@ -220,7 +211,7 @@ def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
     for w in p.elements:
         for u in p.undirected_neighbours(w):
             transitions.add((name_of[w], STEP, name_of[u]))
-        for u in p.down_set(w):
+        for u in p.predecessors(w):
             transitions.add((name_of[w], DOWN, name_of[u]))
     return Lts(part.names, transitions), part
 
@@ -323,7 +314,7 @@ def weak_pm_partition(p: PosetModel) -> Partition:
         for u1 in p.undirected_neighbours(w1):
             z_u1 = frozenset(related[u1])
             allowed = z_w1 | z_u1
-            for d1 in p.down_set(u1):
+            for d1 in p.predecessors(u1):
                 key = (z_u1, frozenset(related[d1]))
                 if key in checked:
                     continue
@@ -370,7 +361,7 @@ def _matching_path(
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        if any(d in targets for d in p.down_set(v)):
+        if any(d in targets for d in p.predecessors(v)):
             return True
         for u in p.undirected_neighbours(v):
             if u in allowed and u not in seen:

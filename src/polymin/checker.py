@@ -55,7 +55,7 @@ def _reach_within(
     steps that never leave ``allowed``.  ``sources`` must be a subset of
     ``allowed``."""
     seen = set(sources)
-    queue = deque(model.sorted_elements(sources))
+    queue = deque(sources)
     while queue:
         v = queue.popleft()
         for u in model.undirected_neighbours(v):

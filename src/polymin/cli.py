@@ -26,9 +26,8 @@ class SelfCheckFailure(Exception):
     pass
 
 
-def _load_poset(path: str) -> tuple[PosetModel, object]:
-    model = load_simplicial_model(Path(path).read_bytes())
-    return cell_poset(model), model
+def _load_poset(path: str) -> PosetModel:
+    return cell_poset(load_simplicial_model(Path(path).read_bytes()))
 
 
 def _classes_payload(part: bisim.Partition, poset: PosetModel) -> list[dict]:
@@ -63,7 +62,7 @@ def _self_check_pipeline(poset: PosetModel, mm: minimize.MinimalModel) -> None:
 
 
 def cmd_minimize(args) -> int:
-    poset, _ = _load_poset(args.model)
+    poset = _load_poset(args.model)
     mm = minimize.minimal_model(poset)
     if args.self_check:
         _self_check_pipeline(poset, mm)
@@ -97,7 +96,7 @@ def cmd_check(args) -> int:
     model_path = args.model or script.model_ref
     if model_path is None:
         raise InputError("no model given: pass --model or add a load line to the script")
-    poset, _ = _load_poset(model_path)
+    poset = _load_poset(model_path)
 
     if args.on_minimal:
         # the quotient preserves only the eta fragment; answering gamma or
@@ -142,13 +141,13 @@ def cmd_gen_random(args) -> int:
 
 
 def cmd_export_aut(args) -> int:
-    poset, _ = _load_poset(args.model)
+    poset = _load_poset(args.model)
     _write(args.output, bisim.to_aut(bisim.encode_concrete(poset)))
     return 0
 
 
 def cmd_poset(args) -> int:
-    poset, _ = _load_poset(args.model)
+    poset = _load_poset(args.model)
     payload = {
         "elements": [
             {"name": w, "atoms": sorted(poset.valuation_of(w))} for w in poset.elements

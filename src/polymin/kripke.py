@@ -2,9 +2,11 @@
 
 A model is a finite set of elements, a reflexive accessibility relation and a
 valuation assigning a set of atoms to every element.  Cell posets are a
-special case (see :mod:`polymin.simplicial`); quotients produced by
-minimisation are generally not posets but are always reflexive Kripke models,
-so the checker is written against this class.
+special case (see :mod:`polymin.simplicial`): their successor and predecessor
+tables here are the up-sets and down-sets of the order, and no other copy of
+the order is kept.  Quotients produced by minimisation are generally not
+posets but are always reflexive Kripke models, so the checker is written
+against this class.
 
 Models are immutable after construction and safe to share between threads.
 """
@@ -107,6 +109,7 @@ class ReflexiveKripkeModel:
 
     def related(self, a: str, b: str) -> bool:
         self.index_of(a)
+        self.index_of(b)
         return b in self._succ[a]
 
     def relation_pairs(self) -> frozenset[tuple[str, str]]:

@@ -73,7 +73,7 @@ def minimal_model(p: PosetModel) -> MinimalModel:
     relation = set()
     for a in p.elements:
         ca = part.class_of(a)
-        for b in p.up_set(a):
+        for b in p.successors(a):
             relation.add((class_id(ca), class_id(part.class_of(b))))
 
     valuation = {}

@@ -78,6 +78,9 @@ class SimplicialModel:
 
 
 def _validate(m: SimplicialModel) -> None:
+    for v in m.vertices:
+        if "-" in v:
+            raise ModelFormatError(f"vertex name {v!r} contains '-', which joins cell names")
     declared = set(m.vertices)
     names = set()
     for cell in m.cells:
@@ -130,38 +133,35 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
     if not isinstance(raw_cells, list) or not raw_cells:
         raise ModelFormatError("model document must list at least one cell")
 
-    atoms: list[str] = []
-    for a in doc.get("atoms", []):
-        if a not in atoms:
-            atoms.append(str(a))
-
+    atoms = dict.fromkeys(_strings(doc.get("atoms", []), "atoms"))
     declared_vertices = doc.get("vertices")
-    vertices: list[str] = [str(v) for v in declared_vertices] if declared_vertices else []
+    derive = declared_vertices is None
+    vertices = dict.fromkeys(() if derive else _strings(declared_vertices, "vertices"))
     cells: list[tuple[str, ...]] = []
     valuation: dict[str, frozenset[str]] = {}
     for entry in raw_cells:
         if not isinstance(entry, dict) or "vertices" not in entry:
             raise ModelFormatError(f"malformed cell entry: {entry!r}")
-        vs = [str(v) for v in entry["vertices"]]
+        vs = _strings(entry["vertices"], "cell vertices")
         if not vs:
             raise ModelFormatError("cells must have at least one vertex")
         if "atoms" not in entry:
             raise MissingValuationError(f"cell {cell_name(vs)!r} has no atom list")
         cell = tuple(sorted(vs))
-        if declared_vertices is None:
-            for v in vs:
-                if v not in vertices:
-                    vertices.append(v)
+        if derive:
+            vertices.update(dict.fromkeys(vs))
         cells.append(cell)
-        cell_atoms = frozenset(str(a) for a in entry["atoms"])
+        cell_atoms = frozenset(_strings(entry["atoms"], f"atoms of cell {cell_name(cell)!r}"))
         valuation[cell_name(cell)] = cell_atoms
-        for a in sorted(cell_atoms):
-            if a not in atoms:
-                atoms.append(a)
+        atoms.update(dict.fromkeys(sorted(cell_atoms)))
 
-    geometry = None
-    if "geometry" in doc and doc["geometry"] is not None:
-        geometry = {str(k): tuple(v) for k, v in doc["geometry"].items()}
+    geometry = doc.get("geometry")
+    if geometry is not None:
+        if not isinstance(geometry, dict) or not all(
+            isinstance(xs, list) and all(_is_number(x) for x in xs) for xs in geometry.values()
+        ):
+            raise ModelFormatError("geometry must be an object of number lists")
+        geometry = {k: tuple(xs) for k, xs in geometry.items()}
 
     return SimplicialModel(
         vertices=tuple(vertices),
@@ -170,6 +170,16 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
         atoms=tuple(atoms),
         geometry=geometry,
     )
+
+
+def _strings(value: object, what: str) -> list[str]:
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ModelFormatError(f"{what} must be a list of strings")
+    return value
+
+
+def _is_number(x: object) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def model_to_document(m: SimplicialModel) -> str:
@@ -188,12 +198,14 @@ def model_to_document(m: SimplicialModel) -> str:
 class PosetModel(ReflexiveKripkeModel):
     """A finite poset with a valuation, viewed as a reflexive Kripke model.
 
-    The order is stored as its covering relation; the full reflexive
-    transitive order is materialised at construction time and backs all
-    queries.  Accessibility goes upward: ``related(a, b)`` iff ``a <= b``.
+    The order is given by its covering relation, kept in ``covers``.  Its
+    reflexive-transitive closure is computed once and becomes the Kripke
+    accessibility relation, which is the only stored copy of the order:
+    ``successors(w)`` is the up-set of ``w``, ``predecessors(w)`` its
+    down-set and ``related(a, b)`` holds iff ``a <= b``.
     """
 
-    __slots__ = ("covers", "_up", "_down")
+    __slots__ = ("covers",)
 
     def __init__(
         self,
@@ -204,56 +216,37 @@ class PosetModel(ReflexiveKripkeModel):
     ):
         elements = tuple(elements)
         order = {w: i for i, w in enumerate(elements)}
-        above: dict[str, set[str]] = {w: set() for w in elements}
+        covers = set(covers)
+        above: dict[str, list[str]] = {w: [] for w in elements}
+        n_below = dict.fromkeys(elements, 0)
         for low, high in covers:
             if low not in order or high not in order:
                 raise ValueError(f"cover ({low!r}, {high!r}) mentions an unknown element")
             if low == high:
                 raise ValueError(f"cover ({low!r}, {high!r}) is reflexive")
-            above[low].add(high)
+            above[low].append(high)
+            n_below[high] += 1
 
-        # Reflexive-transitive closure by DFS; a cycle would break antisymmetry.
+        # Topological pass from the minimal elements; what it cannot place
+        # lies on or above a cycle, which would break antisymmetry.
+        ranked = [w for w in elements if not n_below[w]]
+        for w in ranked:
+            for h in above[w]:
+                n_below[h] -= 1
+                if not n_below[h]:
+                    ranked.append(h)
+        if len(ranked) != len(elements):
+            stuck = next(w for w in elements if n_below[w])
+            raise ValueError(f"covering relation has a cycle at or below {stuck!r}")
         up: dict[str, set[str]] = {}
-
-        def close(w: str, trail: tuple[str, ...]) -> set[str]:
-            if w in up:
-                return up[w]
-            if w in trail:
-                raise ValueError(f"covering relation has a cycle through {w!r}")
+        for w in reversed(ranked):
             reach = {w}
             for h in above[w]:
-                reach |= close(h, trail + (w,))
+                reach |= up[h]
             up[w] = reach
-            return reach
 
-        for w in elements:
-            close(w, ())
-        down: dict[str, set[str]] = {w: set() for w in elements}
-        for w in elements:
-            for h in up[w]:
-                down[h].add(w)
-
-        relation = [(a, b) for a in elements for b in up[a]]
-        super().__init__(elements, relation, valuation, atoms)
-        self.covers = tuple(sorted(set(covers), key=lambda p: (order[p[0]], order[p[1]])))
-        self._up = {w: frozenset(up[w]) for w in elements}
-        self._down = {w: frozenset(down[w]) for w in elements}
-
-    def leq(self, a: str, b: str) -> bool:
-        """True iff ``a`` precedes ``b`` in the full reflexive order."""
-        self.index_of(a)
-        self.index_of(b)
-        return b in self._up[a]
-
-    def up_set(self, w: str) -> frozenset[str]:
-        """All elements above or equal to ``w``."""
-        self.index_of(w)
-        return self._up[w]
-
-    def down_set(self, w: str) -> frozenset[str]:
-        """All elements below or equal to ``w``."""
-        self.index_of(w)
-        return self._down[w]
+        super().__init__(elements, ((a, b) for a in elements for b in up[a]), valuation, atoms)
+        self.covers = tuple(sorted(covers, key=lambda p: (order[p[0]], order[p[1]])))
 
 
 def cell_poset(m: SimplicialModel) -> PosetModel:

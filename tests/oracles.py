@@ -13,7 +13,7 @@ def is_weak_pm_bisimulation(p: PosetModel, part: Partition) -> bool:
             for w2 in block:
                 for u1 in p.undirected_neighbours(w1):
                     allowed = block | part.class_members(part.class_of(u1))
-                    for d1 in p.down_set(u1):
+                    for d1 in p.predecessors(u1):
                         if not _matching_path(
                             p, w2, allowed, set(part.class_members(part.class_of(d1)))
                         ):

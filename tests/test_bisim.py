@@ -159,7 +159,7 @@ class TestBranching:
         assert class_sets(part) == STRIP_CLASSES
 
     def test_two_states_same_loops_collapse(self):
-        lts = Lts(["x", "y"], [("x", "p", "x"), ("y", "p", "y")], labels={"p", TAU})
+        lts = Lts(["x", "y"], [("x", "p", "x"), ("y", "p", "y")])
         assert len(branching_partition(lts)) == 1
 
     def test_tau_cycle_is_handled(self):

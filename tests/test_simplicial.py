@@ -4,6 +4,7 @@ from itertools import combinations
 import pytest
 
 from polymin import cell_poset, load_simplicial_model, random_model
+from polymin.cli import main
 from polymin.kripke import UnknownElementError
 from polymin.simplicial import (
     MissingFaceError,
@@ -74,6 +75,50 @@ class TestLoad:
         with pytest.raises(ModelFormatError):
             load_simplicial_model(json.dumps({"atoms": [], "cells": []}))
 
+    def test_derived_vertices_follow_first_appearance(self):
+        m = load_simplicial_model(doc([], [("C", []), ("A", []), ("CA", []), ("B", [])]))
+        assert m.vertices == ("C", "A", "B")
+
+    def test_declared_vertices_keep_their_order(self):
+        payload = json.dumps(
+            {"atoms": [], "vertices": ["B", "C", "A"], "cells": [{"vertices": ["A"], "atoms": []}]}
+        )
+        assert load_simplicial_model(payload).vertices == ("B", "C", "A")
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"atoms": 5, "cells": [{"vertices": ["a"], "atoms": []}]},
+            {"atoms": [], "cells": [{"vertices": ["a"], "atoms": 3}]},
+            {"atoms": [], "cells": [{"vertices": 3, "atoms": []}]},
+            {"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": [1]},
+            {"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": {"a": 1}},
+            {"atoms": ["red"], "cells": [{"vertices": ["a"], "atoms": "red"}]},
+            {
+                "atoms": [],
+                "cells": [
+                    {"vertices": ["A"], "atoms": []},
+                    {"vertices": ["B"], "atoms": []},
+                    {"vertices": "AB", "atoms": []},
+                ],
+            },
+            {"atoms": [], "cells": [{"vertices": ["a-b"], "atoms": []}]},
+        ],
+        ids=[
+            "atoms-int", "cell-atoms-int", "cell-vertices-int", "geometry-list",
+            "geometry-value-int", "cell-atoms-string", "cell-vertices-string", "dash-vertex",
+        ],
+    )
+    def test_ill_typed_document_is_rejected(self, document, tmp_path, capsys):
+        payload = json.dumps(document)
+        with pytest.raises(ModelFormatError):
+            load_simplicial_model(payload)
+        path = tmp_path / "bad.json"
+        path.write_text(payload)
+        assert main(["poset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_geometry_passthrough(self):
         payload = json.dumps(
             {
@@ -99,7 +144,7 @@ class TestCellPoset:
     def test_triangle_poset(self, triangle):
         assert len(triangle.elements) == 7
         top = "A-B-C"
-        assert all(triangle.leq(w, top) for w in triangle.elements)
+        assert all(triangle.related(w, top) for w in triangle.elements)
 
     def test_strip4_poset_size(self, strip4):
         assert len(strip4.elements) == 19
@@ -115,38 +160,38 @@ class TestCellPoset:
 
 class TestLeq:
     def test_cover_pair(self, segment3):
-        assert segment3.leq("D", "D-E")
+        assert segment3.related("D", "D-E")
 
     def test_reflexive(self, segment3):
-        assert segment3.leq("D", "D")
+        assert segment3.related("D", "D")
 
     def test_incomparable_edges(self, segment3):
         # vertex-set inclusion fails: {D,E} is not contained in {E,F}
-        assert not segment3.leq("D-E", "E-F")
+        assert not segment3.related("D-E", "E-F")
 
     def test_unknown_element(self, segment3):
         with pytest.raises(UnknownElementError):
-            segment3.leq("D", "Z")
+            segment3.related("D", "Z")
 
     def test_order_matches_vertex_inclusion(self, strip4):
         for a in strip4.elements:
             for b in strip4.elements:
                 expected = set(a.split("-")) <= set(b.split("-"))
-                assert strip4.leq(a, b) == expected
+                assert strip4.related(a, b) == expected
 
 
 class TestPartialOrderLaws:
     def check_laws(self, p):
         elements = p.elements
         for a in elements:
-            assert p.leq(a, a)
+            assert p.related(a, a)
         for a in elements:
             for b in elements:
-                if p.leq(a, b) and p.leq(b, a):
+                if p.related(a, b) and p.related(b, a):
                     assert a == b
                 for c in elements:
-                    if p.leq(a, b) and p.leq(b, c):
-                        assert p.leq(a, c)
+                    if p.related(a, b) and p.related(b, c):
+                        assert p.related(a, c)
 
     def test_fixtures(self, segment3, triangle, strip4):
         for p in (segment3, triangle, strip4):
@@ -155,6 +200,12 @@ class TestPartialOrderLaws:
     def test_random_models(self):
         for _, p in random_posets(20):
             self.check_laws(p)
+
+    def test_deep_chain(self):
+        chain = [f"c{i}" for i in range(1500)]
+        p = PosetModel(chain, zip(chain, chain[1:]), {})
+        assert len(p.successors("c0")) == 1500
+        assert p.predecessors("c1499") == tuple(chain)
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
