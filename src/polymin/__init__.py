@@ -11,7 +11,7 @@ from .bisim import (
     encode_abstract, encode_concrete, from_aut, quotient_lts, strong_partition,
     to_aut, weak_pm_partition,
 )
-from .checker import SatSet, check_script, sat, sat_eta_path_oracle
+from .checker import SatSet, check_script, sat
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
 from .logic import (
@@ -34,7 +34,7 @@ __all__ = [
     "Formula", "Top", "TOP", "Atom", "Not", "And", "Or", "Eta", "Gamma", "Diamond",
     "Script", "parse_formula", "parse_script", "format_formula",
     "encode_eta_to_gamma", "random_formula",
-    "SatSet", "sat", "sat_eta_path_oracle", "check_script",
+    "SatSet", "sat", "check_script",
     "Lts", "Partition", "encode_concrete", "encode_abstract",
     "components_same_valuation", "branching_partition", "strong_partition",
     "weak_pm_partition", "quotient_lts", "to_aut", "from_aut",

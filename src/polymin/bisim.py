@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .errors import InputError
@@ -153,19 +154,36 @@ def encode_concrete(p: PosetModel) -> Lts:
     clash = _RESERVED_CONCRETE & set(p.atoms)
     if clash:
         raise ValueError(f"atom names collide with reserved labels: {sorted(clash)}")
+    names, vals = p.elements, p.valuations
     transitions: list[tuple[str, Label, str]] = []
-    for w in p.elements:
-        vw = p.valuation_of(w)
-        for atom in sorted(vw):
+    for i, w in enumerate(names):
+        for atom in sorted(vals[i]):
             transitions.append((w, atom, w))
-        for u in p.undirected_neighbours(w):  # comparable elements, incl. w
-            if p.valuation_of(u) == vw:
-                transitions.append((w, TAU, u))
-            else:
-                transitions.append((w, CHANGE, u))
-        for u in p.predecessors(w):
-            transitions.append((w, DOWN, u))
-    return Lts(p.elements, transitions)
+        for j in chain(p.succ[i], p.pred[i]):  # comparable elements, incl. w
+            transitions.append((w, TAU if vals[j] == vals[i] else CHANGE, names[j]))
+        for j in p.pred[i]:
+            transitions.append((w, DOWN, names[j]))
+    return Lts(names, transitions)
+
+
+def _components(p: PosetModel) -> list[list[int]]:
+    """Same-valuation components as lists of element numbers, each found by a
+    search from its least member, so they come in order of least member."""
+    seen = [False] * len(p)
+    blocks: list[list[int]] = []
+    for w in range(len(p)):
+        if seen[w]:
+            continue
+        seen[w] = True
+        component = [w]
+        vw = p.valuations[w]
+        for v in component:
+            for u in chain(p.succ[v], p.pred[v]):
+                if not seen[u] and p.valuations[u] == vw:
+                    seen[u] = True
+                    component.append(u)
+        blocks.append(component)
+    return blocks
 
 
 def components_same_valuation(p: PosetModel) -> Partition:
@@ -174,24 +192,7 @@ def components_same_valuation(p: PosetModel) -> Partition:
     Two elements land in one class when an undirected chain of comparable,
     identically-valued elements links them ("nothing changes" along the way).
     """
-    seen: set[str] = set()
-    blocks: list[list[str]] = []
-    for w in p.elements:
-        if w in seen:
-            continue
-        component = [w]
-        seen.add(w)
-        queue = deque([w])
-        vw = p.valuation_of(w)
-        while queue:
-            v = queue.popleft()
-            for u in p.undirected_neighbours(v):
-                if u not in seen and p.valuation_of(u) == vw:
-                    seen.add(u)
-                    component.append(u)
-                    queue.append(u)
-        blocks.append(component)
-    return Partition.from_blocks(p.elements, blocks)
+    return Partition.from_blocks(p.elements, map(p.names, _components(p)))
 
 
 def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
@@ -202,17 +203,20 @@ def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
     components holding any ordered pair.  Duplicates collapse.  Returns the
     LTS together with the component partition (states are its class names).
     """
-    part = components_same_valuation(p)
-    name_of = {w: part.names[part.class_of(w)] for w in p.elements}
+    blocks = _components(p)
+    part = Partition.from_blocks(p.elements, map(p.names, blocks))
+    state = [""] * len(p)
     transitions: set[tuple[str, Label, str]] = set()
-    for i, block in enumerate(part.classes):
-        rep = next(iter(block))
-        transitions.add((part.names[i], p.valuation_of(rep), part.names[i]))
-    for w in p.elements:
-        for u in p.undirected_neighbours(w):
-            transitions.add((name_of[w], STEP, name_of[u]))
-        for u in p.predecessors(w):
-            transitions.add((name_of[w], DOWN, name_of[u]))
+    for name, block in zip(part.names, blocks):  # both in order of least member
+        transitions.add((name, p.valuations[block[0]], name))
+        for w in block:
+            state[w] = name
+    for w in range(len(p)):
+        for u in p.succ[w]:
+            transitions.add((state[w], STEP, state[u]))
+        for u in p.pred[w]:
+            transitions.add((state[w], STEP, state[u]))
+            transitions.add((state[w], DOWN, state[u]))
     return Lts(part.names, transitions), part
 
 
@@ -302,19 +306,16 @@ def weak_pm_partition(p: PosetModel) -> Partition:
     a downward step into an element related to d1 (and symmetrically).  The
     surviving relation is an equivalence; its classes are returned.
     """
-    related: dict[str, set[str]] = {w: set() for w in p.elements}
-    for w1 in p.elements:
-        for w2 in p.elements:
-            if p.valuation_of(w1) == p.valuation_of(w2):
-                related[w1].add(w2)
+    n = len(p)
+    related = [{j for j in range(n) if p.valuations[j] == p.valuations[i]} for i in range(n)]
 
-    def holds(w1: str, w2: str) -> bool:
+    def holds(w1: int, w2: int) -> bool:
         z_w1 = frozenset(related[w1])
-        checked: set[tuple[frozenset[str], frozenset[str]]] = set()
-        for u1 in p.undirected_neighbours(w1):
+        checked: set[tuple[frozenset[int], frozenset[int]]] = set()
+        for u1 in set(p.succ[w1]).union(p.pred[w1]):
             z_u1 = frozenset(related[u1])
             allowed = z_w1 | z_u1
-            for d1 in p.predecessors(u1):
+            for d1 in p.pred[u1]:
                 key = (z_u1, frozenset(related[d1]))
                 if key in checked:
                     continue
@@ -326,7 +327,7 @@ def weak_pm_partition(p: PosetModel) -> Partition:
     changed = True
     while changed:
         changed = False
-        for w1 in p.elements:
+        for w1 in range(n):
             for w2 in list(related[w1]):
                 if w1 == w2:
                     continue
@@ -336,9 +337,9 @@ def weak_pm_partition(p: PosetModel) -> Partition:
                     changed = True
 
     # The fixpoint is an equivalence; group it into classes and verify.
-    blocks: list[set[str]] = []
-    placed: set[str] = set()
-    for w in p.elements:
+    blocks: list[set[int]] = []
+    placed: set[int] = set()
+    for w in range(n):
         if w in placed:
             continue
         block = {w} | related[w]
@@ -347,23 +348,22 @@ def weak_pm_partition(p: PosetModel) -> Partition:
                 raise AssertionError("fixpoint relation is not transitive")
         placed |= block
         blocks.append(block)
-    return Partition.from_blocks(p.elements, blocks)
+    return Partition.from_blocks(p.elements, map(p.names, blocks))
 
 
 def _matching_path(
-    p: PosetModel, start: str, allowed: set[str] | frozenset[str], targets: set[str]
+    p: PosetModel, start: int, allowed: set[int] | frozenset[int], targets: set[int]
 ) -> bool:
-    """Is there an undirected chain from ``start`` inside ``allowed`` ending
-    with one downward step into ``targets``?"""
+    """Is there an undirected chain of element numbers from ``start`` inside
+    ``allowed`` ending with one downward step into ``targets``?"""
     if start not in allowed:
         return False
     seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        if any(d in targets for d in p.predecessors(v)):
+    queue = [start]
+    for v in queue:
+        if not targets.isdisjoint(p.pred[v]):
             return True
-        for u in p.undirected_neighbours(v):
+        for u in chain(p.succ[v], p.pred[v]):
             if u in allowed and u not in seen:
                 seen.add(u)
                 queue.append(u)

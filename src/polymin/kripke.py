@@ -8,6 +8,10 @@ the order is kept.  Quotients produced by minimisation are generally not
 posets but are always reflexive Kripke models, so the checker is written
 against this class.
 
+Elements are numbered 0..n-1 in construction order.  The relation is stored
+once, as tables of sorted element numbers (``succ``, ``pred``) that the checker
+and the encodings read; the name accessors translate on each call.
+
 Models are immutable after construction and safe to share between threads.
 """
 
@@ -29,7 +33,7 @@ class ReflexiveKripkeModel:
     output order everywhere (result vectors, partitions, exports).
     """
 
-    __slots__ = ("elements", "atoms", "_index", "_valuation", "_succ", "_pred", "_undirected")
+    __slots__ = ("elements", "atoms", "_index", "valuations", "succ", "pred", "_pairs")
 
     def __init__(
         self,
@@ -38,38 +42,45 @@ class ReflexiveKripkeModel:
         valuation: Mapping[str, Iterable[str]],
         atoms: Iterable[str] | None = None,
     ):
+        self._number(elements)
+        succ: list[set[int]] = [set() for _ in self.elements]
+        for a, b in relation:
+            ia, ib = self._index.get(a), self._index.get(b)
+            if ia is None or ib is None:
+                raise ValueError(f"relation pair ({a!r}, {b!r}) mentions an unknown element")
+            succ[ia].add(ib)
+        self._fill([sorted(s) for s in succ], [valuation.get(w, ()) for w in self.elements], atoms)
+
+    @classmethod
+    def _from_successors(cls, elements, succ, valuations, atoms) -> "ReflexiveKripkeModel":
+        """A model from sorted successor lists and valuations, by number."""
+        model = cls.__new__(cls)
+        model._number(elements)
+        model._fill(succ, valuations, atoms)
+        return model
+
+    def _number(self, elements: Iterable[str]) -> None:
         self.elements: tuple[str, ...] = tuple(elements)
         self._index = {w: i for i, w in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate element names")
 
-        succ: dict[str, set[str]] = {w: set() for w in self.elements}
-        pred: dict[str, set[str]] = {w: set() for w in self.elements}
-        for a, b in relation:
-            if a not in self._index or b not in self._index:
-                raise ValueError(f"relation pair ({a!r}, {b!r}) mentions an unknown element")
-            succ[a].add(b)
-            pred[b].add(a)
-        for w in self.elements:
-            if w not in succ[w]:
+    def _fill(self, succ, valuations, atoms) -> None:
+        # Sources in number order leave every predecessor list sorted.
+        pred: list[list[int]] = [[] for _ in succ]
+        for i, targets in enumerate(succ):
+            if i not in targets:
+                w = self.elements[i]
                 raise ValueError(f"accessibility relation must be reflexive; missing ({w!r}, {w!r})")
-
-        order = self._index
-        self._succ = {w: tuple(sorted(succ[w], key=order.__getitem__)) for w in self.elements}
-        self._pred = {w: tuple(sorted(pred[w], key=order.__getitem__)) for w in self.elements}
-        self._undirected = {
-            w: tuple(sorted(set(succ[w]) | set(pred[w]), key=order.__getitem__))
-            for w in self.elements
-        }
-
-        self._valuation = {w: frozenset(valuation.get(w, ())) for w in self.elements}
-        if atoms is None:
-            seen: set[str] = set()
-            for w in self.elements:
-                seen |= self._valuation[w]
-            self.atoms = tuple(sorted(seen))
-        else:
-            self.atoms = tuple(atoms)
+            for j in targets:
+                pred[j].append(i)
+        self.succ: tuple[tuple[int, ...], ...] = tuple(map(tuple, succ))
+        self.pred: tuple[tuple[int, ...], ...] = tuple(map(tuple, pred))
+        self._pairs: frozenset[int] | None = None
+        # Equal atom sets share one object.
+        canonical: dict[frozenset[str], frozenset[str]] = {}
+        self.valuations = tuple(canonical.setdefault(v, v) for v in map(frozenset, valuations))
+        self.atoms = tuple(sorted(set().union(*canonical)) if atoms is None else atoms)
 
     # -- basic queries -----------------------------------------------------
 
@@ -85,35 +96,40 @@ class ReflexiveKripkeModel:
         except KeyError:
             raise UnknownElementError(f"unknown element {w!r}") from None
 
+    def names(self, numbers: Iterable[int]) -> tuple[str, ...]:
+        """The names of the given element numbers, in the given order."""
+        return tuple(map(self.elements.__getitem__, numbers))
+
     def valuation_of(self, w: str) -> frozenset[str]:
-        self.index_of(w)
-        return self._valuation[w]
+        return self.valuations[self.index_of(w)]
 
     def atom_extension(self, atom: str) -> frozenset[str]:
         """All elements whose valuation contains ``atom``."""
-        return frozenset(w for w in self.elements if atom in self._valuation[w])
+        return frozenset(w for w, v in zip(self.elements, self.valuations) if atom in v)
 
     def successors(self, w: str) -> tuple[str, ...]:
         """Elements reachable in one accessibility step from ``w``."""
-        self.index_of(w)
-        return self._succ[w]
+        return self.names(self.succ[self.index_of(w)])
 
     def predecessors(self, w: str) -> tuple[str, ...]:
-        self.index_of(w)
-        return self._pred[w]
+        return self.names(self.pred[self.index_of(w)])
 
     def undirected_neighbours(self, w: str) -> tuple[str, ...]:
         """Neighbours of ``w`` in either direction of the relation."""
-        self.index_of(w)
-        return self._undirected[w]
+        i = self.index_of(w)
+        return self.names(sorted(set(self.succ[i]).union(self.pred[i])))
 
     def related(self, a: str, b: str) -> bool:
-        self.index_of(a)
-        self.index_of(b)
-        return b in self._succ[a]
+        """Constant time, from the set of related number pairs ``i * n + j``
+        that the first call builds."""
+        i, j, n = self.index_of(a), self.index_of(b), len(self.elements)
+        if self._pairs is None:
+            self._pairs = frozenset(s * n + t for s, ts in enumerate(self.succ) for t in ts)
+        return i * n + j in self._pairs
 
     def relation_pairs(self) -> frozenset[tuple[str, str]]:
-        return frozenset((a, b) for a in self.elements for b in self._succ[a])
+        names = self.elements
+        return frozenset((names[a], names[b]) for a, bs in enumerate(self.succ) for b in bs)
 
     def sorted_elements(self, members: Iterable[str]) -> list[str]:
         """Sort a subset of elements into canonical (construction) order."""

@@ -28,7 +28,7 @@ __all__ = [
     "TOP", "Script", "FormulaSyntaxError", "UndefinedIdentifierError",
     "EtaPurityError", "parse_formula", "parse_script", "format_formula",
     "encode_eta_to_gamma", "random_formula", "is_eta_pure", "node_count",
-    "atoms_of",
+    "atoms_of", "operands", "MAX_DEPTH",
 ]
 
 
@@ -111,42 +111,38 @@ class Diamond(Formula):
 TOP = Top()
 
 
-def is_eta_pure(f: Formula) -> bool:
-    """True iff the formula contains no Gamma and no Diamond node."""
+# Deepest formula the parser accepts.  The parser recurses about four frames
+# per nesting level and hashing or comparing formulas two per level, also on
+# the twice as deep eta-to-gamma rewriting, so at this depth none of them
+# needs more than about 420 of Python's default 1000 frames.
+MAX_DEPTH = 100
+
+
+def operands(f: Formula) -> tuple[Formula, ...]:
+    """The direct subformulas of ``f``, left to right."""
     match f:
         case Top() | Atom():
-            return True
-        case Not(g):
-            return is_eta_pure(g)
-        case And(a, b) | Or(a, b) | Eta(a, b):
-            return is_eta_pure(a) and is_eta_pure(b)
-        case Gamma() | Diamond():
-            return False
+            return ()
+        case Not(g) | Diamond(g):
+            return (g,)
+        case And(a, b) | Or(a, b) | Eta(a, b) | Gamma(a, b):
+            return (a, b)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def is_eta_pure(f: Formula) -> bool:
+    """True iff the formula contains no Gamma and no Diamond node."""
+    return not isinstance(f, (Gamma, Diamond)) and all(map(is_eta_pure, operands(f)))
 
 
 def node_count(f: Formula) -> int:
-    match f:
-        case Top() | Atom():
-            return 1
-        case Not(g) | Diamond(g):
-            return 1 + node_count(g)
-        case And(a, b) | Or(a, b) | Eta(a, b) | Gamma(a, b):
-            return 1 + node_count(a) + node_count(b)
-    raise TypeError(f"not a formula: {f!r}")
+    return 1 + sum(map(node_count, operands(f)))
 
 
 def atoms_of(f: Formula) -> frozenset[str]:
-    match f:
-        case Top():
-            return frozenset()
-        case Atom(name):
-            return frozenset({name})
-        case Not(g) | Diamond(g):
-            return atoms_of(g)
-        case And(a, b) | Or(a, b) | Eta(a, b) | Gamma(a, b):
-            return atoms_of(a) | atoms_of(b)
-    raise TypeError(f"not a formula: {f!r}")
+    if isinstance(f, Atom):
+        return frozenset({f.name})
+    return frozenset().union(*map(atoms_of, operands(f)))
 
 
 # -- pretty printing --------------------------------------------------------
@@ -233,6 +229,10 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.env = env  # None: bare identifiers are atoms
+        self.nesting = 0
+        # Depth of every node built so far, by id: each such node stays alive
+        # in the tree or in the bindings while the parse runs.
+        self.depth: dict[int, int] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -245,6 +245,15 @@ class _Parser:
     def error(self, message: str) -> FormulaSyntaxError:
         tok = self.peek()
         return FormulaSyntaxError(message, tok.line, tok.column)
+
+    def node(self, f: Formula) -> Formula:
+        """``f``, once its depth, counted through ``let`` references, is
+        known to be at most MAX_DEPTH."""
+        depth = 1 + max((self.depth[id(g)] for g in operands(f)), default=0)
+        if depth > MAX_DEPTH:
+            raise self.error(f"formula nested deeper than {MAX_DEPTH}")
+        self.depth[id(f)] = depth
+        return f
 
     def expect_punct(self, value: str) -> None:
         tok = self.next()
@@ -259,24 +268,32 @@ class _Parser:
 
     # formula := or-chain
     def formula(self) -> Formula:
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise self.error(f"formula nested deeper than {MAX_DEPTH}")
         node = self.and_chain()
         while self.peek().kind == "punct" and self.peek().value == "|":
             self.next()
-            node = Or(node, self.and_chain())
+            node = self.node(Or(node, self.and_chain()))
+        self.nesting -= 1
         return node
 
     def and_chain(self) -> Formula:
         node = self.unary()
         while self.peek().kind == "punct" and self.peek().value == "&":
             self.next()
-            node = And(node, self.unary())
+            node = self.node(And(node, self.unary()))
         return node
 
     def unary(self) -> Formula:
-        if self.peek().kind == "punct" and self.peek().value == "!":
+        negations = 0
+        while self.peek().kind == "punct" and self.peek().value == "!":
             self.next()
-            return Not(self.unary())
-        return self.primary()
+            negations += 1
+        node = self.primary()
+        for _ in range(negations):
+            node = self.node(Not(node))
+        return node
 
     def primary(self) -> Formula:
         tok = self.peek()
@@ -289,7 +306,7 @@ class _Parser:
             word = tok.value
             if word == "true":
                 self.next()
-                return TOP
+                return self.node(TOP)
             if word == "ap":
                 self.next()
                 self.expect_punct("(")
@@ -297,7 +314,7 @@ class _Parser:
                 if s.kind != "string":
                     raise FormulaSyntaxError("expected quoted atom name", s.line, s.column)
                 self.expect_punct(")")
-                return Atom(s.value[1:-1])
+                return self.node(Atom(s.value[1:-1]))
             if word in ("eta", "gamma"):
                 self.next()
                 self.expect_punct("(")
@@ -305,16 +322,16 @@ class _Parser:
                 self.expect_punct(",")
                 b = self.formula()
                 self.expect_punct(")")
-                return Eta(a, b) if word == "eta" else Gamma(a, b)
+                return self.node(Eta(a, b) if word == "eta" else Gamma(a, b))
             if word == "diamond":
                 self.next()
                 self.expect_punct("(")
                 a = self.formula()
                 self.expect_punct(")")
-                return Diamond(a)
+                return self.node(Diamond(a))
             self.next()
             if self.env is None:
-                return Atom(word)
+                return self.node(Atom(word))
             if word not in self.env:
                 raise UndefinedIdentifierError(
                     f"undefined identifier {word!r} (line {tok.line}, column {tok.column})"

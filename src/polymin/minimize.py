@@ -69,21 +69,19 @@ def minimal_model(p: PosetModel) -> MinimalModel:
     lts, components = encode_abstract(p)
     part = pull_back(strong_partition(lts), components)
     ids = [class_id(i) for i in range(len(part))]
+    cls = [part.class_of(w) for w in p.elements]
 
-    relation = set()
-    for a in p.elements:
-        ca = part.class_of(a)
-        for b in p.successors(a):
-            relation.add((class_id(ca), class_id(part.class_of(b))))
+    succ: list[set[int]] = [set() for _ in ids]
+    valuations: dict[int, frozenset[str]] = {}
+    for w, targets in enumerate(p.succ):
+        succ[cls[w]].update(map(cls.__getitem__, targets))
+        if valuations.setdefault(cls[w], p.valuations[w]) != p.valuations[w]:
+            block = sorted(part.classes[cls[w]])
+            raise AssertionError(f"class {ids[cls[w]]} mixes valuations: {block}")
 
-    valuation = {}
-    for i, block in enumerate(part.classes):
-        vals = {p.valuation_of(w) for w in block}
-        if len(vals) != 1:
-            raise AssertionError(f"class {ids[i]} mixes valuations: {sorted(block)}")
-        valuation[ids[i]] = vals.pop()
-
-    kripke = ReflexiveKripkeModel(ids, relation, valuation, atoms=p.atoms)
+    kripke = ReflexiveKripkeModel._from_successors(
+        ids, [sorted(s) for s in succ], [valuations[i] for i in range(len(ids))], p.atoms
+    )
     return MinimalModel(kripke=kripke, partition=part, source=p)
 
 
@@ -109,8 +107,8 @@ def map_back(mm: MinimalModel, class_result: SatSet) -> list[bool]:
     unknown = set(class_result.members) - valid
     if unknown:
         raise UnknownClassError(f"unknown classes in result: {sorted(unknown)}")
-    hit = set(class_result.members)
-    return [mm.class_of_element(w) in hit for w in mm.source.elements]
+    hit = {mm.kripke.index_of(c) for c in class_result.members}
+    return [mm.partition.class_of(w) in hit for w in mm.source.elements]
 
 
 # -- distinguishing formulas -----------------------------------------------------

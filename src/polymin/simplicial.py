@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from itertools import combinations
+from array import array
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 from .errors import InputError
@@ -61,7 +62,9 @@ class SimplicialModel:
 
     ``cells`` keeps the input order, which downstream stages treat as the
     canonical cell order.  Each cell is a sorted tuple of vertex names and
-    ``valuation`` maps the canonical cell name to its atom set.
+    ``valuation`` maps the canonical cell name to its atom set.  Validation
+    numbers the cells in that order and keeps the covering pairs (face,
+    cell) by number for :func:`cell_poset`.
     """
 
     vertices: tuple[str, ...]
@@ -69,43 +72,55 @@ class SimplicialModel:
     valuation: dict[str, frozenset[str]]
     atoms: tuple[str, ...]
     geometry: dict[str, tuple[float, ...]] | None = field(default=None)
+    _covers: array = field(init=False, repr=False, compare=False)
 
     def cell_names(self) -> list[str]:
-        return [cell_name(c) for c in self.cells]
+        return ["-".join(c) for c in self.cells]
 
     def __post_init__(self):
-        _validate(self)
+        object.__setattr__(self, "_covers", _validate(self))
 
 
-def _validate(m: SimplicialModel) -> None:
+def _validate(m: SimplicialModel) -> array:
+    """Check the model and return its covering pairs as a flat array of cell
+    numbers: face, cell, face, cell, ..."""
     for v in m.vertices:
-        if "-" in v:
-            raise ModelFormatError(f"vertex name {v!r} contains '-', which joins cell names")
+        if not v or "-" in v:
+            raise ModelFormatError(
+                f"vertex name {v!r} is empty or contains '-', which joins cell names"
+            )
     declared = set(m.vertices)
-    names = set()
+    number: dict[str, int] = {}
     for cell in m.cells:
         if not cell:
             raise ModelFormatError("cells must have at least one vertex")
-        for v in cell:
-            if v not in declared:
-                raise UnknownVertexError(f"cell {cell_name(cell)!r} uses undeclared vertex {v!r}")
-        name = cell_name(cell)
-        if name in names:
+        name = "-".join(cell)
+        if not declared.issuperset(cell):
+            v = next(v for v in cell if v not in declared)
+            raise UnknownVertexError(f"cell {name!r} uses undeclared vertex {v!r}")
+        if len(set(cell)) < len(cell):
+            raise ModelFormatError(f"cell {name!r} lists a vertex twice")
+        if name in number:
             raise ModelFormatError(f"duplicate cell {name!r}")
-        names.add(name)
+        number[name] = len(number)
         if name not in m.valuation:
             raise MissingValuationError(f"cell {name!r} has no valuation entry")
     # Face closure: checking the one-vertex-removed faces of every cell covers
-    # all smaller faces by induction.
-    for cell in m.cells:
+    # all smaller faces by induction.  Those faces are exactly its covers.
+    covers = array("i")
+    for high, cell in enumerate(m.cells):
         if len(cell) < 2:
             continue
         for face in combinations(cell, len(cell) - 1):
-            if cell_name(face) not in names:
+            low = number.get("-".join(face))
+            if low is None:
                 raise MissingFaceError(
-                    f"cell {cell_name(cell)!r} requires face {cell_name(face)!r}, "
+                    f"cell {'-'.join(cell)!r} requires face {'-'.join(face)!r}, "
                     "which is not listed"
                 )
+            covers.append(low)
+            covers.append(high)
+    return covers
 
 
 def load_simplicial_model(document: bytes | str) -> SimplicialModel:
@@ -145,14 +160,17 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
         vs = _strings(entry["vertices"], "cell vertices")
         if not vs:
             raise ModelFormatError("cells must have at least one vertex")
-        if "atoms" not in entry:
-            raise MissingValuationError(f"cell {cell_name(vs)!r} has no atom list")
         cell = tuple(sorted(vs))
+        name = "-".join(cell)
+        if "atoms" not in entry:
+            raise MissingValuationError(f"cell {name!r} has no atom list")
         if derive:
             vertices.update(dict.fromkeys(vs))
         cells.append(cell)
-        cell_atoms = frozenset(_strings(entry["atoms"], f"atoms of cell {cell_name(cell)!r}"))
-        valuation[cell_name(cell)] = cell_atoms
+        valuation[name] = frozenset(_strings(entry["atoms"], "atoms", name))
+    # Atoms not declared up front follow in order of first use; a repeated
+    # valuation adds none.
+    for cell_atoms in dict.fromkeys(valuation.values()):
         atoms.update(dict.fromkeys(sorted(cell_atoms)))
 
     geometry = doc.get("geometry")
@@ -172,9 +190,10 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
     )
 
 
-def _strings(value: object, what: str) -> list[str]:
+def _strings(value: object, what: str, cell: str | None = None) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ModelFormatError(f"{what} must be a list of strings")
+        of = "" if cell is None else f" of cell {cell!r}"
+        raise ModelFormatError(f"{what}{of} must be a list of strings")
     return value
 
 
@@ -198,14 +217,15 @@ def model_to_document(m: SimplicialModel) -> str:
 class PosetModel(ReflexiveKripkeModel):
     """A finite poset with a valuation, viewed as a reflexive Kripke model.
 
-    The order is given by its covering relation, kept in ``covers``.  Its
-    reflexive-transitive closure is computed once and becomes the Kripke
-    accessibility relation, which is the only stored copy of the order:
-    ``successors(w)`` is the up-set of ``w``, ``predecessors(w)`` its
-    down-set and ``related(a, b)`` holds iff ``a <= b``.
+    The order is given by its covering relation, kept by element number and
+    read by name through ``covers``.  Its reflexive-transitive closure is
+    computed once and becomes the Kripke accessibility relation, which is the
+    only stored copy of the order: ``successors(w)`` is the up-set of ``w``,
+    ``predecessors(w)`` its down-set and ``related(a, b)`` holds iff
+    ``a <= b``.
     """
 
-    __slots__ = ("covers",)
+    __slots__ = ("_covers",)
 
     def __init__(
         self,
@@ -214,39 +234,63 @@ class PosetModel(ReflexiveKripkeModel):
         valuation: Mapping[str, Iterable[str]],
         atoms: Iterable[str] | None = None,
     ):
-        elements = tuple(elements)
-        order = {w: i for i, w in enumerate(elements)}
-        covers = set(covers)
-        above: dict[str, list[str]] = {w: [] for w in elements}
-        n_below = dict.fromkeys(elements, 0)
+        self._number(elements)
+        number = self._index
+        pairs = set()
         for low, high in covers:
-            if low not in order or high not in order:
+            if low not in number or high not in number:
                 raise ValueError(f"cover ({low!r}, {high!r}) mentions an unknown element")
+            pairs.add((number[low], number[high]))
+        flat = array("i", chain.from_iterable(pairs))
+        self._order(flat, [valuation.get(w, ()) for w in self.elements], atoms)
+
+    @classmethod
+    def _from_covers(cls, elements, covers: array, valuations, atoms) -> "PosetModel":
+        """A poset from distinct covering pairs given as a flat array of
+        element numbers (low, high, low, high, ...)."""
+        p = cls.__new__(cls)
+        p._number(elements)
+        p._order(covers, valuations, atoms)
+        return p
+
+    def _order(self, covers: array, valuations, atoms) -> None:
+        n = len(self.elements)
+        above: list[list[int]] = [[] for _ in range(n)]
+        n_below = [0] * n
+        pairs = iter(covers)
+        for low, high in zip(pairs, pairs):
             if low == high:
-                raise ValueError(f"cover ({low!r}, {high!r}) is reflexive")
+                w = self.elements[low]
+                raise ValueError(f"cover ({w!r}, {w!r}) is reflexive")
             above[low].append(high)
             n_below[high] += 1
 
         # Topological pass from the minimal elements; what it cannot place
         # lies on or above a cycle, which would break antisymmetry.
-        ranked = [w for w in elements if not n_below[w]]
+        ranked = [w for w in range(n) if not n_below[w]]
         for w in ranked:
             for h in above[w]:
                 n_below[h] -= 1
                 if not n_below[h]:
                     ranked.append(h)
-        if len(ranked) != len(elements):
-            stuck = next(w for w in elements if n_below[w])
+        if len(ranked) != n:
+            stuck = self.elements[next(w for w in range(n) if n_below[w])]
             raise ValueError(f"covering relation has a cycle at or below {stuck!r}")
-        up: dict[str, set[str]] = {}
+        up: list[tuple[int, ...]] = [()] * n
         for w in reversed(ranked):
             reach = {w}
             for h in above[w]:
-                reach |= up[h]
-            up[w] = reach
+                reach.update(up[h])
+            up[w] = tuple(sorted(reach))
 
-        super().__init__(elements, ((a, b) for a in elements for b in up[a]), valuation, atoms)
-        self.covers = tuple(sorted(covers, key=lambda p: (order[p[0]], order[p[1]])))
+        self._fill(up, valuations, atoms)
+        self._covers = covers
+
+    @property
+    def covers(self) -> tuple[tuple[str, str], ...]:
+        """The covering pairs (low, high), in element order of low, then high."""
+        c, names = self._covers, self.elements
+        return tuple((names[a], names[b]) for a, b in sorted(zip(c[::2], c[1::2])))
 
 
 def cell_poset(m: SimplicialModel) -> PosetModel:
@@ -257,17 +301,7 @@ def cell_poset(m: SimplicialModel) -> PosetModel:
     to cells by position.
     """
     names = m.cell_names()
-    present = set(names)
-    covers = []
-    for cell in m.cells:
-        if len(cell) < 2:
-            continue
-        high = cell_name(cell)
-        for face in combinations(cell, len(cell) - 1):
-            low = cell_name(face)
-            if low in present:
-                covers.append((low, high))
-    return PosetModel(names, covers, dict(m.valuation), atoms=m.atoms)
+    return PosetModel._from_covers(names, m._covers, [m.valuation[w] for w in names], m.atoms)
 
 
 def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> SimplicialModel:

@@ -19,7 +19,6 @@ from polymin import (
     random_formula,
     random_model,
     sat,
-    sat_eta_path_oracle,
     strong_partition,
     weak_pm_partition,
 )
@@ -29,6 +28,7 @@ from polymin.logic import atoms_of, format_formula
 from polymin.simplicial import model_to_document
 
 from conftest import concrete_d_relation
+from oracles import sat_eta_path_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,19 +1,27 @@
+import random
+import tracemalloc
+
 import pytest
 
 from polymin import (
     ReflexiveKripkeModel,
+    cell_poset,
     check_script,
     encode_eta_to_gamma,
+    load_simplicial_model,
+    minimal_model,
     parse_formula,
     parse_script,
     random_formula,
     sat,
-    sat_eta_path_oracle,
 )
-from polymin.checker import BoundTooSmallError, UnknownAtomError
-from polymin.logic import Atom, Diamond, Eta, EtaPurityError, Gamma, Or, TOP
+from polymin.checker import UnknownAtomError
+from polymin.logic import (
+    And, Atom, Diamond, Eta, EtaPurityError, Gamma, Not, Or, Script, TOP,
+)
 
-from conftest import random_posets
+from conftest import grid_document, random_posets
+from oracles import BoundTooSmallError, check_script_by_names, sat_eta_path_oracle
 
 
 def members(sat_set, model):
@@ -194,3 +202,69 @@ class TestScripts:
     def test_strict_mode_rejects_absent_atom(self, segment3):
         with pytest.raises(UnknownAtomError):
             sat(segment3, Atom("nope"), strict_atoms=True)
+
+
+def any_formula(rng, depth, atoms):
+    """A random formula over every operator; ``atoms`` may name atoms the
+    model does not declare."""
+    if depth == 0 or rng.random() < 0.2:
+        return TOP if rng.random() < 0.1 else Atom(rng.choice(atoms))
+    op = rng.choice([Not, Diamond, And, Or, Eta, Gamma])
+    if op in (Not, Diamond):
+        return op(any_formula(rng, depth - 1, atoms))
+    return op(any_formula(rng, depth - 1, atoms), any_formula(rng, depth - 1, atoms))
+
+
+class TestAgainstSetOracle:
+    """``check_script`` equals the name-based set evaluator it replaced, on
+    every save, for every operator, in both strict-atom modes, on posets and
+    on their (non-poset) minimal models."""
+
+    def check_model(self, model, seed):
+        rng = random.Random(seed)
+        atoms = list(model.atoms) + (["undeclared"] if seed % 3 == 0 else [])
+        shared = any_formula(rng, 2, atoms)
+        saves = {f"s{i}": any_formula(rng, 4, atoms) for i in range(6)}
+        saves["shared"] = And(shared, Eta(shared, Not(shared)))
+        script = Script(bindings={}, saves=saves)
+        for strict in (False, True):
+            try:
+                expected = check_script_by_names(model, script, strict)
+            except UnknownAtomError as exc:
+                with pytest.raises(UnknownAtomError, match=str(exc)):
+                    check_script(model, script, strict_atoms=strict)
+                continue
+            got = check_script(model, script, strict_atoms=strict)
+            assert {k: v.members for k, v in got.items()} == expected, (seed, strict)
+
+    def test_fixtures(self, segment3, triangle, strip4):
+        for p in (segment3, triangle, strip4):
+            for seed in range(40):
+                self.check_model(p, seed)
+                self.check_model(minimal_model(p).kripke, seed)
+
+    def test_random_models(self):
+        for seed, p in random_posets(60, max_cells=40, n_vertices=6, max_dim=3, n_atoms=3):
+            self.check_model(p, seed)
+            self.check_model(minimal_model(p).kripke, seed)
+
+
+def test_memory_grows_linearly_with_the_grid():
+    """Cells grow about 4x from k=16 to k=32; a table per cell that spans
+    all cells, such as an int bitset per up-set, would grow the peak about
+    16x."""
+    script = Script(bindings={}, saves={
+        "eta": Eta(Or(Atom("floor"), Atom("goal")), Atom("goal")),
+        "gamma": And(Gamma(Atom("floor"), Atom("goal")), Not(Atom("wall"))),
+        "diamond": Diamond(Atom("wall")),
+    })
+    peaks = []
+    for k in (16, 32):
+        model = load_simplicial_model(grid_document(k))
+        tracemalloc.start()
+        try:
+            check_script(cell_poset(model), script)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 6 * peaks[0], peaks

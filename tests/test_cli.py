@@ -130,6 +130,22 @@ class TestCheck:
         script = self.write_script(outdir, 'save "x" undefinedName\n')
         assert run("check", script, "--model", str(FIXTURES / "segment3.json")) == 2
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            'save "deep" ' + "!" * 3000 + 'ap("red")\n',
+            'let a0 = ap("red")\n'
+            + "".join(f"let a{i + 1} = !a{i}\n" for i in range(3000))
+            + 'save "deep" a3000\n',
+        ],
+        ids=["negations", "let-chain"],
+    )
+    def test_deep_formula_exits_2(self, outdir, text, capsys):
+        script = self.write_script(outdir, text)
+        assert run("check", script, "--model", str(FIXTURES / "segment3.json")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: formula nested deeper than") and err.count("\n") == 1
+
     def test_self_check_passes(self, outdir):
         script = self.write_script(outdir, 'save "reach" eta(ap("red"), ap("blue"))\n')
         out = outdir / "results.json"

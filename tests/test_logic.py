@@ -10,10 +10,12 @@ from polymin.logic import (
     EtaPurityError,
     FormulaSyntaxError,
     Gamma,
+    MAX_DEPTH,
     Not,
     Or,
     Top,
     UndefinedIdentifierError,
+    atoms_of,
     encode_eta_to_gamma,
     format_formula,
     is_eta_pure,
@@ -85,6 +87,50 @@ class TestParseFormula:
     def test_trailing_garbage(self):
         with pytest.raises(FormulaSyntaxError):
             parse_formula("a b")
+
+
+def nested(shape, depth):
+    """Text of a formula of exactly ``depth`` levels, nested by ``shape``."""
+    k = depth - 1
+    return {
+        "not": "!" * k + "a",
+        "and": " & ".join(["a"] * (k + 1)),
+        "or": " | ".join(["a"] * (k + 1)),
+        "eta": "eta(b, " * k + "a" + ")" * k,
+        "diamond": "diamond(" * k + "a" + ")" * k,
+    }[shape]
+
+
+class TestDepthLimit:
+    SHAPES = ["not", "and", "or", "eta", "diamond"]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_deepest_formula_is_usable(self, shape):
+        f = parse_formula(nested(shape, MAX_DEPTH))
+        assert parse_formula(format_formula(f)) == f
+        assert node_count(f) >= MAX_DEPTH
+        assert is_eta_pure(f) == (shape != "diamond")
+        assert atoms_of(f) <= {"a", "b"}
+        assert hash(f) == hash(parse_formula(format_formula(f)))
+        if shape != "diamond":
+            assert format_formula(encode_eta_to_gamma(f))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_level_deeper_is_rejected(self, shape):
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+            parse_formula(nested(shape, MAX_DEPTH + 1))
+
+    def test_parentheses_count_as_nesting(self):
+        parse_formula("(" * (MAX_DEPTH - 1) + "a" + ")" * (MAX_DEPTH - 1))
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+            parse_formula("(" * MAX_DEPTH + "a" + ")" * MAX_DEPTH)
+
+    def test_let_references_count_towards_depth(self):
+        lets = "".join(f"let a{i + 1} = !a{i}\n" for i in range(MAX_DEPTH - 1))
+        script = 'let a0 = ap("p")\n' + lets
+        parse_script(script + f'save "x" a{MAX_DEPTH - 1}\n')
+        with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
+            parse_script(script + f'save "x" !a{MAX_DEPTH - 1}\n')
 
 
 class TestParseScript:

@@ -103,10 +103,23 @@ class TestLoad:
                 ],
             },
             {"atoms": [], "cells": [{"vertices": ["a-b"], "atoms": []}]},
+            {
+                "atoms": [],
+                "cells": [{"vertices": ["A"], "atoms": []}, {"vertices": ["A", "A"], "atoms": []}],
+            },
+            {
+                "atoms": [],
+                "cells": [
+                    {"vertices": [""], "atoms": []},
+                    {"vertices": ["A"], "atoms": []},
+                    {"vertices": ["", "A"], "atoms": []},
+                ],
+            },
         ],
         ids=[
             "atoms-int", "cell-atoms-int", "cell-vertices-int", "geometry-list",
             "geometry-value-int", "cell-atoms-string", "cell-vertices-string", "dash-vertex",
+            "repeated-vertex", "empty-vertex",
         ],
     )
     def test_ill_typed_document_is_rejected(self, document, tmp_path, capsys):
@@ -206,6 +219,7 @@ class TestPartialOrderLaws:
         p = PosetModel(chain, zip(chain, chain[1:]), {})
         assert len(p.successors("c0")) == 1500
         assert p.predecessors("c1499") == tuple(chain)
+        assert p.related("c0", "c1499") and not p.related("c1499", "c0")
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
