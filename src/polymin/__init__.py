@@ -16,8 +16,7 @@ from .errors import InputError
 from .kripke import ReflexiveKripkeModel
 from .logic import (
     Atom, And, Diamond, Eta, Formula, Gamma, Not, Or, Script, Top, TOP,
-    encode_eta_to_gamma, format_formula, parse_formula, parse_script,
-    random_formula,
+    format_formula, parse_formula, parse_script,
 )
 from .minimize import (
     MinimalModel, distinguishing_formula, map_back, minimal_model,
@@ -33,7 +32,6 @@ __all__ = [
     "load_simplicial_model", "cell_poset", "random_model",
     "Formula", "Top", "TOP", "Atom", "Not", "And", "Or", "Eta", "Gamma", "Diamond",
     "Script", "parse_formula", "parse_script", "format_formula",
-    "encode_eta_to_gamma", "random_formula",
     "SatSet", "sat", "check_script",
     "Lts", "Partition", "encode_concrete", "encode_abstract",
     "components_same_valuation", "branching_partition", "strong_partition",

@@ -13,8 +13,8 @@ always agree.
 from __future__ import annotations
 
 import re
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
@@ -45,41 +45,52 @@ class AutFormatError(InputError):
 class Lts:
     """A finite labelled transition system with set-semantics transitions.
 
-    ``states`` keeps construction order (it numbers states in exports);
-    transitions are a set of (source, label, target) triples.
+    ``states`` keeps construction order (it numbers states in exports); each
+    transition is stored once, in ``moves[i]``: the distinct (label, target
+    number) pairs of state number i.
     """
 
-    __slots__ = ("states", "transitions", "_index", "_out")
+    __slots__ = ("states", "moves")
 
     def __init__(self, states: Iterable[str], transitions: Iterable[tuple[str, Label, str]]):
         self.states: tuple[str, ...] = tuple(states)
-        self._index = {s: i for i, s in enumerate(self.states)}
-        if len(self._index) != len(self.states):
+        index = {s: i for i, s in enumerate(self.states)}
+        if len(index) != len(self.states):
             raise ValueError("duplicate state names")
-        self.transitions: frozenset[tuple[str, Label, str]] = frozenset(transitions)
-        out: dict[str, list[tuple[Label, str]]] = {s: [] for s in self.states}
-        for src, lab, dst in self.transitions:
-            if src not in self._index or dst not in self._index:
+        moves: list[set[tuple[Label, int]]] = [set() for _ in self.states]
+        for src, lab, dst in transitions:
+            i, j = index.get(src), index.get(dst)
+            if i is None or j is None:
                 raise ValueError(f"transition ({src!r}, {lab!r}, {dst!r}) has an unknown endpoint")
-            out[src].append((lab, dst))
-        for s in self.states:
-            out[s].sort(key=lambda t: (_label_text(t[0]), self._index[t[1]]))
-        self._out = {s: tuple(v) for s, v in out.items()}
+            moves[i].add((lab, j))
+        self.moves = tuple(map(frozenset, moves))
 
-    def index_of(self, state: str) -> int:
-        return self._index[state]
+    @classmethod
+    def _from_moves(cls, states: Iterable[str], moves: Iterable[Iterable]) -> "Lts":
+        """An LTS from per-state (label, target number) pairs, by number."""
+        lts = cls.__new__(cls)
+        lts.states = tuple(states)
+        lts.moves = tuple(map(frozenset, moves))
+        return lts
 
-    def outgoing(self, state: str) -> tuple[tuple[Label, str], ...]:
-        return self._out[state]
+    @property
+    def transitions(self) -> frozenset[tuple[str, Label, str]]:
+        """Every transition as a (source, label, target) triple of names."""
+        names = self.states
+        return frozenset(
+            (names[i], lab, names[j]) for i, ms in enumerate(self.moves) for lab, j in ms
+        )
 
     def count_label(self, label: Label) -> int:
-        return sum(1 for _, lab, _ in self.transitions if lab == label)
+        return sum(lab == label for ms in self.moves for lab, _ in ms)
 
     def __len__(self) -> int:
         return len(self.states)
 
 
 def _label_text(label: Label) -> str:
+    """The Aldebaran spelling of a label.  Refinement compares labels by
+    value: ``{"a,b"}`` and ``{"a", "b"}`` are both spelt ``{a,b}``."""
     if isinstance(label, frozenset):
         return "{" + ",".join(sorted(label)) + "}"
     return str(label)
@@ -89,52 +100,67 @@ def _label_text(label: Label) -> str:
 class Partition:
     """An ordered partition of a fixed universe.
 
-    Classes are ordered by their least member's position in the universe;
-    each class is also named after its lexicographically least member.
+    ``block[i]`` is the class number of the universe's i-th member; classes
+    are numbered in order of their first member, so equal partitions have
+    equal tables.  Each class is also named after its lexicographically least
+    member.
     """
 
     universe: tuple[str, ...]
-    classes: tuple[frozenset[str], ...]
-    names: tuple[str, ...] = field(compare=False)
-    _index: dict[str, int] = field(compare=False, repr=False)
+    block: tuple[int, ...]
 
     @staticmethod
     def from_blocks(universe: Iterable[str], blocks: Iterable[Iterable[str]]) -> "Partition":
+        """A validated partition from blocks of member names, in any order."""
         universe = tuple(universe)
         position = {w: i for i, w in enumerate(universe)}
-        normalised = [frozenset(b) for b in blocks if b]
-        covered: set[str] = set()
-        for b in normalised:
+        block = [-1] * len(universe)
+        for k, b in enumerate(blocks):
             for w in b:
-                if w not in position:
+                i = position.get(w)
+                if i is None:
                     raise ValueError(f"block member {w!r} is not in the universe")
-                if w in covered:
+                if block[i] not in (-1, k):
                     raise ValueError(f"blocks overlap on {w!r}")
-            covered |= b
-        if covered != set(universe):
-            missing = sorted(set(universe) - covered, key=position.__getitem__)
+                block[i] = k
+        missing = [w for w, k in zip(universe, block) if k < 0]
+        if missing:
             raise ValueError(f"blocks do not cover {missing!r}")
-        ordered = tuple(sorted(normalised, key=lambda b: min(position[w] for w in b)))
-        names = tuple(min(b) for b in ordered)
-        index = {w: i for i, b in enumerate(ordered) for w in b}
-        return Partition(universe, ordered, names, index)
+        first: dict[int, int] = {}
+        return Partition(universe, tuple(first.setdefault(k, len(first)) for k in block))
+
+    @cached_property
+    def classes(self) -> tuple[frozenset[str], ...]:
+        members: list[list[str]] = [[] for _ in range(len(self))]
+        for w, k in zip(self.universe, self.block):
+            members[k].append(w)
+        return tuple(map(frozenset, members))
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(map(min, self.classes))
+
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self.universe)}
 
     def class_of(self, member: str) -> int:
-        return self._index[member]
+        return self.block[self._position[member]]
 
     def class_members(self, i: int) -> frozenset[str]:
         return self.classes[i]
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return max(self.block, default=-1) + 1
 
     def same_class(self, a: str, b: str) -> bool:
-        return self._index[a] == self._index[b]
+        return self.class_of(a) == self.class_of(b)
 
     def refines(self, other: "Partition") -> bool:
         """True iff every class of this partition fits inside a class of
         ``other`` (same universe assumed)."""
-        return all(any(c <= d for d in other.classes) for c in self.classes)
+        image: dict[int, int] = {}
+        return all(image.setdefault(a, b) == b for a, b in zip(self.block, other.block))
 
 
 # -- encodings ---------------------------------------------------------------
@@ -154,36 +180,14 @@ def encode_concrete(p: PosetModel) -> Lts:
     clash = _RESERVED_CONCRETE & set(p.atoms)
     if clash:
         raise ValueError(f"atom names collide with reserved labels: {sorted(clash)}")
-    names, vals = p.elements, p.valuations
-    transitions: list[tuple[str, Label, str]] = []
-    for i, w in enumerate(names):
-        for atom in sorted(vals[i]):
-            transitions.append((w, atom, w))
-        for j in chain(p.succ[i], p.pred[i]):  # comparable elements, incl. w
-            transitions.append((w, TAU if vals[j] == vals[i] else CHANGE, names[j]))
-        for j in p.pred[i]:
-            transitions.append((w, DOWN, names[j]))
-    return Lts(names, transitions)
-
-
-def _components(p: PosetModel) -> list[list[int]]:
-    """Same-valuation components as lists of element numbers, each found by a
-    search from its least member, so they come in order of least member."""
-    seen = [False] * len(p)
-    blocks: list[list[int]] = []
-    for w in range(len(p)):
-        if seen[w]:
-            continue
-        seen[w] = True
-        component = [w]
-        vw = p.valuations[w]
-        for v in component:
-            for u in chain(p.succ[v], p.pred[v]):
-                if not seen[u] and p.valuations[u] == vw:
-                    seen[u] = True
-                    component.append(u)
-        blocks.append(component)
-    return blocks
+    vals = p.valuations
+    moves = []
+    for i, vi in enumerate(vals):
+        m = {(atom, i) for atom in vi}
+        m.update((TAU if vals[j] == vi else CHANGE, j) for j in chain(p.succ[i], p.pred[i]))
+        m.update((DOWN, j) for j in p.pred[i])
+        moves.append(m)
+    return Lts._from_moves(p.elements, moves)
 
 
 def components_same_valuation(p: PosetModel) -> Partition:
@@ -191,8 +195,23 @@ def components_same_valuation(p: PosetModel) -> Partition:
 
     Two elements land in one class when an undirected chain of comparable,
     identically-valued elements links them ("nothing changes" along the way).
+    Each component is found by a search from its least member, so they are
+    numbered in order of least member.
     """
-    return Partition.from_blocks(p.elements, map(p.names, _components(p)))
+    block = [-1] * len(p)
+    count = 0
+    for w, vw in enumerate(p.valuations):
+        if block[w] >= 0:
+            continue
+        block[w] = count
+        component = [w]
+        for v in component:
+            for u in chain(p.succ[v], p.pred[v]):
+                if block[u] < 0 and p.valuations[u] == vw:
+                    block[u] = count
+                    component.append(u)
+        count += 1
+    return Partition(p.elements, tuple(block))
 
 
 def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
@@ -203,21 +222,14 @@ def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
     components holding any ordered pair.  Duplicates collapse.  Returns the
     LTS together with the component partition (states are its class names).
     """
-    blocks = _components(p)
-    part = Partition.from_blocks(p.elements, map(p.names, blocks))
-    state = [""] * len(p)
-    transitions: set[tuple[str, Label, str]] = set()
-    for name, block in zip(part.names, blocks):  # both in order of least member
-        transitions.add((name, p.valuations[block[0]], name))
-        for w in block:
-            state[w] = name
-    for w in range(len(p)):
-        for u in p.succ[w]:
-            transitions.add((state[w], STEP, state[u]))
-        for u in p.pred[w]:
-            transitions.add((state[w], STEP, state[u]))
-            transitions.add((state[w], DOWN, state[u]))
-    return Lts(part.names, transitions), part
+    part = components_same_valuation(p)
+    comp = part.block
+    moves: list[set[tuple[Label, int]]] = [set() for _ in part.names]
+    for w, c in enumerate(comp):
+        moves[c].add((p.valuations[w], c))
+        moves[c].update((STEP, comp[u]) for u in chain(p.succ[w], p.pred[w]))
+        moves[c].update((DOWN, comp[u]) for u in p.pred[w])
+    return Lts._from_moves(part.names, moves), part
 
 
 # -- partition refinement ------------------------------------------------------
@@ -226,16 +238,17 @@ def strong_partition(l: Lts) -> Partition:
     """Coarsest partition stable under the classic transfer condition."""
     for block in strong_rounds(l):
         pass
-    return _partition_from_assignment(l.states, block)
+    return Partition(l.states, tuple(block))
 
 
-def strong_rounds(l: Lts) -> Iterator[dict[str, int]]:
-    """The block map of every round of :func:`strong_partition`'s refinement,
-    where a state's signature is its set of moves (label, target block)."""
-    def signature(s: str, block: dict[str, int]) -> frozenset[tuple[str, int]]:
-        return frozenset((_label_text(lab), block[t]) for lab, t in l.outgoing(s))
+def strong_rounds(l: Lts) -> Iterator[list[int]]:
+    """The block table of every round of :func:`strong_partition`'s
+    refinement, where a state's signature is its set of moves (label, target
+    block)."""
+    def signature(i: int, block: list[int]) -> frozenset[tuple[Label, int]]:
+        return frozenset((lab, block[t]) for lab, t in l.moves[i])
 
-    return _rounds(l.states, signature)
+    return _rounds(len(l), signature)
 
 
 def branching_partition(l: Lts, tau: Label = TAU) -> Partition:
@@ -246,53 +259,47 @@ def branching_partition(l: Lts, tau: Label = TAU) -> Partition:
     moves within the block are inert.  Without ``tau`` among the labels this
     degrades to strong bisimulation.
     """
-    def signature(s: str, block: dict[str, int]) -> frozenset[tuple[str, int]]:
+    def signature(i: int, block: list[int]) -> frozenset[tuple[Label, int]]:
         sig = set()
-        for v in _inert_closure(l, s, block, tau):
-            for lab, t in l.outgoing(v):
-                if lab != tau or block[t] != block[s]:
-                    sig.add((_label_text(lab), block[t]))
+        for v in _inert_closure(l, i, block, tau):
+            for lab, t in l.moves[v]:
+                if lab != tau or block[t] != block[i]:
+                    sig.add((lab, block[t]))
         return frozenset(sig)
 
-    for block in _rounds(l.states, signature):
+    for block in _rounds(len(l), signature):
         pass
-    return _partition_from_assignment(l.states, block)
+    return Partition(l.states, tuple(block))
 
 
-def _inert_closure(l: Lts, s: str, block: dict[str, int], tau: Label) -> list[str]:
-    """States reachable from ``s`` via tau steps that never leave s's block."""
-    home = block[s]
-    seen = {s}
-    queue = deque([s])
-    while queue:
-        v = queue.popleft()
-        for lab, t in l.outgoing(v):
+def _inert_closure(l: Lts, i: int, block: list[int], tau: Label) -> list[int]:
+    """States reachable from state ``i`` via tau steps that never leave its
+    block."""
+    home = block[i]
+    seen = {i}
+    queue = [i]
+    for v in queue:
+        for lab, t in l.moves[v]:
             if lab == tau and block[t] == home and t not in seen:
                 seen.add(t)
                 queue.append(t)
-    return list(seen)
+    return queue
 
 
-def _rounds(states, signature) -> Iterator[dict[str, int]]:
-    """Signature-based refinement from a single block, round by round: each
-    round splits every block by ``signature(state, previous blocks)``, with
-    block ids in order of first state.  The last map yielded is stable."""
-    block = {s: 0 for s in states}
+def _rounds(n: int, signature) -> Iterator[list[int]]:
+    """Signature-based refinement of states 0..n-1 from a single block, round
+    by round: each round splits every block by ``signature(state, previous
+    blocks)``, with block numbers in order of first state.  The last table
+    yielded is stable."""
+    block = [0] * n
     n_blocks = 1
     while True:
         yield block
         groups: dict[object, int] = {}
-        new = {s: groups.setdefault((block[s], signature(s, block)), len(groups)) for s in states}
+        new = [groups.setdefault((block[i], signature(i, block)), len(groups)) for i in range(n)]
         if len(groups) == n_blocks:
             return
         block, n_blocks = new, len(groups)
-
-
-def _partition_from_assignment(states, block) -> Partition:
-    blocks: dict[int, list[str]] = {}
-    for s in states:
-        blocks.setdefault(block[s], []).append(s)
-    return Partition.from_blocks(states, blocks.values())
 
 
 # -- direct fixpoint on the poset model ----------------------------------------
@@ -336,19 +343,19 @@ def weak_pm_partition(p: PosetModel) -> Partition:
                     related[w2].discard(w1)
                     changed = True
 
-    # The fixpoint is an equivalence; group it into classes and verify.
-    blocks: list[set[int]] = []
-    placed: set[int] = set()
+    # The fixpoint is an equivalence; number its classes and verify.
+    block = [-1] * n
+    count = 0
     for w in range(n):
-        if w in placed:
+        if block[w] >= 0:
             continue
-        block = {w} | related[w]
-        for m in block:
-            if related[m] | {m} != block:
+        members = {w} | related[w]
+        for m in members:
+            if related[m] | {m} != members:
                 raise AssertionError("fixpoint relation is not transitive")
-        placed |= block
-        blocks.append(block)
-    return Partition.from_blocks(p.elements, map(p.names, blocks))
+            block[m] = count
+        count += 1
+    return Partition(p.elements, tuple(block))
 
 
 def _matching_path(
@@ -379,16 +386,17 @@ def quotient_lts(l: Lts, part: Partition, drop_tau_self_loops: bool = False) -> 
     self-loops, which branching bisimilarity cannot observe; they are kept by
     default for rule-for-rule fidelity.
     """
-    if tuple(part.universe) != tuple(l.states):
+    if part.universe != l.states:
         raise ValueError("partition universe does not match the LTS states")
-    name_of = {s: part.names[part.class_of(s)] for s in l.states}
-    transitions = set()
-    for src, lab, dst in l.transitions:
-        a, b = name_of[src], name_of[dst]
-        if drop_tau_self_loops and lab == TAU and a == b:
-            continue
-        transitions.add((a, lab, b))
-    return Lts(part.names, transitions)
+    block = part.block
+    moves: list[set[tuple[Label, int]]] = [set() for _ in part.names]
+    for i, ms in enumerate(l.moves):
+        a = block[i]
+        moves[a].update(
+            (lab, block[j]) for lab, j in ms
+            if not (drop_tau_self_loops and lab == TAU and block[j] == a)
+        )
+    return Lts._from_moves(part.names, moves)
 
 
 def pull_back(coarse: Partition, fine: Partition) -> Partition:
@@ -398,14 +406,9 @@ def pull_back(coarse: Partition, fine: Partition) -> Partition:
     names.  The result groups elements whose ``fine`` classes share a
     ``coarse`` class.
     """
-    name_to_members = {fine.names[i]: fine.classes[i] for i in range(len(fine))}
-    blocks = []
-    for group in coarse.classes:
-        merged: set[str] = set()
-        for name in group:
-            merged |= name_to_members[name]
-        blocks.append(merged)
-    return Partition.from_blocks(fine.universe, blocks)
+    if coarse.universe != fine.names:
+        raise ValueError("the coarse partition's universe is not the fine class names")
+    return Partition(fine.universe, tuple(map(coarse.block.__getitem__, fine.block)))
 
 
 # -- Aldebaran format -------------------------------------------------------------
@@ -416,10 +419,8 @@ _AUT_LINE = re.compile(r"\(\s*(\d+)\s*,\s*\"([^\"]*)\"\s*,\s*(\d+)\s*\)\s*")
 
 def to_aut(l: Lts) -> str:
     """Serialise to Aldebaran format; state numbers follow state order."""
-    lines = [f"des ({0},{len(l.transitions)},{len(l.states)})"]
-    triples = sorted(
-        (l.index_of(src), _label_text(lab), l.index_of(dst)) for src, lab, dst in l.transitions
-    )
+    triples = sorted((i, _label_text(lab), j) for i, ms in enumerate(l.moves) for lab, j in ms)
+    lines = [f"des (0,{len(triples)},{len(l.states)})"]
     for src, lab, dst in triples:
         if '"' in lab:
             raise ValueError(f"label {lab!r} cannot be written in Aldebaran format")
@@ -442,8 +443,7 @@ def from_aut(text: str) -> Lts:
         raise AutFormatError(
             f"header announces {n_trans} transitions, found {len(lines) - 1}"
         )
-    states = [str(i) for i in range(n_states)]
-    transitions = []
+    moves: list[set[tuple[Label, int]]] = [set() for _ in range(n_states)]
     for ln in lines[1:]:
         m = _AUT_LINE.fullmatch(ln.strip())
         if m is None:
@@ -451,5 +451,5 @@ def from_aut(text: str) -> Lts:
         src, lab, dst = int(m.group(1)), m.group(2), int(m.group(3))
         if src >= n_states or dst >= n_states:
             raise AutFormatError(f"state number out of range in {ln!r}")
-        transitions.append((str(src), lab, str(dst)))
-    return Lts(states, transitions)
+        moves[src].add((lab, dst))
+    return Lts._from_moves(map(str, range(n_states)), moves)

@@ -4,7 +4,8 @@ Subcommands replicate the full pipeline: load a model, build its cell poset,
 encode, minimise, check scripts (directly or on the minimal model with
 answers mapped back), plus generators and Aldebaran export for interop.
 
-Exit codes: 0 success, 1 self-check failure, 2 invalid input.
+Exit codes: 0 success, 1 self-check failure, 2 invalid input, 3 an
+unexpected internal error.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
+from dataclasses import replace
 from pathlib import Path
 
 from . import bisim, checker, minimize
@@ -74,9 +77,7 @@ def cmd_minimize(args) -> int:
     (outdir / f"{stem}.classes.json").write_text(
         json.dumps({"classes": classes}, indent=2) + "\n", encoding="utf-8"
     )
-    relation = sorted(
-        [mm.kripke.index_of(a), mm.kripke.index_of(b)] for a, b in mm.kripke.relation_pairs()
-    )
+    relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
     (outdir / f"{stem}.minmodel.json").write_text(
         json.dumps({"classes": classes, "relation": relation}, indent=2) + "\n",
         encoding="utf-8",
@@ -107,28 +108,21 @@ def cmd_check(args) -> int:
                     f"save {name!r} uses gamma or diamond, which the minimal "
                     "model does not preserve; check it without --on-minimal"
                 )
-    if args.on_minimal or args.self_check:
-        mm = minimize.minimal_model(poset)
-
-    results: dict[str, list[bool]] = {}
-    if args.on_minimal:
-        class_results = checker.check_script(mm.kripke, script, strict_atoms=args.strict_atoms)
-        for name, sat_set in class_results.items():
-            results[name] = minimize.map_back(mm, sat_set)
-    else:
+    if args.self_check or not args.on_minimal:
         sat_sets = checker.check_script(poset, script, strict_atoms=args.strict_atoms)
-        for name, sat_set in sat_sets.items():
-            results[name] = sat_set.to_bools(poset)
-
+        direct = {name: sat_set.to_bools(poset) for name, sat_set in sat_sets.items()}
+    if args.self_check or args.on_minimal:
+        # transfer only holds for the eta fragment
+        eta = replace(script, saves={n: f for n, f in script.saves.items() if is_eta_pure(f)})
+        mm = minimize.minimal_model(poset)
+        class_results = checker.check_script(mm.kripke, eta, strict_atoms=args.strict_atoms)
+        minimal = {name: minimize.map_back(mm, sat_set) for name, sat_set in class_results.items()}
     if args.self_check:
-        for name, f in script.saves.items():
-            if not is_eta_pure(f):
-                continue  # transfer only holds for the eta fragment
-            classwise = checker.sat(mm.kripke, f, strict_atoms=args.strict_atoms)
-            direct = checker.sat(poset, f, strict_atoms=args.strict_atoms)
-            if minimize.map_back(mm, classwise) != direct.to_bools(poset):
+        for name, answer in minimal.items():
+            if answer != direct[name]:
                 raise SelfCheckFailure(f"direct and minimal answers differ for {name!r}")
 
+    results = minimal if args.on_minimal else direct
     payload = {"model": str(model_path), "results": results}
     _write(args.output, json.dumps(payload, indent=2) + "\n")
     return 0
@@ -218,6 +212,11 @@ def main(argv: list[str] | None = None) -> int:
     except SelfCheckFailure as exc:
         print(f"self-check failed: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno}"
+        print(f"internal error: {exc!r} at {where}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Formula AST, concrete syntax, scripts and the eta-to-gamma rewriting.
+"""Formula AST, concrete syntax and scripts.
 
 Grammar (``!`` binds tighter than ``&``, which binds tighter than ``|``)::
 
@@ -17,7 +17,6 @@ bindings are expanded by substitution at parse time.
 
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 
@@ -27,7 +26,7 @@ __all__ = [
     "Formula", "Top", "Atom", "Not", "And", "Or", "Eta", "Gamma", "Diamond",
     "TOP", "Script", "FormulaSyntaxError", "UndefinedIdentifierError",
     "EtaPurityError", "parse_formula", "parse_script", "format_formula",
-    "encode_eta_to_gamma", "random_formula", "is_eta_pure", "node_count",
+    "is_eta_pure", "node_count",
     "atoms_of", "operands", "MAX_DEPTH",
 ]
 
@@ -406,62 +405,3 @@ def parse_script(text: str) -> Script:
             f"expected 'let', 'save' or end of script, found {tok.value!r}", tok.line, tok.column
         )
     return Script(bindings=bindings, saves=saves, model_ref=model_ref)
-
-
-# -- eta elimination ---------------------------------------------------------
-
-def encode_eta_to_gamma(f: Formula) -> Formula:
-    """Rewrite an eta-pure formula into one using gamma instead of eta.
-
-    ``eta(a, b)`` becomes ``a' & gamma(a', b')`` where the primes are the
-    rewritten arguments; all other connectives map through unchanged.  The two
-    forms have the same extension on every model.
-    """
-    match f:
-        case Top() | Atom():
-            return f
-        case Not(g):
-            return Not(encode_eta_to_gamma(g))
-        case And(a, b):
-            return And(encode_eta_to_gamma(a), encode_eta_to_gamma(b))
-        case Or(a, b):
-            return Or(encode_eta_to_gamma(a), encode_eta_to_gamma(b))
-        case Eta(a, b):
-            ea = encode_eta_to_gamma(a)
-            return And(ea, Gamma(ea, encode_eta_to_gamma(b)))
-        case Gamma() | Diamond():
-            raise EtaPurityError("input must be eta-pure (no gamma or diamond nodes)")
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# -- random formulas ----------------------------------------------------------
-
-def random_formula(seed: int, max_depth: int, atoms: list[str]) -> Formula:
-    """Deterministic random eta-pure formula of depth at most ``max_depth``."""
-    if max_depth < 0:
-        raise ValueError("max_depth must be non-negative")
-    if not atoms:
-        raise ValueError("atom universe must not be empty")
-    rng = random.Random(seed)
-    universe = sorted(atoms)
-
-    def leaf() -> Formula:
-        if rng.random() < 0.08:
-            return TOP
-        return Atom(rng.choice(universe))
-
-    def build(depth: int) -> Formula:
-        if depth <= 0:
-            return leaf()
-        roll = rng.random()
-        if roll < 0.25:
-            return leaf()
-        if roll < 0.40:
-            return Not(build(depth - 1))
-        if roll < 0.60:
-            return And(build(depth - 1), build(depth - 1))
-        if roll < 0.75:
-            return Or(build(depth - 1), build(depth - 1))
-        return Eta(build(depth - 1), build(depth - 1))
-
-    return build(max_depth)

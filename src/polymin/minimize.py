@@ -50,7 +50,7 @@ class MinimalModel:
     source: PosetModel
 
     def class_of_element(self, element: str) -> str:
-        return class_id(self.partition.class_of(element))
+        return class_id(self.partition.block[self.source.index_of(element)])
 
     def members_of(self, cid: str) -> frozenset[str]:
         if cid not in self.kripke:
@@ -69,7 +69,7 @@ def minimal_model(p: PosetModel) -> MinimalModel:
     lts, components = encode_abstract(p)
     part = pull_back(strong_partition(lts), components)
     ids = [class_id(i) for i in range(len(part))]
-    cls = [part.class_of(w) for w in p.elements]
+    cls = part.block
 
     succ: list[set[int]] = [set() for _ in ids]
     valuations: dict[int, frozenset[str]] = {}
@@ -90,11 +90,9 @@ def rmin_via_quotient_d(lts: Lts, part: Partition) -> frozenset[tuple[str, str]]
     its branching partition ``part``, over ``part``'s class ids ``C0, C1, ...``;
     must equal :func:`minimal_model`'s relation."""
     quotient = quotient_lts(lts, part)
-    name_to_id = {part.names[i]: class_id(i) for i in range(len(part))}
     return frozenset(
-        (name_to_id[dst], name_to_id[src])
-        for src, lab, dst in quotient.transitions
-        if lab == DOWN
+        (class_id(j), class_id(i))
+        for i, ms in enumerate(quotient.moves) for lab, j in ms if lab == DOWN
     )
 
 
@@ -108,7 +106,7 @@ def map_back(mm: MinimalModel, class_result: SatSet) -> list[bool]:
     if unknown:
         raise UnknownClassError(f"unknown classes in result: {sorted(unknown)}")
     hit = {mm.kripke.index_of(c) for c in class_result.members}
-    return [mm.partition.class_of(w) in hit for w in mm.source.elements]
+    return [k in hit for k in mm.partition.block]
 
 
 # -- distinguishing formulas -----------------------------------------------------
@@ -123,22 +121,23 @@ def _valuation_formula(atoms: tuple[str, ...], held: frozenset[str]) -> Formula:
 
 
 class _RoundLog:
-    """The rounds of the abstract route's strong refinement, with an exact
-    formula (its extension is the block's cells) and that formula's tree size
-    for every block of every round, built on demand."""
+    """The rounds of the abstract route's strong refinement (block tables over
+    component numbers), with an exact formula (its extension is the block's
+    cells) and its tree size for every block of every round, built on demand."""
 
     def __init__(self, p: PosetModel):
-        self.poset = p
+        self.atoms = p.atoms
         self.lts, self.components = encode_abstract(p)
+        self.valuations = dict(zip(self.components.block, p.valuations))
         self.rounds = list(strong_rounds(self.lts))
-        self.reps = [{block[s]: s for s in self.lts.states} for block in self.rounds]
+        self.reps = [{j: s for s, j in enumerate(block)} for block in self.rounds]
         self._formulas: dict[tuple[int, int], tuple[Formula, int]] = {}
 
-    def signature(self, k: int, s: str) -> frozenset[tuple[str, int]]:
+    def signature(self, k: int, s: int) -> frozenset[tuple[str, int]]:
         """Component ``s``'s ``s`` and ``d`` moves by round-``k`` target block;
         past round 1 nothing else differs inside a block."""
         return frozenset(
-            (lab, self.rounds[k][t]) for lab, t in self.lts.outgoing(s) if lab in (STEP, DOWN)
+            (lab, self.rounds[k][t]) for lab, t in self.lts.moves[s] if lab in (STEP, DOWN)
         )
 
     def formula(self, k: int, j: int) -> tuple[Formula, int]:
@@ -150,7 +149,7 @@ class _RoundLog:
             if k == 0:
                 out = (TOP, 1)
             elif k == 1:
-                f = _valuation_formula(self.poset.atoms, self.poset.valuation_of(rep))
+                f = _valuation_formula(self.atoms, self.valuations[rep])
                 out = (f, node_count(f))
             else:
                 parent = self.rounds[k - 1][rep]
@@ -164,7 +163,7 @@ class _RoundLog:
             self._formulas[k, j] = out
         return self._formulas[k, j]
 
-    def literal(self, k: int, s: str, entry: tuple[str, int], positive: bool):
+    def literal(self, k: int, s: int, entry: tuple[str, int], positive: bool):
         """On components valued like ``s``: true where the round-``k`` signature
         has ``entry`` (label, block B), or lacks it if not ``positive``.
 
@@ -180,7 +179,7 @@ class _RoundLog:
             lit, size = Eta(Or(v, target), target), 2 + v_size + 2 * size
         return (lit, size) if positive else (Not(lit), size + 1)
 
-    def separate(self, k: int, s: str, others: list[frozenset]) -> list[tuple[Formula, int]]:
+    def separate(self, k: int, s: int, others: list[frozenset]) -> list[tuple[Formula, int]]:
         """Literals true on ``s``'s round-``k`` signature that together fail
         on each of ``others``: greedily, the smallest still separating one."""
         own = self.signature(k, s)
@@ -217,7 +216,7 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
             return Atom(gained[0])
         return Not(Atom(sorted(vb - va)[0]))
     log = _RoundLog(p)
-    x, y = (log.components.names[log.components.class_of(c)] for c in (a, b))
+    x, y = (log.components.block[p.index_of(c)] for c in (a, b))
     for k, block in enumerate(log.rounds):
         if block[x] != block[y]:
             [(witness, _)] = log.separate(k - 1, x, [log.signature(k - 1, y)])

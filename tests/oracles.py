@@ -1,12 +1,13 @@
-"""Test-only checks that are not part of the shipped package."""
+"""Test-only checks and formula helpers that are not part of the shipped package."""
 
+import random
 from collections import deque
 
 from polymin.bisim import Partition
 from polymin.checker import SatSet, UnknownAtomError
 from polymin.kripke import ReflexiveKripkeModel
 from polymin.logic import (
-    And, Atom, Diamond, Eta, EtaPurityError, Formula, Gamma, Not, Or, Top, is_eta_pure,
+    TOP, And, Atom, Diamond, Eta, EtaPurityError, Formula, Gamma, Not, Or, Top, is_eta_pure,
 )
 from polymin.simplicial import PosetModel
 
@@ -205,3 +206,62 @@ def _eta_path_exists(
         }
         visited |= frontier
     return False
+
+
+# -- eta elimination ---------------------------------------------------------
+
+def encode_eta_to_gamma(f: Formula) -> Formula:
+    """Rewrite an eta-pure formula into one using gamma instead of eta.
+
+    ``eta(a, b)`` becomes ``a' & gamma(a', b')`` where the primes are the
+    rewritten arguments; all other connectives map through unchanged.  The two
+    forms have the same extension on every model.
+    """
+    match f:
+        case Top() | Atom():
+            return f
+        case Not(g):
+            return Not(encode_eta_to_gamma(g))
+        case And(a, b):
+            return And(encode_eta_to_gamma(a), encode_eta_to_gamma(b))
+        case Or(a, b):
+            return Or(encode_eta_to_gamma(a), encode_eta_to_gamma(b))
+        case Eta(a, b):
+            ea = encode_eta_to_gamma(a)
+            return And(ea, Gamma(ea, encode_eta_to_gamma(b)))
+        case Gamma() | Diamond():
+            raise EtaPurityError("input must be eta-pure (no gamma or diamond nodes)")
+    raise TypeError(f"not a formula: {f!r}")
+
+
+# -- random formulas ----------------------------------------------------------
+
+def random_formula(seed: int, max_depth: int, atoms: list[str]) -> Formula:
+    """Deterministic random eta-pure formula of depth at most ``max_depth``."""
+    if max_depth < 0:
+        raise ValueError("max_depth must be non-negative")
+    if not atoms:
+        raise ValueError("atom universe must not be empty")
+    rng = random.Random(seed)
+    universe = sorted(atoms)
+
+    def leaf() -> Formula:
+        if rng.random() < 0.08:
+            return TOP
+        return Atom(rng.choice(universe))
+
+    def build(depth: int) -> Formula:
+        if depth <= 0:
+            return leaf()
+        roll = rng.random()
+        if roll < 0.25:
+            return leaf()
+        if roll < 0.40:
+            return Not(build(depth - 1))
+        if roll < 0.60:
+            return And(build(depth - 1), build(depth - 1))
+        if roll < 0.75:
+            return Or(build(depth - 1), build(depth - 1))
+        return Eta(build(depth - 1), build(depth - 1))
+
+    return build(max_depth)

@@ -12,11 +12,9 @@ from polymin import (
     cell_poset,
     encode_abstract,
     encode_concrete,
-    encode_eta_to_gamma,
     load_simplicial_model,
     minimal_model,
     parse_formula,
-    random_formula,
     random_model,
     sat,
     strong_partition,
@@ -28,7 +26,7 @@ from polymin.logic import atoms_of, format_formula
 from polymin.simplicial import model_to_document
 
 from conftest import concrete_d_relation
-from oracles import sat_eta_path_oracle
+from oracles import encode_eta_to_gamma, random_formula, sat_eta_path_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -8,7 +8,6 @@ from polymin import (
     from_aut,
     parse_formula,
     quotient_lts,
-    random_formula,
     sat,
     strong_partition,
     to_aut,
@@ -25,7 +24,7 @@ from polymin.bisim import (
 )
 from polymin.simplicial import PosetModel
 
-from oracles import is_weak_pm_bisimulation
+from oracles import is_weak_pm_bisimulation, random_formula
 
 from conftest import random_posets
 

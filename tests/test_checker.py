@@ -7,12 +7,10 @@ from polymin import (
     ReflexiveKripkeModel,
     cell_poset,
     check_script,
-    encode_eta_to_gamma,
     load_simplicial_model,
     minimal_model,
     parse_formula,
     parse_script,
-    random_formula,
     sat,
 )
 from polymin.checker import UnknownAtomError
@@ -21,7 +19,10 @@ from polymin.logic import (
 )
 
 from conftest import grid_document, random_posets
-from oracles import BoundTooSmallError, check_script_by_names, sat_eta_path_oracle
+from oracles import (
+    BoundTooSmallError, check_script_by_names, encode_eta_to_gamma, random_formula,
+    sat_eta_path_oracle,
+)
 
 
 def members(sat_set, model):

@@ -197,15 +197,18 @@ class TestSelfCheckFailures:
         assert "self-check failed:" in capsys.readouterr().err
 
     def test_check_reports_a_failed_transfer(self, outdir, capsys, monkeypatch):
-        real = checker.sat
+        real = checker.check_script
 
-        def flipped(model, f, strict_atoms=False):
-            got = real(model, f, strict_atoms)
+        def flipped(model, script, strict_atoms=False):
+            got = real(model, script, strict_atoms)
             if isinstance(model, PosetModel):  # the direct route
-                got = SatSet(frozenset(model.elements) - got.members, f)
+                got = {
+                    name: SatSet(frozenset(model.elements) - s.members, s.formula)
+                    for name, s in got.items()
+                }
             return got
 
-        monkeypatch.setattr(checker, "sat", flipped)
+        monkeypatch.setattr(checker, "check_script", flipped)
         assert check_on_minimal_with_self_check(outdir) == 1
         assert "self-check failed:" in capsys.readouterr().err
 
@@ -232,6 +235,48 @@ class TestSelfCheckFailures:
         calls.clear()
         assert check_on_minimal_with_self_check(outdir) == 0
         assert calls == Counter(minimal_model=1)
+
+
+class TestInternalError:
+    def test_unexpected_exception_exits_3(self, outdir, capsys, monkeypatch):
+        def broken(poset):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(minimize, "minimal_model", broken)
+        assert run("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: RuntimeError('boom') at test_cli.py:")
+        assert err.count("\n") == 1
+
+
+class TestPrintedAlikeValuations:
+    """The atom sets {"a,b"} and {"a", "b"} are both written {a,b}, but
+    they are different valuations and must stay in different classes."""
+
+    def write_model(self, outdir):
+        model = outdir / "collide.json"
+        model.write_text(json.dumps({"atoms": ["a,b", "a", "b"], "cells": [
+            {"vertices": ["X"], "atoms": ["a,b"]},
+            {"vertices": ["Y"], "atoms": ["a", "b"]},
+        ]}))
+        return str(model)
+
+    def test_minimize_keeps_two_classes(self, outdir):
+        model = self.write_model(outdir)
+        assert run("minimize", model, "-o", str(outdir), "--self-check") == 0
+        classes = json.loads((outdir / "collide.classes.json").read_text())["classes"]
+        assert [(c["members"], c["atoms"]) for c in classes] == [
+            (["X"], ["a,b"]), (["Y"], ["a", "b"]),
+        ]
+
+    def test_check_on_minimal(self, outdir):
+        model = self.write_model(outdir)
+        script = outdir / "script.txt"
+        script.write_text('save "x" eta(ap("a,b"), true)\nsave "y" ap("a") & ap("b")\n')
+        out = outdir / "results.json"
+        args = ("check", str(script), "--model", model, "-o", str(out))
+        assert run(*args, "--on-minimal", "--self-check") == 0
+        assert json.loads(out.read_text())["results"] == {"x": [True, False], "y": [False, True]}
 
 
 class TestGenRandom:

@@ -16,14 +16,14 @@ from polymin.logic import (
     Top,
     UndefinedIdentifierError,
     atoms_of,
-    encode_eta_to_gamma,
     format_formula,
     is_eta_pure,
     node_count,
     parse_formula,
     parse_script,
-    random_formula,
 )
+
+from oracles import encode_eta_to_gamma, random_formula
 
 APPENDIX_SCRIPT = """load model = "polyInput_Poset.json"
 

@@ -13,7 +13,6 @@ from polymin import (
     distinguishing_formula,
     map_back,
     minimal_model,
-    random_formula,
     random_model,
     sat,
     weak_pm_partition,
@@ -25,6 +24,7 @@ from polymin.minimize import UnknownClassError, _RoundLog
 from polymin.simplicial import PosetModel
 
 from conftest import concrete_d_relation, random_posets
+from oracles import random_formula
 
 
 def cid_of(mm, element):
@@ -66,6 +66,10 @@ class TestMinimalModel:
         assert [len(mm.members_of(f"C{i}")) for i in range(4)] == [1, 9, 8, 1]
         with pytest.raises(UnknownClassError):
             mm.members_of(cid)
+
+    def test_class_of_element_rejects_unknown_cells(self, strip4):
+        with pytest.raises(UnknownElementError):
+            minimal_model(strip4).class_of_element("Z")
 
     def test_production_routes_skip_the_concrete_encoding(self, strip4, monkeypatch):
         def forbidden(*args):
@@ -185,11 +189,10 @@ class TestDistinguishingFormula:
     def test_refinement_agrees_with_direct_fixpoint(self):
         for seed, p in random_posets(20):
             log = _RoundLog(p)
-            members = dict(zip(log.components.names, log.components.classes))
             for k, block in enumerate(log.rounds):
                 cells: dict[int, set[str]] = {}
-                for s, j in block.items():
-                    cells.setdefault(j, set()).update(members[s])
+                for w, component in zip(p.elements, log.components.block):
+                    cells.setdefault(block[component], set()).add(w)
                 for j, extension in cells.items():
                     formula, size = log.formula(k, j)
                     assert sat(p, formula).members == extension, (seed, k, j)
