@@ -23,7 +23,7 @@ from .simplicial import PosetModel
 
 __all__ = [
     "TAU", "CHANGE", "DOWN", "STEP",
-    "Lts", "Partition", "AutFormatError",
+    "Lts", "Partition", "AutFormatError", "LabelError",
     "encode_concrete", "components_same_valuation", "encode_abstract",
     "branching_partition", "strong_partition", "strong_rounds", "weak_pm_partition",
     "quotient_lts", "pull_back",
@@ -40,6 +40,12 @@ Label = object  # str for concrete labels, frozenset[str] for valuation sets
 
 class AutFormatError(InputError):
     """Malformed Aldebaran (.aut) input."""
+
+
+class LabelError(InputError):
+    """An atom name that cannot serve as a transition label: a reserved
+    label of the concrete encoding, or one that Aldebaran output cannot
+    spell."""
 
 
 class Lts:
@@ -179,7 +185,7 @@ def encode_concrete(p: PosetModel) -> Lts:
     """
     clash = _RESERVED_CONCRETE & set(p.atoms)
     if clash:
-        raise ValueError(f"atom names collide with reserved labels: {sorted(clash)}")
+        raise LabelError(f"atom names collide with reserved labels: {sorted(clash)}")
     vals = p.valuations
     moves = []
     for i, vi in enumerate(vals):
@@ -423,9 +429,16 @@ def to_aut(l: Lts) -> str:
     lines = [f"des (0,{len(triples)},{len(l.states)})"]
     for src, lab, dst in triples:
         if '"' in lab:
-            raise ValueError(f"label {lab!r} cannot be written in Aldebaran format")
+            raise LabelError(f"label {lab!r} cannot be written in Aldebaran format")
         lines.append(f'({src},"{lab}",{dst})')
-    return "\n".join(lines) + "\n"
+    text = "\n".join(lines) + "\n"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a lone surrogate, read from a JSON escape
+        raise LabelError(
+            f"a label holds {text[exc.start]!r}, which UTF-8 cannot encode"
+        ) from None
+    return text
 
 
 def from_aut(text: str) -> Lts:

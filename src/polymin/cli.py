@@ -18,7 +18,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import bisim, checker, minimize
-from .errors import InputError
+from .errors import EncodingError, InputError
 from .logic import is_eta_pure, parse_script
 from .simplicial import (
     PosetModel, cell_poset, load_simplicial_model, model_to_document, random_model,
@@ -93,7 +93,11 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_check(args) -> int:
-    script = parse_script(Path(args.script).read_text(encoding="utf-8"))
+    try:
+        text = Path(args.script).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EncodingError(f"script is not valid UTF-8: {exc}") from None
+    script = parse_script(text)
     model_path = args.model or script.model_ref
     if model_path is None:
         raise InputError("no model given: pass --model or add a load line to the script")
@@ -123,9 +127,25 @@ def cmd_check(args) -> int:
                 raise SelfCheckFailure(f"direct and minimal answers differ for {name!r}")
 
     results = minimal if args.on_minimal else direct
-    payload = {"model": str(model_path), "results": results}
-    _write(args.output, json.dumps(payload, indent=2) + "\n")
+    _write(args.output, _results_text(str(model_path), results))
     return 0
+
+
+_BOOL_WORDS = ("false", "true")
+
+
+def _results_text(model: str, results: dict[str, list[bool]]) -> str:
+    """The result file: ``json.dumps({"model": model, "results": results},
+    indent=2) + "\n"``, byte for byte, without the standard library's
+    pure-Python indenting encoder."""
+    saves = ",\n".join(
+        f"    {json.dumps(name)}: "
+        + ("[\n      " + ",\n      ".join(map(_BOOL_WORDS.__getitem__, vector)) + "\n    ]"
+           if vector else "[]")
+        for name, vector in results.items()
+    )
+    body = "{\n" + saves + "\n  }" if results else "{}"
+    return f'{{\n  "model": {json.dumps(model)},\n  "results": {body}\n}}\n'
 
 
 def cmd_gen_random(args) -> int:
@@ -206,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, FileNotFoundError, ValueError) as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SelfCheckFailure as exc:

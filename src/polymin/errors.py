@@ -8,3 +8,7 @@ map them uniformly to exit code 2.
 
 class InputError(Exception):
     """Base class for errors caused by invalid input data."""
+
+
+class EncodingError(InputError):
+    """An input file is not valid UTF-8."""

@@ -25,7 +25,7 @@ from .errors import InputError
 __all__ = [
     "Formula", "Top", "Atom", "Not", "And", "Or", "Eta", "Gamma", "Diamond",
     "TOP", "Script", "FormulaSyntaxError", "UndefinedIdentifierError",
-    "EtaPurityError", "parse_formula", "parse_script", "format_formula",
+    "parse_formula", "parse_script", "format_formula",
     "is_eta_pure", "node_count",
     "atoms_of", "operands", "MAX_DEPTH",
 ]
@@ -42,10 +42,6 @@ class FormulaSyntaxError(InputError):
 
 class UndefinedIdentifierError(InputError):
     """A script formula refers to a name with no earlier binding."""
-
-
-class EtaPurityError(InputError):
-    """An operation restricted to eta-pure formulas received one that is not."""
 
 
 class Formula:
@@ -378,6 +374,8 @@ def parse_script(text: str) -> Script:
         if s.kind != "string":
             raise FormulaSyntaxError("expected quoted model path", s.line, s.column)
         model_ref = s.value[1:-1]
+        if "\0" in model_ref:
+            raise FormulaSyntaxError("model path holds a NUL character", s.line, s.column)
 
     bindings: dict[str, Formula] = parser.env
     while parser.at_ident("let"):

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass, field
 from array import array
 from itertools import chain, combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .errors import InputError
+from .errors import EncodingError, InputError
 from .kripke import ReflexiveKripkeModel, UnknownElementError
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "MissingFaceError",
     "UnknownVertexError",
     "MissingValuationError",
+    "ModelSizeError",
     "UnknownElementError",
     "cell_name",
     "load_simplicial_model",
@@ -51,6 +52,10 @@ class MissingValuationError(InputError):
     """A cell entry carries no atom list."""
 
 
+class ModelSizeError(InputError):
+    """Arguments to :func:`random_model` that describe no model."""
+
+
 def cell_name(vertices: Iterable[str]) -> str:
     """Canonical cell name: sorted vertex identifiers joined by ``-``."""
     return "-".join(sorted(str(v) for v in vertices))
@@ -62,9 +67,13 @@ class SimplicialModel:
 
     ``cells`` keeps the input order, which downstream stages treat as the
     canonical cell order.  Each cell is a sorted tuple of vertex names and
-    ``valuation`` maps the canonical cell name to its atom set.  Validation
-    numbers the cells in that order and keeps the covering pairs (face,
-    cell) by number for :func:`cell_poset`.
+    ``valuation`` maps the canonical cell name to its atom set.
+
+    Construction writes the cells in their document form and runs
+    :func:`_read_cells` on them: the one validation routine, which
+    :func:`load_simplicial_model` and :func:`random_model` run on their
+    cells too.  It stores each cell sorted, and keeps the cell names and the
+    covering pairs (face, cell) by cell number for :func:`cell_poset`.
     """
 
     vertices: tuple[str, ...]
@@ -72,55 +81,151 @@ class SimplicialModel:
     valuation: dict[str, frozenset[str]]
     atoms: tuple[str, ...]
     geometry: dict[str, tuple[float, ...]] | None = field(default=None)
+    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _covers: array = field(init=False, repr=False, compare=False)
 
     def cell_names(self) -> list[str]:
-        return ["-".join(c) for c in self.cells]
+        return list(self._names)
 
     def __post_init__(self):
-        object.__setattr__(self, "_covers", _validate(self))
+        entries = []
+        for cell in self.cells:
+            entry = {"vertices": list(cell)}
+            atoms = self.valuation.get("-".join(sorted(cell)))
+            if atoms is not None:
+                entry["atoms"] = list(atoms)
+            entries.append(entry)
+        read = _read_cells(entries, list(self.vertices))
+        self._set(cells=read.cells, _names=read.names, _covers=read.covers)
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
 
 
-def _validate(m: SimplicialModel) -> array:
-    """Check the model and return its covering pairs as a flat array of cell
-    numbers: face, cell, face, cell, ..."""
-    for v in m.vertices:
-        if not v or "-" in v:
-            raise ModelFormatError(
-                f"vertex name {v!r} is empty or contains '-', which joins cell names"
-            )
-    declared = set(m.vertices)
+class _Cells(NamedTuple):
+    vertices: tuple[str, ...]
+    cells: tuple[tuple[str, ...], ...]
+    names: tuple[str, ...]
+    valuation: dict[str, frozenset[str]]
+    covers: array
+
+
+_NO_ATOMS = object()
+_VERTEX_TYPE = "cell vertices must be a list of strings"
+
+
+def _read_cells(entries: list, declared: list | None) -> _Cells:
+    """Check cells in document form and number them: the one validation
+    routine of a model.
+
+    Each entry is ``{"vertices": [...], "atoms": [...]}``; ``declared`` is
+    the vertex list, or ``None`` to take the vertices from the cells in
+    order of first appearance.  One pass over the entries type-checks,
+    sorts (in place), names and numbers each cell, checks each vertex name
+    once and gives equal atom lists one shared frozenset.  A second pass
+    over the numbered cells looks up their faces.  The covering pairs come
+    back as a flat array of cell numbers: face, cell, face, cell, ...
+    """
+    if declared is None:
+        order: list[str] = []
+    else:
+        if not isinstance(declared, list) or not all(isinstance(v, str) for v in declared):
+            raise ModelFormatError("vertices must be a list of strings")
+        order = list(dict.fromkeys(declared))
+        for v in order:
+            _check_vertex_name(v)
+    known = set(order)
     number: dict[str, int] = {}
-    for cell in m.cells:
-        if not cell:
+    cells: list[tuple[str, ...]] = []
+    valuation: dict[str, frozenset[str]] = {}
+    shared: dict[tuple, frozenset[str]] = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or "vertices" not in entry:
+            raise ModelFormatError(f"malformed cell entry: {entry!r}")
+        vs = entry["vertices"]
+        if not isinstance(vs, list):
+            raise ModelFormatError(_VERTEX_TYPE)
+        if not vs:
             raise ModelFormatError("cells must have at least one vertex")
+        # Known vertices are checked strings; only a cell with a vertex not
+        # seen before needs its names looked at.
+        try:
+            fresh = not known.issuperset(vs)
+        except TypeError:  # an unhashable entry
+            raise ModelFormatError(_VERTEX_TYPE) from None
+        if fresh:
+            if not all(isinstance(v, str) for v in vs):
+                raise ModelFormatError(_VERTEX_TYPE)
+            if declared is not None:
+                cell = sorted(vs)
+                v = next(v for v in cell if v not in known)
+                raise UnknownVertexError(f"cell {'-'.join(cell)!r} uses undeclared vertex {v!r}")
+            for v in vs:
+                if v not in known:
+                    _check_vertex_name(v)
+                    known.add(v)
+                    order.append(v)
+        vs.sort()
+        cell = tuple(vs)
         name = "-".join(cell)
-        if not declared.issuperset(cell):
-            v = next(v for v in cell if v not in declared)
-            raise UnknownVertexError(f"cell {name!r} uses undeclared vertex {v!r}")
-        if len(set(cell)) < len(cell):
+        if len(cell) > 1 and len(set(cell)) < len(cell):
             raise ModelFormatError(f"cell {name!r} lists a vertex twice")
-        if name in number:
+        if number.setdefault(name, len(cells)) != len(cells):
             raise ModelFormatError(f"duplicate cell {name!r}")
-        number[name] = len(number)
-        if name not in m.valuation:
-            raise MissingValuationError(f"cell {name!r} has no valuation entry")
+        atoms = entry.get("atoms", _NO_ATOMS)
+        if atoms is _NO_ATOMS:
+            raise MissingValuationError(f"cell {name!r} has no atom list")
+        if not isinstance(atoms, list):
+            raise _atoms_type(name)
+        # As with vertices, only an atom list not seen before is looked at.
+        key = tuple(atoms)
+        try:
+            atom_set = shared[key]
+        except (KeyError, TypeError):  # new, or holding something unhashable
+            if not all(isinstance(a, str) for a in atoms):
+                raise _atoms_type(name) from None
+            atom_set = shared[key] = frozenset(key)
+        cells.append(cell)
+        valuation[name] = atom_set
+
     # Face closure: checking the one-vertex-removed faces of every cell covers
     # all smaller faces by induction.  Those faces are exactly its covers.
-    covers = array("i")
-    for high, cell in enumerate(m.cells):
-        if len(cell) < 2:
+    covers: list[int] = []
+    for high, cell in enumerate(cells):
+        k = len(cell)
+        if k == 1:
             continue
-        for face in combinations(cell, len(cell) - 1):
-            low = number.get("-".join(face))
+        # an edge's faces are its vertices, which are named as themselves
+        for face in cell if k == 2 else map("-".join, combinations(cell, k - 1)):
+            low = number.get(face)
             if low is None:
                 raise MissingFaceError(
-                    f"cell {'-'.join(cell)!r} requires face {'-'.join(face)!r}, "
-                    "which is not listed"
+                    f"cell {'-'.join(cell)!r} requires face {face!r}, which is not listed"
                 )
             covers.append(low)
             covers.append(high)
-    return covers
+    return _Cells(tuple(order), tuple(cells), tuple(number), valuation, array("i", covers))
+
+
+def _atoms_type(name: str) -> ModelFormatError:
+    return ModelFormatError(f"atoms of cell {name!r} must be a list of strings")
+
+
+def _check_vertex_name(v: str) -> None:
+    if not v or "-" in v:
+        raise ModelFormatError(
+            f"vertex name {v!r} is empty or contains '-', which joins cell names"
+        )
+
+
+def _checked_model(read: _Cells, atoms: tuple[str, ...], geometry=None) -> SimplicialModel:
+    """A model of cells that :func:`_read_cells` has checked, built without
+    checking them again."""
+    m = SimplicialModel.__new__(SimplicialModel)
+    m._set(vertices=read.vertices, cells=read.cells, valuation=read.valuation, atoms=atoms,
+           geometry=geometry, _names=read.names, _covers=read.covers)
+    return m
 
 
 def load_simplicial_model(document: bytes | str) -> SimplicialModel:
@@ -134,45 +239,31 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
           "geometry": { "D": [0.0, 0.0] }  // optional pass-through
         }
 
-    Cell order in the file is the canonical result order.
+    Cell order in the file is the canonical result order.  The top-level
+    values are checked first; then the cells go once through
+    :func:`_read_cells`, the validation routine that direct
+    :class:`SimplicialModel` construction runs too, and are not checked
+    again.  The first fault found is raised.
     """
     if isinstance(document, bytes):
-        document = document.decode("utf-8")
+        try:
+            document = document.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise EncodingError(f"model document is not valid UTF-8: {exc}") from None
     try:
         doc = json.loads(document)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a syntax error, or a number too long to convert
         raise ModelFormatError(f"could not parse model document: {exc}") from None
+    except RecursionError:
+        raise ModelFormatError("could not parse model document: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ModelFormatError("model document must be a JSON object")
     raw_cells = doc.get("cells")
     if not isinstance(raw_cells, list) or not raw_cells:
         raise ModelFormatError("model document must list at least one cell")
-
-    atoms = dict.fromkeys(_strings(doc.get("atoms", []), "atoms"))
-    declared_vertices = doc.get("vertices")
-    derive = declared_vertices is None
-    vertices = dict.fromkeys(() if derive else _strings(declared_vertices, "vertices"))
-    cells: list[tuple[str, ...]] = []
-    valuation: dict[str, frozenset[str]] = {}
-    for entry in raw_cells:
-        if not isinstance(entry, dict) or "vertices" not in entry:
-            raise ModelFormatError(f"malformed cell entry: {entry!r}")
-        vs = _strings(entry["vertices"], "cell vertices")
-        if not vs:
-            raise ModelFormatError("cells must have at least one vertex")
-        cell = tuple(sorted(vs))
-        name = "-".join(cell)
-        if "atoms" not in entry:
-            raise MissingValuationError(f"cell {name!r} has no atom list")
-        if derive:
-            vertices.update(dict.fromkeys(vs))
-        cells.append(cell)
-        valuation[name] = frozenset(_strings(entry["atoms"], "atoms", name))
-    # Atoms not declared up front follow in order of first use; a repeated
-    # valuation adds none.
-    for cell_atoms in dict.fromkeys(valuation.values()):
-        atoms.update(dict.fromkeys(sorted(cell_atoms)))
-
+    atoms = doc.get("atoms", [])
+    if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+        raise ModelFormatError("atoms must be a list of strings")
     geometry = doc.get("geometry")
     if geometry is not None:
         if not isinstance(geometry, dict) or not all(
@@ -181,20 +272,14 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
             raise ModelFormatError("geometry must be an object of number lists")
         geometry = {k: tuple(xs) for k, xs in geometry.items()}
 
-    return SimplicialModel(
-        vertices=tuple(vertices),
-        cells=tuple(cells),
-        valuation=valuation,
-        atoms=tuple(atoms),
-        geometry=geometry,
-    )
+    read = _read_cells(raw_cells, doc.get("vertices"))
+    # Atoms not declared up front follow in order of first use; a repeated
+    # valuation adds none.
+    atoms = dict.fromkeys(atoms)
+    for cell_atoms in dict.fromkeys(read.valuation.values()):
+        atoms.update(dict.fromkeys(sorted(cell_atoms)))
 
-
-def _strings(value: object, what: str, cell: str | None = None) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        of = "" if cell is None else f" of cell {cell!r}"
-        raise ModelFormatError(f"{what}{of} must be a list of strings")
-    return value
+    return _checked_model(read, tuple(atoms), geometry)
 
 
 def _is_number(x: object) -> bool:
@@ -300,8 +385,8 @@ def cell_poset(m: SimplicialModel) -> PosetModel:
     inclusion; element order follows the input cell order so results map back
     to cells by position.
     """
-    names = m.cell_names()
-    return PosetModel._from_covers(names, m._covers, [m.valuation[w] for w in names], m.atoms)
+    valuations = list(map(m.valuation.__getitem__, m._names))
+    return PosetModel._from_covers(m._names, m._covers, valuations, m.atoms)
 
 
 def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> SimplicialModel:
@@ -311,11 +396,11 @@ def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> Simp
     assigned per cell.  Identical arguments produce identical models.
     """
     if n_vertices < 1:
-        raise ValueError("n_vertices must be at least 1")
+        raise ModelSizeError("n_vertices must be at least 1")
     if max_dim < 0:
-        raise ValueError("max_dim must be non-negative")
+        raise ModelSizeError("max_dim must be non-negative")
     if n_atoms < 0:
-        raise ValueError("n_atoms must be non-negative")
+        raise ModelSizeError("n_atoms must be non-negative")
     rng = random.Random(seed)
     vertices = [f"v{i}" for i in range(n_vertices)]
     atoms = [f"p{i}" for i in range(n_atoms)]
@@ -328,13 +413,8 @@ def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> Simp
             cells.update(combinations(face, k))
     ordered = sorted(cells, key=lambda c: (len(c), c))
 
-    valuation = {
-        cell_name(c): frozenset(a for a in atoms if rng.random() < 0.5) for c in ordered
-    }
+    entries = [
+        {"vertices": list(c), "atoms": [a for a in atoms if rng.random() < 0.5]} for c in ordered
+    ]
     used = sorted({v for c in ordered for v in c}, key=vertices.index)
-    return SimplicialModel(
-        vertices=tuple(used),
-        cells=tuple(ordered),
-        valuation=valuation,
-        atoms=tuple(atoms),
-    )
+    return _checked_model(_read_cells(entries, used), tuple(atoms))

@@ -5,11 +5,16 @@ from collections import deque
 
 from polymin.bisim import Partition
 from polymin.checker import SatSet, UnknownAtomError
+from polymin.errors import InputError
 from polymin.kripke import ReflexiveKripkeModel
 from polymin.logic import (
-    TOP, And, Atom, Diamond, Eta, EtaPurityError, Formula, Gamma, Not, Or, Top, is_eta_pure,
+    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure,
 )
 from polymin.simplicial import PosetModel
+
+
+class EtaPurityError(InputError):
+    """An operation restricted to eta-pure formulas received one that is not."""
 
 
 def is_weak_pm_bisimulation(p: PosetModel, part: Partition) -> bool:

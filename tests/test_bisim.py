@@ -16,6 +16,7 @@ from polymin import (
 from polymin.bisim import (
     CHANGE,
     DOWN,
+    LabelError,
     Lts,
     Partition,
     STEP,
@@ -84,7 +85,7 @@ class TestEncodeConcrete:
 
     def test_reserved_label_clash_rejected(self):
         p = PosetModel(["A"], [], {"A": ["tau"]})
-        with pytest.raises(ValueError):
+        with pytest.raises(LabelError):
             encode_concrete(p)
 
 

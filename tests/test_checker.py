@@ -15,12 +15,12 @@ from polymin import (
 )
 from polymin.checker import UnknownAtomError
 from polymin.logic import (
-    And, Atom, Diamond, Eta, EtaPurityError, Gamma, Not, Or, Script, TOP,
+    And, Atom, Diamond, Eta, Gamma, Not, Or, Script, TOP,
 )
 
 from conftest import grid_document, random_posets
 from oracles import (
-    BoundTooSmallError, check_script_by_names, encode_eta_to_gamma, random_formula,
+    BoundTooSmallError, EtaPurityError, check_script_by_names, encode_eta_to_gamma, random_formula,
     sat_eta_path_oracle,
 )
 

@@ -237,6 +237,87 @@ class TestSelfCheckFailures:
         assert calls == Counter(minimal_model=1)
 
 
+class TestResultWriter:
+    """The check result file is byte for byte what the standard encoder
+    writes for the same payload."""
+
+    @pytest.mark.parametrize("script, cells, model_name", [
+        ("", [("A", ["p"])], "model.json"),
+        ('save "x" ap("p")\nsave "na\u00efve \\ \u20ac" !ap("p")\n', [("A", ["p"])], "model.json"),
+        ('save "x" eta(ap("p"), ap("q"))\n',
+         [("A", ["p"]), ("B", ["q"]), ("AB", ["p"])], 'd\u00efr "q" \\ \u20ac.json'),
+    ], ids=["no-saves", "one-cell", "odd-model-path"])
+    def test_matches_the_standard_encoder(self, outdir, script, cells, model_name):
+        model = outdir / model_name
+        model.write_text(json.dumps({"atoms": ["p", "q"], "cells": [
+            {"vertices": list(v), "atoms": a} for v, a in cells]}))
+        (outdir / "script.txt").write_text(script, encoding="utf-8")
+        out = outdir / "results.json"
+        assert run("check", str(outdir / "script.txt"), "--model", str(model), "-o", str(out)) == 0
+        results = json.loads(out.read_text())["results"]
+        assert len(results) == script.count("save")
+        payload = {"model": str(model), "results": results}
+        assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+
+class TestInputErrors:
+    """Bad input ends with exit code 2 and one ``error:`` line."""
+
+    def expect_input_error(self, capsys, *argv, message=""):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    def write_model(self, outdir, atom):
+        model = outdir / "model.json"
+        cell = {"vertices": ["A"], "atoms": [atom]}
+        model.write_text(json.dumps({"atoms": [atom], "cells": [cell]}))
+        return str(model)
+
+    def test_model_not_utf8(self, outdir, capsys):
+        model = outdir / "model.json"
+        model.write_bytes(b'{"atoms": ["\xff"], "cells": []}')
+        script = outdir / "script.txt"
+        script.write_text('save "x" true\n')
+        message = "model document is not valid UTF-8"
+        self.expect_input_error(capsys, "poset", str(model), message=message)
+        self.expect_input_error(
+            capsys, "check", str(script), "--model", str(model), message=message
+        )
+
+    def test_script_not_utf8(self, outdir, capsys):
+        script = outdir / "script.txt"
+        script.write_bytes(b'save "\xe9" true\n')
+        self.expect_input_error(
+            capsys, "check", str(script), "--model", str(FIXTURES / "segment3.json"),
+            message="script is not valid UTF-8",
+        )
+
+    def test_nul_in_load_path(self, outdir, capsys):
+        script = outdir / "script.txt"
+        script.write_text('load model = "a\0b"\nsave "x" true\n')
+        self.expect_input_error(capsys, "check", str(script), message="model path holds a NUL")
+
+    @pytest.mark.parametrize("argv", [
+        ("export-aut", "{model}"),
+        ("minimize", "{model}", "-o", "{outdir}", "--self-check"),
+        ("minimize", "{model}", "-o", "{outdir}", "--emit-aut"),
+    ], ids=["export-aut", "minimize-self-check", "minimize-emit-aut"])
+    def test_reserved_atom(self, outdir, capsys, argv):
+        model = self.write_model(outdir, "tau")
+        argv = [a.format(model=model, outdir=outdir) for a in argv]
+        self.expect_input_error(capsys, *argv, message="atom names collide with reserved labels")
+
+    @pytest.mark.parametrize("atom", ['a"b', "\ud800"], ids=["quote", "lone-surrogate"])
+    def test_atom_aut_cannot_spell(self, outdir, capsys, atom):
+        model = self.write_model(outdir, atom)
+        self.expect_input_error(capsys, "export-aut", model, "-o", str(outdir / "m.aut"))
+
+    def test_bad_gen_random_arguments(self, capsys):
+        self.expect_input_error(capsys, "gen-random", "1", "3", "-1", "2",
+                                message="max_dim must be non-negative")
+
+
 class TestInternalError:
     def test_unexpected_exception_exits_3(self, outdir, capsys, monkeypatch):
         def broken(poset):
@@ -246,6 +327,16 @@ class TestInternalError:
         assert run("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir)) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError('boom') at test_cli.py:")
+        assert err.count("\n") == 1
+
+    def test_internal_value_error_exits_3(self, outdir, capsys, monkeypatch):
+        def broken(poset):
+            raise ValueError("not an input fault")
+
+        monkeypatch.setattr(minimize, "minimal_model", broken)
+        assert run("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: ValueError('not an input fault') at test_cli.py:")
         assert err.count("\n") == 1
 
 

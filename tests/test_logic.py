@@ -7,7 +7,6 @@ from polymin.logic import (
     Atom,
     Diamond,
     Eta,
-    EtaPurityError,
     FormulaSyntaxError,
     Gamma,
     MAX_DEPTH,
@@ -23,7 +22,7 @@ from polymin.logic import (
     parse_script,
 )
 
-from oracles import encode_eta_to_gamma, random_formula
+from oracles import EtaPurityError, encode_eta_to_gamma, random_formula
 
 APPENDIX_SCRIPT = """load model = "polyInput_Poset.json"
 

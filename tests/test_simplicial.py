@@ -3,19 +3,24 @@ from itertools import combinations
 
 import pytest
 
-from polymin import cell_poset, load_simplicial_model, random_model
+from polymin import InputError, cell_poset, load_simplicial_model, random_model
 from polymin.cli import main
 from polymin.kripke import UnknownElementError
 from polymin.simplicial import (
     MissingFaceError,
     MissingValuationError,
     ModelFormatError,
+    ModelSizeError,
     PosetModel,
     UnknownVertexError,
     cell_name,
+    model_to_document,
 )
 
 from conftest import random_posets
+
+
+JOINS = "is empty or contains '-', which joins cell names"
 
 
 def doc(atoms, cells):
@@ -86,51 +91,101 @@ class TestLoad:
         assert load_simplicial_model(payload).vertices == ("B", "C", "A")
 
     @pytest.mark.parametrize(
-        "document",
+        "document, error, message",
         [
-            {"atoms": 5, "cells": [{"vertices": ["a"], "atoms": []}]},
-            {"atoms": [], "cells": [{"vertices": ["a"], "atoms": 3}]},
-            {"atoms": [], "cells": [{"vertices": 3, "atoms": []}]},
-            {"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": [1]},
-            {"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": {"a": 1}},
-            {"atoms": ["red"], "cells": [{"vertices": ["a"], "atoms": "red"}]},
-            {
-                "atoms": [],
-                "cells": [
-                    {"vertices": ["A"], "atoms": []},
-                    {"vertices": ["B"], "atoms": []},
-                    {"vertices": "AB", "atoms": []},
-                ],
-            },
-            {"atoms": [], "cells": [{"vertices": ["a-b"], "atoms": []}]},
-            {
-                "atoms": [],
-                "cells": [{"vertices": ["A"], "atoms": []}, {"vertices": ["A", "A"], "atoms": []}],
-            },
-            {
-                "atoms": [],
-                "cells": [
-                    {"vertices": [""], "atoms": []},
-                    {"vertices": ["A"], "atoms": []},
-                    {"vertices": ["", "A"], "atoms": []},
-                ],
-            },
+            ({"atoms": 5, "cells": [{"vertices": ["a"], "atoms": []}]},
+             ModelFormatError, "atoms must be a list of strings"),
+            ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": 3}]},
+             ModelFormatError, "atoms of cell 'a' must be a list of strings"),
+            ({"atoms": [], "cells": [{"vertices": 3, "atoms": []}]},
+             ModelFormatError, "cell vertices must be a list of strings"),
+            ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": [1]},
+             ModelFormatError, "geometry must be an object of number lists"),
+            ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": {"a": 1}},
+             ModelFormatError, "geometry must be an object of number lists"),
+            ({"atoms": ["red"], "cells": [{"vertices": ["a"], "atoms": "red"}]},
+             ModelFormatError, "atoms of cell 'a' must be a list of strings"),
+            ({"atoms": [], "cells": [
+                {"vertices": ["A"], "atoms": []},
+                {"vertices": ["B"], "atoms": []},
+                {"vertices": "AB", "atoms": []},
+            ]}, ModelFormatError, "cell vertices must be a list of strings"),
+            ({"atoms": [], "cells": [{"vertices": ["a-b"], "atoms": []}]},
+             ModelFormatError, f"vertex name 'a-b' {JOINS}"),
+            ({"atoms": [], "cells": [
+                {"vertices": ["A"], "atoms": []}, {"vertices": ["A", "A"], "atoms": []},
+            ]}, ModelFormatError, "cell 'A-A' lists a vertex twice"),
+            ({"atoms": [], "cells": [
+                {"vertices": [""], "atoms": []},
+                {"vertices": ["A"], "atoms": []},
+                {"vertices": ["", "A"], "atoms": []},
+            ]}, ModelFormatError, f"vertex name '' {JOINS}"),
+            ({"atoms": ["red"], "cells": [{"vertices": ["E", "D"], "atoms": ["red"]}]},
+             MissingFaceError, "cell 'D-E' requires face 'D', which is not listed"),
+            ({"atoms": [], "vertices": ["A", "C"], "cells": [
+                {"vertices": ["C"], "atoms": []}, {"vertices": ["C", "B"], "atoms": []},
+            ]}, UnknownVertexError, "cell 'B-C' uses undeclared vertex 'B'"),
+            ({"atoms": [], "cells": [
+                {"vertices": ["A"], "atoms": []},
+                {"vertices": ["B"], "atoms": []},
+                {"vertices": ["A", "B"], "atoms": []},
+                {"vertices": ["B", "A"], "atoms": []},
+            ]}, ModelFormatError, "duplicate cell 'A-B'"),
+            ({"atoms": [], "cells": [{"vertices": ["A"]}]},
+             MissingValuationError, "cell 'A' has no atom list"),
         ],
         ids=[
             "atoms-int", "cell-atoms-int", "cell-vertices-int", "geometry-list",
             "geometry-value-int", "cell-atoms-string", "cell-vertices-string", "dash-vertex",
-            "repeated-vertex", "empty-vertex",
+            "repeated-vertex", "empty-vertex", "missing-face", "undeclared-vertex",
+            "duplicate-cell", "no-atoms",
         ],
     )
-    def test_ill_typed_document_is_rejected(self, document, tmp_path, capsys):
+    def test_ill_typed_document_is_rejected(self, document, error, message, tmp_path, capsys):
         payload = json.dumps(document)
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(error) as exc:
             load_simplicial_model(payload)
+        assert type(exc.value) is error and str(exc.value) == message
         path = tmp_path / "bad.json"
         path.write_text(payload)
         assert main(["poset", str(path)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("document, message", [
+        (b"\xff{}", "model document is not valid UTF-8"),
+        (b"[" + b"1" * 5000 + b"]", "could not parse model document: Exceeds the limit"),
+        (b"[" * 100_000, "could not parse model document: nested too deeply"),
+    ], ids=["invalid-utf8", "long-number", "deep-nesting"])
+    def test_unreadable_document_is_input_error(self, document, message, tmp_path, capsys):
+        with pytest.raises(InputError, match=message):
+            load_simplicial_model(document)
+        path = tmp_path / "bad.json"
+        path.write_bytes(document)
+        assert main(["poset", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_document_round_trip(self, seed):
+        m = random_model(seed, 2 + seed % 12, seed % 4, seed % 3)
+        doc = json.loads(model_to_document(m))
+
+        declared = load_simplicial_model(json.dumps({**doc, "vertices": list(m.vertices)}))
+        assert declared == m and declared.vertices == m.vertices
+        assert declared._covers == m._covers
+        assert declared.cell_names() == m.cell_names()
+
+        # Vertex lists in reverse: cells are sorted on load, and derived
+        # vertices follow their first appearance in the lists as written.
+        for cell in doc["cells"]:
+            cell["vertices"].reverse()
+        derived = load_simplicial_model(json.dumps(doc))
+        assert derived.vertices == tuple(
+            dict.fromkeys(v for cell in doc["cells"] for v in cell["vertices"])
+        )
+        assert (derived.cells, derived.valuation, derived.atoms) == (m.cells, m.valuation, m.atoms)
+        assert derived._covers == m._covers
 
     def test_geometry_passthrough(self):
         payload = json.dumps(
@@ -247,7 +302,7 @@ class TestRandomModel:
                     assert cell_name(face) in names
 
     def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelSizeError):
             random_model(1, 0, 2, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelSizeError):
             random_model(1, 3, -1, 2)
