@@ -8,7 +8,7 @@ components) and map the answers back to the original cells.
 
 from .bisim import (
     Lts, Partition, branching_partition, components_same_valuation,
-    encode_abstract, encode_concrete, from_aut, quotient_lts, strong_partition,
+    encode_abstract, encode_concrete, quotient_lts, strong_partition,
     to_aut, weak_pm_partition,
 )
 from .checker import SatSet, check_script, sat
@@ -35,7 +35,7 @@ __all__ = [
     "SatSet", "sat", "check_script",
     "Lts", "Partition", "encode_concrete", "encode_abstract",
     "components_same_valuation", "branching_partition", "strong_partition",
-    "weak_pm_partition", "quotient_lts", "to_aut", "from_aut",
+    "weak_pm_partition", "quotient_lts", "to_aut",
     "MinimalModel", "minimal_model", "rmin_via_quotient_d", "map_back",
     "distinguishing_formula",
 ]

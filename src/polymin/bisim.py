@@ -12,7 +12,6 @@ always agree.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -23,11 +22,11 @@ from .simplicial import PosetModel
 
 __all__ = [
     "TAU", "CHANGE", "DOWN", "STEP",
-    "Lts", "Partition", "AutFormatError", "LabelError",
+    "Lts", "Partition", "LabelError",
     "encode_concrete", "components_same_valuation", "encode_abstract",
     "branching_partition", "strong_partition", "strong_rounds", "weak_pm_partition",
     "quotient_lts", "pull_back",
-    "to_aut", "from_aut",
+    "to_aut",
 ]
 
 TAU = "tau"
@@ -36,10 +35,6 @@ DOWN = "d"
 STEP = "s"
 
 Label = object  # str for concrete labels, frozenset[str] for valuation sets
-
-
-class AutFormatError(InputError):
-    """Malformed Aldebaran (.aut) input."""
 
 
 class LabelError(InputError):
@@ -58,26 +53,9 @@ class Lts:
 
     __slots__ = ("states", "moves")
 
-    def __init__(self, states: Iterable[str], transitions: Iterable[tuple[str, Label, str]]):
+    def __init__(self, states: Iterable[str], moves: Iterable[Iterable[tuple[Label, int]]]):
         self.states: tuple[str, ...] = tuple(states)
-        index = {s: i for i, s in enumerate(self.states)}
-        if len(index) != len(self.states):
-            raise ValueError("duplicate state names")
-        moves: list[set[tuple[Label, int]]] = [set() for _ in self.states]
-        for src, lab, dst in transitions:
-            i, j = index.get(src), index.get(dst)
-            if i is None or j is None:
-                raise ValueError(f"transition ({src!r}, {lab!r}, {dst!r}) has an unknown endpoint")
-            moves[i].add((lab, j))
         self.moves = tuple(map(frozenset, moves))
-
-    @classmethod
-    def _from_moves(cls, states: Iterable[str], moves: Iterable[Iterable]) -> "Lts":
-        """An LTS from per-state (label, target number) pairs, by number."""
-        lts = cls.__new__(cls)
-        lts.states = tuple(states)
-        lts.moves = tuple(map(frozenset, moves))
-        return lts
 
     @property
     def transitions(self) -> frozenset[tuple[str, Label, str]]:
@@ -86,9 +64,6 @@ class Lts:
         return frozenset(
             (names[i], lab, names[j]) for i, ms in enumerate(self.moves) for lab, j in ms
         )
-
-    def count_label(self, label: Label) -> int:
-        return sum(lab == label for ms in self.moves for lab, _ in ms)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -115,26 +90,6 @@ class Partition:
     universe: tuple[str, ...]
     block: tuple[int, ...]
 
-    @staticmethod
-    def from_blocks(universe: Iterable[str], blocks: Iterable[Iterable[str]]) -> "Partition":
-        """A validated partition from blocks of member names, in any order."""
-        universe = tuple(universe)
-        position = {w: i for i, w in enumerate(universe)}
-        block = [-1] * len(universe)
-        for k, b in enumerate(blocks):
-            for w in b:
-                i = position.get(w)
-                if i is None:
-                    raise ValueError(f"block member {w!r} is not in the universe")
-                if block[i] not in (-1, k):
-                    raise ValueError(f"blocks overlap on {w!r}")
-                block[i] = k
-        missing = [w for w, k in zip(universe, block) if k < 0]
-        if missing:
-            raise ValueError(f"blocks do not cover {missing!r}")
-        first: dict[int, int] = {}
-        return Partition(universe, tuple(first.setdefault(k, len(first)) for k in block))
-
     @cached_property
     def classes(self) -> tuple[frozenset[str], ...]:
         members: list[list[str]] = [[] for _ in range(len(self))]
@@ -146,27 +101,8 @@ class Partition:
     def names(self) -> tuple[str, ...]:
         return tuple(map(min, self.classes))
 
-    @cached_property
-    def _position(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self.universe)}
-
-    def class_of(self, member: str) -> int:
-        return self.block[self._position[member]]
-
-    def class_members(self, i: int) -> frozenset[str]:
-        return self.classes[i]
-
     def __len__(self) -> int:
         return max(self.block, default=-1) + 1
-
-    def same_class(self, a: str, b: str) -> bool:
-        return self.class_of(a) == self.class_of(b)
-
-    def refines(self, other: "Partition") -> bool:
-        """True iff every class of this partition fits inside a class of
-        ``other`` (same universe assumed)."""
-        image: dict[int, int] = {}
-        return all(image.setdefault(a, b) == b for a, b in zip(self.block, other.block))
 
 
 # -- encodings ---------------------------------------------------------------
@@ -193,7 +129,7 @@ def encode_concrete(p: PosetModel) -> Lts:
         m.update((TAU if vals[j] == vi else CHANGE, j) for j in chain(p.succ[i], p.pred[i]))
         m.update((DOWN, j) for j in p.pred[i])
         moves.append(m)
-    return Lts._from_moves(p.elements, moves)
+    return Lts(p.elements, moves)
 
 
 def components_same_valuation(p: PosetModel) -> Partition:
@@ -235,7 +171,7 @@ def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
         moves[c].add((p.valuations[w], c))
         moves[c].update((STEP, comp[u]) for u in chain(p.succ[w], p.pred[w]))
         moves[c].update((DOWN, comp[u]) for u in p.pred[w])
-    return Lts._from_moves(part.names, moves), part
+    return Lts(part.names, moves), part
 
 
 # -- partition refinement ------------------------------------------------------
@@ -402,7 +338,7 @@ def quotient_lts(l: Lts, part: Partition, drop_tau_self_loops: bool = False) -> 
             (lab, block[j]) for lab, j in ms
             if not (drop_tau_self_loops and lab == TAU and block[j] == a)
         )
-    return Lts._from_moves(part.names, moves)
+    return Lts(part.names, moves)
 
 
 def pull_back(coarse: Partition, fine: Partition) -> Partition:
@@ -419,18 +355,18 @@ def pull_back(coarse: Partition, fine: Partition) -> Partition:
 
 # -- Aldebaran format -------------------------------------------------------------
 
-_AUT_HEADER = re.compile(r"des\s*\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)\s*")
-_AUT_LINE = re.compile(r"\(\s*(\d+)\s*,\s*\"([^\"]*)\"\s*,\s*(\d+)\s*\)\s*")
-
-
 def to_aut(l: Lts) -> str:
-    """Serialise to Aldebaran format; state numbers follow state order."""
+    """Serialise to Aldebaran format; state numbers follow state order.
+
+    A label must not hold a ``"`` or a line boundary (any that
+    :meth:`str.splitlines` splits at): the format has no escapes for them.
+    """
     triples = sorted((i, _label_text(lab), j) for i, ms in enumerate(l.moves) for lab, j in ms)
-    lines = [f"des (0,{len(triples)},{len(l.states)})"]
-    for src, lab, dst in triples:
-        if '"' in lab:
+    for lab in dict.fromkeys(lab for _, lab, _ in triples):
+        if '"' in lab or "".join(lab.splitlines()) != lab:
             raise LabelError(f"label {lab!r} cannot be written in Aldebaran format")
-        lines.append(f'({src},"{lab}",{dst})')
+    lines = [f"des (0,{len(triples)},{len(l.states)})"]
+    lines += [f'({src},"{lab}",{dst})' for src, lab, dst in triples]
     text = "\n".join(lines) + "\n"
     try:
         text.encode("utf-8")
@@ -439,30 +375,3 @@ def to_aut(l: Lts) -> str:
             f"a label holds {text[exc.start]!r}, which UTF-8 cannot encode"
         ) from None
     return text
-
-
-def from_aut(text: str) -> Lts:
-    """Parse Aldebaran format; states are named by their numbers."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise AutFormatError("empty document")
-    header = _AUT_HEADER.fullmatch(lines[0].strip())
-    if header is None:
-        raise AutFormatError(f"bad header: {lines[0]!r}")
-    first, n_trans, n_states = (int(g) for g in header.groups())
-    if first >= n_states:
-        raise AutFormatError("initial state out of range")
-    if len(lines) - 1 != n_trans:
-        raise AutFormatError(
-            f"header announces {n_trans} transitions, found {len(lines) - 1}"
-        )
-    moves: list[set[tuple[Label, int]]] = [set() for _ in range(n_states)]
-    for ln in lines[1:]:
-        m = _AUT_LINE.fullmatch(ln.strip())
-        if m is None:
-            raise AutFormatError(f"bad transition line: {ln!r}")
-        src, lab, dst = int(m.group(1)), m.group(2), int(m.group(3))
-        if src >= n_states or dst >= n_states:
-            raise AutFormatError(f"state number out of range in {ln!r}")
-        moves[src].add((lab, dst))
-    return Lts._from_moves(map(str, range(n_states)), moves)

@@ -4,8 +4,8 @@ Subcommands replicate the full pipeline: load a model, build its cell poset,
 encode, minimise, check scripts (directly or on the minimal model with
 answers mapped back), plus generators and Aldebaran export for interop.
 
-Exit codes: 0 success, 1 self-check failure, 2 invalid input, 3 an
-unexpected internal error.
+Exit codes: 0 success, 1 self-check failure, 2 invalid input or a path
+that cannot be read or written, 3 an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SelfCheckFailure as exc:

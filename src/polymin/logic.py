@@ -27,7 +27,7 @@ __all__ = [
     "TOP", "Script", "FormulaSyntaxError", "UndefinedIdentifierError",
     "parse_formula", "parse_script", "format_formula",
     "is_eta_pure", "node_count",
-    "atoms_of", "operands", "MAX_DEPTH",
+    "operands", "MAX_DEPTH",
 ]
 
 
@@ -132,12 +132,6 @@ def is_eta_pure(f: Formula) -> bool:
 
 def node_count(f: Formula) -> int:
     return 1 + sum(map(node_count, operands(f)))
-
-
-def atoms_of(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset({f.name})
-    return frozenset().union(*map(atoms_of, operands(f)))
 
 
 # -- pretty printing --------------------------------------------------------

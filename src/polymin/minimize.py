@@ -79,7 +79,7 @@ def minimal_model(p: PosetModel) -> MinimalModel:
             block = sorted(part.classes[cls[w]])
             raise AssertionError(f"class {ids[cls[w]]} mixes valuations: {block}")
 
-    kripke = ReflexiveKripkeModel._from_successors(
+    kripke = ReflexiveKripkeModel(
         ids, [sorted(s) for s in succ], [valuations[i] for i in range(len(ids))], p.atoms
     )
     return MinimalModel(kripke=kripke, partition=part, source=p)

@@ -13,8 +13,8 @@ import json
 import random
 from dataclasses import dataclass, field
 from array import array
-from itertools import chain, combinations
-from typing import Iterable, Mapping, NamedTuple
+from itertools import combinations
+from typing import Iterable, NamedTuple
 
 from .errors import EncodingError, InputError
 from .kripke import ReflexiveKripkeModel, UnknownElementError
@@ -67,40 +67,21 @@ class SimplicialModel:
 
     ``cells`` keeps the input order, which downstream stages treat as the
     canonical cell order.  Each cell is a sorted tuple of vertex names and
-    ``valuation`` maps the canonical cell name to its atom set.
+    ``valuation`` maps the canonical cell name to its atom set.  ``_names``
+    and ``_covers`` keep the cell names and the covering pairs (face, cell)
+    by cell number for :func:`cell_poset`.
 
-    Construction writes the cells in their document form and runs
-    :func:`_read_cells` on them: the one validation routine, which
-    :func:`load_simplicial_model` and :func:`random_model` run on their
-    cells too.  It stores each cell sorted, and keeps the cell names and the
-    covering pairs (face, cell) by cell number for :func:`cell_poset`.
+    :func:`load_simplicial_model` and :func:`random_model` build models from
+    what :func:`_read_cells`, the one validation routine, returns.
     """
 
     vertices: tuple[str, ...]
     cells: tuple[tuple[str, ...], ...]
     valuation: dict[str, frozenset[str]]
     atoms: tuple[str, ...]
-    geometry: dict[str, tuple[float, ...]] | None = field(default=None)
-    _names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _covers: array = field(init=False, repr=False, compare=False)
-
-    def cell_names(self) -> list[str]:
-        return list(self._names)
-
-    def __post_init__(self):
-        entries = []
-        for cell in self.cells:
-            entry = {"vertices": list(cell)}
-            atoms = self.valuation.get("-".join(sorted(cell)))
-            if atoms is not None:
-                entry["atoms"] = list(atoms)
-            entries.append(entry)
-        read = _read_cells(entries, list(self.vertices))
-        self._set(cells=read.cells, _names=read.names, _covers=read.covers)
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
-            object.__setattr__(self, name, value)
+    geometry: dict[str, tuple[float, ...]] | None
+    _names: tuple[str, ...] = field(repr=False, compare=False)
+    _covers: array = field(repr=False, compare=False)
 
 
 class _Cells(NamedTuple):
@@ -219,15 +200,6 @@ def _check_vertex_name(v: str) -> None:
         )
 
 
-def _checked_model(read: _Cells, atoms: tuple[str, ...], geometry=None) -> SimplicialModel:
-    """A model of cells that :func:`_read_cells` has checked, built without
-    checking them again."""
-    m = SimplicialModel.__new__(SimplicialModel)
-    m._set(vertices=read.vertices, cells=read.cells, valuation=read.valuation, atoms=atoms,
-           geometry=geometry, _names=read.names, _covers=read.covers)
-    return m
-
-
 def load_simplicial_model(document: bytes | str) -> SimplicialModel:
     """Parse and validate a JSON model document.
 
@@ -241,9 +213,8 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
 
     Cell order in the file is the canonical result order.  The top-level
     values are checked first; then the cells go once through
-    :func:`_read_cells`, the validation routine that direct
-    :class:`SimplicialModel` construction runs too, and are not checked
-    again.  The first fault found is raised.
+    :func:`_read_cells` and are not checked again.  The first fault found is
+    raised.
     """
     if isinstance(document, bytes):
         try:
@@ -279,7 +250,8 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
     for cell_atoms in dict.fromkeys(read.valuation.values()):
         atoms.update(dict.fromkeys(sorted(cell_atoms)))
 
-    return _checked_model(read, tuple(atoms), geometry)
+    return SimplicialModel(read.vertices, read.cells, read.valuation, tuple(atoms), geometry,
+                           read.names, read.covers)
 
 
 def _is_number(x: object) -> bool:
@@ -302,12 +274,12 @@ def model_to_document(m: SimplicialModel) -> str:
 class PosetModel(ReflexiveKripkeModel):
     """A finite poset with a valuation, viewed as a reflexive Kripke model.
 
-    The order is given by its covering relation, kept by element number and
-    read by name through ``covers``.  Its reflexive-transitive closure is
-    computed once and becomes the Kripke accessibility relation, which is the
-    only stored copy of the order: ``successors(w)`` is the up-set of ``w``,
-    ``predecessors(w)`` its down-set and ``related(a, b)`` holds iff
-    ``a <= b``.
+    The order is given by its distinct covering pairs, a flat array of
+    element numbers (low, high, low, high, ...), kept and read by name
+    through ``covers``.  Its reflexive-transitive closure is computed once
+    and becomes the Kripke accessibility relation, which is the only stored
+    copy of the order: ``succ[i]`` is the up-set of element i and
+    ``pred[i]`` its down-set.
     """
 
     __slots__ = ("_covers",)
@@ -315,37 +287,18 @@ class PosetModel(ReflexiveKripkeModel):
     def __init__(
         self,
         elements: Iterable[str],
-        covers: Iterable[tuple[str, str]],
-        valuation: Mapping[str, Iterable[str]],
-        atoms: Iterable[str] | None = None,
+        covers: array,
+        valuations: Iterable[Iterable[str]],
+        atoms: Iterable[str],
     ):
-        self._number(elements)
-        number = self._index
-        pairs = set()
-        for low, high in covers:
-            if low not in number or high not in number:
-                raise ValueError(f"cover ({low!r}, {high!r}) mentions an unknown element")
-            pairs.add((number[low], number[high]))
-        flat = array("i", chain.from_iterable(pairs))
-        self._order(flat, [valuation.get(w, ()) for w in self.elements], atoms)
-
-    @classmethod
-    def _from_covers(cls, elements, covers: array, valuations, atoms) -> "PosetModel":
-        """A poset from distinct covering pairs given as a flat array of
-        element numbers (low, high, low, high, ...)."""
-        p = cls.__new__(cls)
-        p._number(elements)
-        p._order(covers, valuations, atoms)
-        return p
-
-    def _order(self, covers: array, valuations, atoms) -> None:
-        n = len(self.elements)
+        elements = tuple(elements)
+        n = len(elements)
         above: list[list[int]] = [[] for _ in range(n)]
         n_below = [0] * n
         pairs = iter(covers)
         for low, high in zip(pairs, pairs):
             if low == high:
-                w = self.elements[low]
+                w = elements[low]
                 raise ValueError(f"cover ({w!r}, {w!r}) is reflexive")
             above[low].append(high)
             n_below[high] += 1
@@ -359,7 +312,7 @@ class PosetModel(ReflexiveKripkeModel):
                 if not n_below[h]:
                     ranked.append(h)
         if len(ranked) != n:
-            stuck = self.elements[next(w for w in range(n) if n_below[w])]
+            stuck = elements[next(w for w in range(n) if n_below[w])]
             raise ValueError(f"covering relation has a cycle at or below {stuck!r}")
         up: list[tuple[int, ...]] = [()] * n
         for w in reversed(ranked):
@@ -368,7 +321,7 @@ class PosetModel(ReflexiveKripkeModel):
                 reach.update(up[h])
             up[w] = tuple(sorted(reach))
 
-        self._fill(up, valuations, atoms)
+        super().__init__(elements, up, valuations, atoms)
         self._covers = covers
 
     @property
@@ -386,7 +339,7 @@ def cell_poset(m: SimplicialModel) -> PosetModel:
     to cells by position.
     """
     valuations = list(map(m.valuation.__getitem__, m._names))
-    return PosetModel._from_covers(m._names, m._covers, valuations, m.atoms)
+    return PosetModel(m._names, m._covers, valuations, m.atoms)
 
 
 def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> SimplicialModel:
@@ -417,4 +370,6 @@ def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> Simp
         {"vertices": list(c), "atoms": [a for a in atoms if rng.random() < 0.5]} for c in ordered
     ]
     used = sorted({v for c in ordered for v in c}, key=vertices.index)
-    return _checked_model(_read_cells(entries, used), tuple(atoms))
+    read = _read_cells(entries, used)
+    return SimplicialModel(read.vertices, read.cells, read.valuation, tuple(atoms), None,
+                           read.names, read.covers)

@@ -1,6 +1,7 @@
 """Test-only checks and formula helpers that are not part of the shipped package."""
 
 import random
+import re
 from collections import deque
 
 from polymin.bisim import Partition
@@ -8,13 +9,43 @@ from polymin.checker import SatSet, UnknownAtomError
 from polymin.errors import InputError
 from polymin.kripke import ReflexiveKripkeModel
 from polymin.logic import (
-    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure,
+    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure, operands,
 )
 from polymin.simplicial import PosetModel
 
 
 class EtaPurityError(InputError):
     """An operation restricted to eta-pure formulas received one that is not."""
+
+
+def down(model: ReflexiveKripkeModel, w: str) -> tuple[str, ...]:
+    return model.names(model.pred[model.index_of(w)])
+
+
+def neighbours(model: ReflexiveKripkeModel, w: str) -> tuple[str, ...]:
+    i = model.index_of(w)
+    return model.names(sorted(set(model.succ[i]).union(model.pred[i])))
+
+
+def atom_extension(model: ReflexiveKripkeModel, atom: str) -> frozenset[str]:
+    return frozenset(w for w, v in zip(model.elements, model.valuations) if atom in v)
+
+
+def atoms_of(f: Formula) -> frozenset[str]:
+    if isinstance(f, Atom):
+        return frozenset({f.name})
+    return frozenset().union(*map(atoms_of, operands(f)))
+
+
+def aut_moves(text: str) -> list[set[tuple[str, int]]]:
+    """Each state's (label, target) pairs in Aldebaran text; checks the header."""
+    header, *lines = text.splitlines()
+    n_trans, n_states = map(int, re.fullmatch(r"des \(0,(\d+),(\d+)\)", header).groups())
+    assert len(lines) == n_trans
+    moves: list[set[tuple[str, int]]] = [set() for _ in range(n_states)]
+    for src, lab, dst in (re.fullmatch(r'\((\d+),"([^"]*)",(\d+)\)', ln).groups() for ln in lines):
+        moves[int(src)].add((lab, int(dst)))
+    return moves
 
 
 def is_weak_pm_bisimulation(p: PosetModel, part: Partition) -> bool:
@@ -24,12 +55,11 @@ def is_weak_pm_bisimulation(p: PosetModel, part: Partition) -> bool:
             if p.valuation_of(w1) != p.valuation_of(next(iter(block))):
                 return False
             for w2 in block:
-                for u1 in p.undirected_neighbours(w1):
-                    allowed = block | part.class_members(part.class_of(u1))
-                    for d1 in p.predecessors(u1):
-                        if not _matching_path(
-                            p, w2, allowed, set(part.class_members(part.class_of(d1)))
-                        ):
+                for u1 in neighbours(p, w1):
+                    allowed = block | part.classes[part.block[p.index_of(u1)]]
+                    for d1 in down(p, u1):
+                        targets = set(part.classes[part.block[p.index_of(d1)]])
+                        if not _matching_path(p, w2, allowed, targets):
                             return False
     return True
 
@@ -45,9 +75,9 @@ def _matching_path(
     queue = deque([start])
     while queue:
         v = queue.popleft()
-        if any(d in targets for d in p.predecessors(v)):
+        if any(d in targets for d in down(p, v)):
             return True
-        for u in p.undirected_neighbours(v):
+        for u in neighbours(p, v):
             if u in allowed and u not in seen:
                 seen.add(u)
                 queue.append(u)
@@ -66,7 +96,7 @@ def _reach_within(
     queue = deque(sources)
     while queue:
         v = queue.popleft()
-        for u in model.undirected_neighbours(v):
+        for u in neighbours(model, v):
             if u in allowed and u not in seen:
                 seen.add(u)
                 queue.append(u)
@@ -80,7 +110,7 @@ def _down_sources(
     ``targets``: from such an element one final downward step reaches a
     target."""
     return frozenset(
-        v for v in allowed if any(t in targets for t in model.predecessors(v))
+        v for v in allowed if any(t in targets for t in down(model, v))
     )
 
 
@@ -100,7 +130,7 @@ def _eval(
         case Atom(name):
             if strict_atoms and name not in model.atoms:
                 raise UnknownAtomError(f"atom {name!r} is not declared by the model")
-            result = model.atom_extension(name)
+            result = atom_extension(model, name)
         case Not(g):
             result = everything - _eval(model, g, memo, strict_atoms)
         case And(a, b):
@@ -168,7 +198,7 @@ def _oracle_eval(model: ReflexiveKripkeModel, f: Formula, bound: int) -> frozens
         case Top():
             return everything
         case Atom(name):
-            return model.atom_extension(name)
+            return atom_extension(model, name)
         case Not(g):
             return everything - _oracle_eval(model, g, bound)
         case And(a, b):
@@ -201,12 +231,12 @@ def _eta_path_exists(
         if not frontier:
             return False
         for u in frontier:
-            if any(t in target for t in model.predecessors(u)):
+            if any(t in target for t in down(model, u)):
                 return True
         frontier = {
             v
             for u in frontier
-            for v in model.undirected_neighbours(u)
+            for v in neighbours(model, u)
             if v in cond and v not in visited
         }
         visited |= frontier

@@ -20,8 +20,8 @@ from polymin.logic import (
 
 from conftest import grid_document, random_posets
 from oracles import (
-    BoundTooSmallError, EtaPurityError, check_script_by_names, encode_eta_to_gamma, random_formula,
-    sat_eta_path_oracle,
+    BoundTooSmallError, EtaPurityError, atom_extension, check_script_by_names, down,
+    encode_eta_to_gamma, neighbours, random_formula, sat_eta_path_oracle,
 )
 
 
@@ -42,9 +42,9 @@ def gamma_by_enumeration(model, cond_set, target_set, bound):
             for u in frontier:
                 # u sits at position length-1: intermediate for this length
                 if u in cond_set:
-                    if any(t in target_set for t in model.predecessors(u)):
+                    if any(t in target_set for t in down(model, u)):
                         satisfied.add(w)
-                    next_frontier.update(model.undirected_neighbours(u))
+                    next_frontier.update(neighbours(model, u))
             if w in satisfied:
                 break
             frontier = next_frontier
@@ -69,7 +69,7 @@ class TestSatExamples:
 
     def test_triangle_gamma_exact_extension(self, triangle):
         s = sat(triangle, parse_formula("gamma(red, true)"))
-        red = triangle.atom_extension("red")
+        red = atom_extension(triangle, "red")
         expected = gamma_by_enumeration(triangle, red, frozenset(triangle.elements), 14)
         assert s.members == expected
         assert members(s, triangle) == ["A", "B", "C", "A-B", "A-C", "B-C"]
@@ -146,15 +146,11 @@ class TestProperties:
 class TestKripkeInputs:
     def test_non_reflexive_rejected(self):
         with pytest.raises(ValueError):
-            ReflexiveKripkeModel(["a", "b"], [("a", "b")], {"a": [], "b": []})
+            ReflexiveKripkeModel(["a", "b"], [[1], [1]], [(), ()], [])
 
     def test_sat_on_plain_kripke_model(self):
         # a 2-cycle plus reflexive loops: not a poset, still checkable
-        m = ReflexiveKripkeModel(
-            ["a", "b"],
-            [("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")],
-            {"a": ["p"], "b": ["q"]},
-        )
+        m = ReflexiveKripkeModel(["a", "b"], [[0, 1], [0, 1]], [["p"], ["q"]], ["p", "q"])
         s = sat(m, Eta(Atom("p"), Atom("q")))
         assert s.members == frozenset({"a"})
 

@@ -5,10 +5,12 @@ from pathlib import Path
 import pytest
 
 from polymin import (
-    Partition, PosetModel, bisim, checker, from_aut, load_simplicial_model, minimize,
+    Partition, PosetModel, bisim, cell_poset, checker, load_simplicial_model, minimize,
 )
 from polymin.checker import SatSet
 from polymin.cli import main
+
+from oracles import aut_moves
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -86,8 +88,8 @@ class TestCheck:
         rc = run("check", script, "--model", str(FIXTURES / "strip4.json"), "-o", str(out))
         assert rc == 0
         payload = json.loads(out.read_text())
-        model = load_simplicial_model((FIXTURES / "strip4.json").read_bytes())
-        vec = dict(zip(model.cell_names(), payload["results"]["reach"]))
+        model = cell_poset(load_simplicial_model((FIXTURES / "strip4.json").read_bytes()))
+        vec = dict(zip(model.elements, payload["results"]["reach"]))
         assert vec["D"] is True
         assert vec["A"] is False
 
@@ -170,7 +172,7 @@ class TestCheck:
 
 
 def discrete(elements):
-    return Partition.from_blocks(elements, [[w] for w in elements])
+    return Partition(elements, tuple(range(len(elements))))
 
 
 def check_on_minimal_with_self_check(outdir):
@@ -313,6 +315,27 @@ class TestInputErrors:
         model = self.write_model(outdir, atom)
         self.expect_input_error(capsys, "export-aut", model, "-o", str(outdir / "m.aut"))
 
+    @pytest.mark.parametrize("argv", [
+        ("export-aut", "{model}", "-o", "{outdir}/m.aut"),
+        ("minimize", "{model}", "-o", "{outdir}", "--emit-aut"),
+    ], ids=["export-aut", "minimize-emit-aut"])
+    @pytest.mark.parametrize("atom", ["a\nb", "a\rb"], ids=["lf", "cr"])
+    def test_atom_with_line_break(self, outdir, capsys, argv, atom):
+        # one transition must stay on one .aut line
+        model = self.write_model(outdir, atom)
+        argv = [a.format(model=model, outdir=outdir) for a in argv]
+        self.expect_input_error(capsys, *argv, message="label ")
+
+    @pytest.mark.parametrize("argv", [
+        ("poset", "{outdir}"),
+        ("minimize", "{model}", "-o", "{outdir}/file.txt/out"),
+        ("check", "{outdir}", "--model", "{model}"),
+    ], ids=["poset-directory", "minimize-outdir-under-file", "check-script-directory"])
+    def test_unreadable_path(self, outdir, capsys, argv):
+        (outdir / "file.txt").write_text("")
+        model = str(FIXTURES / "segment3.json")
+        self.expect_input_error(capsys, *(a.format(model=model, outdir=outdir) for a in argv))
+
     def test_bad_gen_random_arguments(self, capsys):
         self.expect_input_error(capsys, "gen-random", "1", "3", "-1", "2",
                                 message="max_dim must be non-negative")
@@ -394,15 +417,13 @@ class TestExportAut:
         assert rc == 0
         text = out.read_text()
         assert text.splitlines()[0] == "des (0,27,5)"
-        assert from_aut(text).count_label("tau") == 11
+        assert sum(lab == "tau" for ms in aut_moves(text) for lab, _ in ms) == 11
 
     def test_round_trip(self, outdir):
         out = outdir / "seg.aut"
         run("export-aut", str(FIXTURES / "segment3.json"), "-o", str(out))
-        text = out.read_text()
-        from polymin.bisim import to_aut
-
-        assert to_aut(from_aut(text)) == text
+        poset = cell_poset(load_simplicial_model((FIXTURES / "segment3.json").read_bytes()))
+        assert aut_moves(out.read_text()) == list(map(set, bisim.encode_concrete(poset).moves))
 
 
 class TestPoset:

@@ -3,7 +3,8 @@
 Every run must end with exit 0 and nothing on stderr, or with exit 2 and one
 ``error:`` line: never a traceback, an internal error or a self-check
 failure.  Names are drawn from an alphabet of the characters that canonical
-cell names, printed atom sets and script strings treat specially.
+cell names, printed atom sets, script strings and ``.aut`` lines treat
+specially.  An exported ``.aut`` file must hold one line per transition.
 """
 
 import contextlib
@@ -18,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from polymin.cli import main
 
-NAMES = st.text('ab,{}-" ', min_size=1, max_size=3)
+NAMES = st.text('ab,{}-" \n', min_size=1, max_size=3)
 
 
 def _extend(f):
@@ -88,7 +89,11 @@ def test_cli_ends_in_a_result_or_one_input_error(case):
             run("minimize", tmp / "model.json", "-o", tmp, "--self-check"),
             run(*check, *(["--strict-atoms"] if strict else [])),
             run(*check, "--on-minimal"),
+            run("export-aut", tmp / "model.json", "-o", tmp / "model.aut"),
         ]
+        if runs[-1][0] == 0:
+            lines = (tmp / "model.aut").read_text(encoding="utf-8").splitlines()
+            assert len(lines) == 1 + int(re.match(r"des \(0,(\d+),", lines[0])[1]), lines
     for rc, err in runs:
         assert rc in (0, 2), err
         if rc == 0:

@@ -14,7 +14,6 @@ from polymin.logic import (
     Or,
     Top,
     UndefinedIdentifierError,
-    atoms_of,
     format_formula,
     is_eta_pure,
     node_count,
@@ -22,7 +21,7 @@ from polymin.logic import (
     parse_script,
 )
 
-from oracles import EtaPurityError, encode_eta_to_gamma, random_formula
+from oracles import EtaPurityError, atoms_of, encode_eta_to_gamma, random_formula
 
 APPENDIX_SCRIPT = """load model = "polyInput_Poset.json"
 
