@@ -5,9 +5,9 @@ labels ``atom sets + {s, d}``; strong bisimilarity on it, pulled back to the
 cells, is logical equivalence of the reach logic on the poset, and it is the
 route minimisation uses.  The concrete encoding turns a poset model into an
 LTS over the labels ``atoms + {tau, c, d}`` whose branching bisimilarity gives
-the same classes; it is kept for Aldebaran export and, with a direct fixpoint
-computation straight from the model, as an oracle.  The three routes must
-always agree.
+the same classes; it is kept for Aldebaran export and for a linear certificate
+that a partition *is* its branching bisimilarity.  A direct fixpoint
+computation straight from the model is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ __all__ = [
     "TAU", "CHANGE", "DOWN", "STEP",
     "Lts", "Partition", "LabelError",
     "encode_concrete", "components_same_valuation", "encode_abstract",
-    "branching_partition", "strong_partition", "strong_rounds", "weak_pm_partition",
-    "quotient_lts", "pull_back",
+    "strong_partition", "strong_rounds", "is_branching_stable", "is_branching_minimal",
+    "weak_pm_partition", "quotient_lts", "pull_back",
     "to_aut",
 ]
 
@@ -184,64 +184,65 @@ def strong_partition(l: Lts) -> Partition:
 
 
 def strong_rounds(l: Lts) -> Iterator[list[int]]:
-    """The block table of every round of :func:`strong_partition`'s
-    refinement, where a state's signature is its set of moves (label, target
-    block)."""
-    def signature(i: int, block: list[int]) -> frozenset[tuple[Label, int]]:
-        return frozenset((lab, block[t]) for lab, t in l.moves[i])
-
-    return _rounds(len(l), signature)
-
-
-def branching_partition(l: Lts, tau: Label = TAU) -> Partition:
-    """Coarsest branching bisimulation partition of an LTS.
-
-    Signature-based refinement: a state's signature collects the visible
-    moves reachable after silent steps that stay inside its own block; silent
-    moves within the block are inert.  Without ``tau`` among the labels this
-    degrades to strong bisimulation.
-    """
-    def signature(i: int, block: list[int]) -> frozenset[tuple[Label, int]]:
-        sig = set()
-        for v in _inert_closure(l, i, block, tau):
-            for lab, t in l.moves[v]:
-                if lab != tau or block[t] != block[i]:
-                    sig.add((lab, block[t]))
-        return frozenset(sig)
-
-    for block in _rounds(len(l), signature):
-        pass
-    return Partition(l.states, tuple(block))
-
-
-def _inert_closure(l: Lts, i: int, block: list[int], tau: Label) -> list[int]:
-    """States reachable from state ``i`` via tau steps that never leave its
-    block."""
-    home = block[i]
-    seen = {i}
-    queue = [i]
-    for v in queue:
-        for lab, t in l.moves[v]:
-            if lab == tau and block[t] == home and t not in seen:
-                seen.add(t)
-                queue.append(t)
-    return queue
-
-
-def _rounds(n: int, signature) -> Iterator[list[int]]:
-    """Signature-based refinement of states 0..n-1 from a single block, round
-    by round: each round splits every block by ``signature(state, previous
-    blocks)``, with block numbers in order of first state.  The last table
-    yielded is stable."""
-    block = [0] * n
+    """Signature-based refinement from a single block, round by round: each
+    round splits every block by its states' sets of moves (label, target
+    block), with block numbers in order of first state.  The last table
+    yielded is stable: it is :func:`strong_partition`'s."""
+    block = [0] * len(l)
     n_blocks = 1
     while True:
         yield block
         groups: dict[object, int] = {}
-        new = [groups.setdefault((block[i], signature(i, block)), len(groups)) for i in range(n)]
+        new = []
+        for i, ms in enumerate(l.moves):
+            signature = frozenset((lab, block[t]) for lab, t in ms)
+            new.append(groups.setdefault((block[i], signature), len(groups)))
         if len(groups) == n_blocks:
             return
         block, n_blocks = new, len(groups)
+
+
+# -- certificate of branching bisimilarity ----------------------------------------
+
+def is_branching_stable(l: Lts, part: Partition) -> bool:
+    """Is ``part``, a partition of ``l``'s states, a branching bisimulation?
+
+    Inside each block, ``tau`` moves link states into components, whose
+    signatures (their members' non-inert moves by label and target block)
+    must all be equal.  An inert ``tau`` move must have its converse, as in
+    :func:`encode_concrete`, so that a component's states reach each other.
+    """
+    block = part.block
+    seen = [False] * len(l)
+    signatures: dict[int, frozenset[tuple[Label, int]]] = {}
+    for s in range(len(l)):
+        if seen[s]:
+            continue
+        seen[s] = True
+        component, signature = [s], set()
+        for v in component:
+            for lab, t in l.moves[v]:
+                if lab != TAU or block[t] != block[s]:
+                    signature.add((lab, block[t]))
+                elif (TAU, v) not in l.moves[t]:
+                    return False
+                elif not seen[t]:
+                    seen[t] = True
+                    component.append(t)
+        if signatures.setdefault(block[s], frozenset(signature)) != signature:
+            return False
+    return True
+
+
+def is_branching_minimal(l: Lts, part: Partition) -> bool:
+    """Are the blocks of a branching bisimulation ``part`` of ``l`` pairwise
+    inequivalent?  Each state is branching bisimilar to its block in the
+    quotient without ``tau`` self-loops; with no ``tau`` move left there,
+    strong bisimilarity on it must separate every block."""
+    quotient = quotient_lts(l, part, drop_tau_self_loops=True)
+    if any(lab == TAU for ms in quotient.moves for lab, _ in ms):
+        return False
+    return len(strong_partition(quotient)) == len(quotient)
 
 
 # -- direct fixpoint on the poset model ----------------------------------------

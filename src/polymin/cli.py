@@ -52,43 +52,45 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _self_check_pipeline(poset: PosetModel, mm: minimize.MinimalModel) -> None:
-    """Assert that the oracle routes agree with the minimal model: the direct
-    fixpoint and concrete branching bisimilarity give its partition, and the
-    concrete quotient's ``d`` transitions give its relation."""
-    lts = bisim.encode_concrete(poset)
-    concrete = bisim.branching_partition(lts)
-    if not (bisim.weak_pm_partition(poset) == concrete == mm.partition):
+def _self_check_pipeline(poset: PosetModel, mm: minimize.MinimalModel, lts: bisim.Lts) -> None:
+    """Assert that the minimal model's partition is the direct fixpoint and is
+    certified as branching bisimilarity on the concrete LTS ``lts``, and that
+    the concrete quotient's ``d`` transitions give its relation."""
+    if bisim.weak_pm_partition(poset) != mm.partition:
         raise SelfCheckFailure("equivalence routes disagree")
-    if minimize.rmin_via_quotient_d(lts, concrete) != mm.kripke.relation_pairs():
+    if not bisim.is_branching_stable(lts, mm.partition):
+        raise SelfCheckFailure("the classes are not a branching bisimulation")
+    if not bisim.is_branching_minimal(lts, mm.partition):
+        raise SelfCheckFailure("two classes are branching bisimilar")
+    if minimize.rmin_via_quotient_d(lts, mm.partition) != mm.kripke.relation_pairs():
         raise SelfCheckFailure("quotient d-transitions disagree with the minimal relation")
 
 
 def cmd_minimize(args) -> int:
     poset = _load_poset(args.model)
     mm = minimize.minimal_model(poset)
+    lts = bisim.encode_concrete(poset) if args.self_check or args.emit_aut else None
     if args.self_check:
-        _self_check_pipeline(poset, mm)
+        _self_check_pipeline(poset, mm, lts)
     classes = _classes_payload(mm.partition, poset)
-    stem = Path(args.model).stem
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-
-    (outdir / f"{stem}.classes.json").write_text(
-        json.dumps({"classes": classes}, indent=2) + "\n", encoding="utf-8"
-    )
     relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
-    (outdir / f"{stem}.minmodel.json").write_text(
-        json.dumps({"classes": classes, "relation": relation}, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    stem = Path(args.model).stem
+    files = {
+        f"{stem}.classes.json": json.dumps({"classes": classes}, indent=2) + "\n",
+        f"{stem}.minmodel.json":
+            json.dumps({"classes": classes, "relation": relation}, indent=2) + "\n",
+    }
     if args.emit_aut:
-        lts = bisim.encode_concrete(poset)
-        (outdir / f"{stem}.concrete.aut").write_text(bisim.to_aut(lts), encoding="utf-8")
         quotient = bisim.quotient_lts(
             lts, mm.partition, drop_tau_self_loops=args.trim_self_tau
         )
-        (outdir / f"{stem}.quotient.aut").write_text(bisim.to_aut(quotient), encoding="utf-8")
+        files[f"{stem}.concrete.aut"] = bisim.to_aut(lts)
+        files[f"{stem}.quotient.aut"] = bisim.to_aut(quotient)
+    # every output is serialised, so an input that fails writes nothing
+    outdir = Path(args.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (outdir / name).write_text(text, encoding="utf-8")
     return 0
 
 

@@ -70,9 +70,6 @@ class ReflexiveKripkeModel:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __contains__(self, w: str) -> bool:
-        return w in self._index
-
     def index_of(self, w: str) -> int:
         try:
             return self._index[w]

@@ -12,10 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisim import (
-    DOWN, STEP, Lts, Partition, encode_abstract, pull_back, quotient_lts, strong_partition,
-    strong_rounds,
-)
+from . import bisim
+from .bisim import DOWN, STEP, Lts, Partition
 from .checker import SatSet
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
@@ -49,14 +47,6 @@ class MinimalModel:
     partition: Partition
     source: PosetModel
 
-    def class_of_element(self, element: str) -> str:
-        return class_id(self.partition.block[self.source.index_of(element)])
-
-    def members_of(self, cid: str) -> frozenset[str]:
-        if cid not in self.kripke:
-            raise UnknownClassError(f"unknown class {cid!r}")
-        return self.partition.classes[self.kripke.index_of(cid)]
-
 
 def minimal_model(p: PosetModel) -> MinimalModel:
     """Build the quotient model over logical-equivalence classes.
@@ -66,8 +56,8 @@ def minimal_model(p: PosetModel) -> MinimalModel:
     member pair, so it is reflexive by reflexivity of the order; the valuation
     is lifted from any member (all members agree, which is asserted).
     """
-    lts, components = encode_abstract(p)
-    part = pull_back(strong_partition(lts), components)
+    lts, components = bisim.encode_abstract(p)
+    part = bisim.pull_back(bisim.strong_partition(lts), components)
     ids = [class_id(i) for i in range(len(part))]
     cls = part.block
 
@@ -89,7 +79,7 @@ def rmin_via_quotient_d(lts: Lts, part: Partition) -> frozenset[tuple[str, str]]
     """The reversed ``d`` transitions of the concrete LTS ``lts`` projected onto
     its branching partition ``part``, over ``part``'s class ids ``C0, C1, ...``;
     must equal :func:`minimal_model`'s relation."""
-    quotient = quotient_lts(lts, part)
+    quotient = bisim.quotient_lts(lts, part)
     return frozenset(
         (class_id(j), class_id(i))
         for i, ms in enumerate(quotient.moves) for lab, j in ms if lab == DOWN
@@ -127,9 +117,9 @@ class _RoundLog:
 
     def __init__(self, p: PosetModel):
         self.atoms = p.atoms
-        self.lts, self.components = encode_abstract(p)
+        self.lts, self.components = bisim.encode_abstract(p)
         self.valuations = dict(zip(self.components.block, p.valuations))
-        self.rounds = list(strong_rounds(self.lts))
+        self.rounds = list(bisim.strong_rounds(self.lts))
         self.reps = [{j: s for s, j in enumerate(block)} for block in self.rounds]
         self._formulas: dict[tuple[int, int], tuple[Formula, int]] = {}
 

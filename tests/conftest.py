@@ -4,9 +4,10 @@ from pathlib import Path
 import pytest
 
 from polymin import (
-    branching_partition, cell_poset, encode_concrete, load_simplicial_model, random_model,
-    rmin_via_quotient_d,
+    cell_poset, encode_concrete, load_simplicial_model, random_model, rmin_via_quotient_d,
 )
+
+from oracles import branching_partition
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -3,14 +3,16 @@
 import random
 import re
 from collections import deque
+from typing import Iterator
 
-from polymin.bisim import Partition
+from polymin.bisim import TAU, Label, Lts, Partition
 from polymin.checker import SatSet, UnknownAtomError
 from polymin.errors import InputError
 from polymin.kripke import ReflexiveKripkeModel
 from polymin.logic import (
     TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure, operands,
 )
+from polymin.minimize import MinimalModel, class_id
 from polymin.simplicial import PosetModel
 
 
@@ -25,6 +27,16 @@ def down(model: ReflexiveKripkeModel, w: str) -> tuple[str, ...]:
 def neighbours(model: ReflexiveKripkeModel, w: str) -> tuple[str, ...]:
     i = model.index_of(w)
     return model.names(sorted(set(model.succ[i]).union(model.pred[i])))
+
+
+def class_of_element(mm: MinimalModel, element: str) -> str:
+    """The id of the minimal-model class holding a source cell."""
+    return class_id(mm.partition.block[mm.source.index_of(element)])
+
+
+def members_of(mm: MinimalModel, cid: str) -> frozenset[str]:
+    """The source cells of a minimal-model class."""
+    return mm.partition.classes[mm.kripke.index_of(cid)]
 
 
 def atom_extension(model: ReflexiveKripkeModel, atom: str) -> frozenset[str]:
@@ -82,6 +94,59 @@ def _matching_path(
                 seen.add(u)
                 queue.append(u)
     return False
+
+
+# -- the concrete route: round-based branching bisimilarity -------------------
+
+def branching_partition(l: Lts, tau: Label = TAU) -> Partition:
+    """Coarsest branching bisimulation partition of an LTS.
+
+    Signature-based refinement: a state's signature collects the visible
+    moves reachable after silent steps that stay inside its own block; silent
+    moves within the block are inert.  Without ``tau`` among the labels this
+    degrades to strong bisimulation.
+    """
+    def signature(i: int, block: list[int]) -> frozenset[tuple[Label, int]]:
+        sig = set()
+        for v in _inert_closure(l, i, block, tau):
+            for lab, t in l.moves[v]:
+                if lab != tau or block[t] != block[i]:
+                    sig.add((lab, block[t]))
+        return frozenset(sig)
+
+    for block in _rounds(len(l), signature):
+        pass
+    return Partition(l.states, tuple(block))
+
+
+def _inert_closure(l: Lts, i: int, block: list[int], tau: Label) -> list[int]:
+    """States reachable from state ``i`` via tau steps that never leave its
+    block."""
+    home = block[i]
+    seen = {i}
+    queue = [i]
+    for v in queue:
+        for lab, t in l.moves[v]:
+            if lab == tau and block[t] == home and t not in seen:
+                seen.add(t)
+                queue.append(t)
+    return queue
+
+
+def _rounds(n: int, signature) -> Iterator[list[int]]:
+    """Signature-based refinement of states 0..n-1 from a single block, round
+    by round: each round splits every block by ``signature(state, previous
+    blocks)``, with block numbers in order of first state.  The last table
+    yielded is stable."""
+    block = [0] * n
+    n_blocks = 1
+    while True:
+        yield block
+        groups: dict[object, int] = {}
+        new = [groups.setdefault((block[i], signature(i, block)), len(groups)) for i in range(n)]
+        if len(groups) == n_blocks:
+            return
+        block, n_blocks = new, len(groups)
 
 
 # -- the checker's name-based set evaluator, kept as its reference ------------

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from polymin import (
-    branching_partition,
     cell_poset,
     encode_abstract,
     encode_concrete,
@@ -26,7 +25,10 @@ from polymin.logic import format_formula
 from polymin.simplicial import model_to_document
 
 from conftest import concrete_d_relation
-from oracles import atoms_of, encode_eta_to_gamma, random_formula, sat_eta_path_oracle
+from oracles import (
+    atoms_of, branching_partition, class_of_element, encode_eta_to_gamma, random_formula,
+    sat_eta_path_oracle,
+)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -74,8 +76,8 @@ def test_criterion_1_segment3_end_to_end():
         elapsed = time.perf_counter() - start
         blocks = {frozenset(c) for c in mm.partition.classes}
         assert blocks == {frozenset({"D", "D-E"}), frozenset({"E", "E-F", "F"})}
-        red = mm.class_of_element("D")
-        blue = mm.class_of_element("E")
+        red = class_of_element(mm, "D")
+        blue = class_of_element(mm, "E")
         assert mm.kripke.relation_pairs() == frozenset(
             {(red, red), (blue, blue), (blue, red)}
         )
@@ -96,10 +98,10 @@ def test_criterion_2_strip4_classes_and_relation():
             frozenset({"D", "E", "F", "C-E", "D-E", "D-F", "E-F", "D-E-F"}),
             frozenset({"C-D-E"}),
         }
-        c1 = mm.class_of_element("A")
-        c2 = mm.class_of_element("B")
-        c3 = mm.class_of_element("D")
-        c4 = mm.class_of_element("C-D-E")
+        c1 = class_of_element(mm, "A")
+        c2 = class_of_element(mm, "B")
+        c3 = class_of_element(mm, "D")
+        c4 = class_of_element(mm, "C-D-E")
         relation = mm.kripke.relation_pairs()
         assert {(c3, c2), (c2, c3), (c3, c3), (c1, c2), (c2, c4)} <= relation
         assert (c1, c4) not in relation

@@ -1,12 +1,13 @@
 from array import array
+from itertools import combinations
 
 import pytest
 
 from polymin import (
-    branching_partition,
     components_same_valuation,
     encode_abstract,
     encode_concrete,
+    minimal_model,
     parse_formula,
     quotient_lts,
     sat,
@@ -22,11 +23,13 @@ from polymin.bisim import (
     Partition,
     STEP,
     TAU,
+    is_branching_minimal,
+    is_branching_stable,
     pull_back,
 )
 from polymin.simplicial import PosetModel
 
-from oracles import aut_moves, is_weak_pm_bisimulation, random_formula
+from oracles import aut_moves, branching_partition, is_weak_pm_bisimulation, random_formula
 
 from conftest import random_posets
 
@@ -43,6 +46,16 @@ def refines(fine, coarse):
     """Every class of ``fine`` fits inside a class of ``coarse``."""
     image = {}
     return all(image.setdefault(a, b) == b for a, b in zip(fine.block, coarse.block))
+
+
+def renumbered(universe, block):
+    """The partition with ``block``'s classes, numbered in order of first member."""
+    first = {}
+    return Partition(universe, tuple(first.setdefault(k, len(first)) for k in block))
+
+
+def certified(lts, part):
+    return is_branching_stable(lts, part) and is_branching_minimal(lts, part)
 
 
 def one_point_poset(atom="p"):
@@ -172,6 +185,45 @@ class TestBranching:
         lts = Lts(["x", "y", "z"], [{(TAU, 1), ("p", 2)}, {(TAU, 0), ("p", 2)}, set()])
         part = branching_partition(lts)
         assert part.block[0] == part.block[1]
+
+
+class TestCertificate:
+    def test_accepts_exactly_the_minimal_partition(self):
+        splits = merges = 0
+        for seed, p in random_posets(300, max_cells=30, n_vertices=5):
+            lts = encode_concrete(p)
+            part = minimal_model(p).partition
+            assert certified(lts, part), seed
+            for w, k in enumerate(part.block):
+                if len(part.classes[k]) > 1:
+                    split = part.block[:w] + (len(part),) + part.block[w + 1:]
+                    assert not certified(lts, renumbered(p.elements, split)), (seed, w)
+                    splits += 1
+            for a, b in combinations(range(len(part)), 2):
+                if p.valuation_of(part.names[a]) == p.valuation_of(part.names[b]):
+                    merged = tuple(a if k == b else k for k in part.block)
+                    assert not certified(lts, renumbered(p.elements, merged)), (seed, a, b)
+                    merges += 1
+        assert splits > 1000 and merges > 500
+
+    def test_stability_rejects_a_merge(self, strip4):
+        lts = encode_concrete(strip4)
+        part = minimal_model(strip4).partition
+        a, b = (part.block[strip4.index_of(w)] for w in ("A", "B"))
+        merged = renumbered(strip4.elements, [a if k == b else k for k in part.block])
+        assert is_branching_stable(lts, part)
+        assert not is_branching_stable(lts, merged)
+
+    @pytest.mark.parametrize("p", [
+        PosetModel(["A", "B"], array("i"), [{"p"}] * 2, ["p"]),
+        PosetModel(["a", "b", "ab"], array("i", [0, 2, 1, 2]), [{"p"}, {"q"}, {"p"}], ["p", "q"]),
+    ], ids=["strong-split", "tau-between-classes"])
+    def test_minimality_rejects_a_stable_split(self, p):
+        lts = encode_concrete(p)
+        discrete = Partition(p.elements, tuple(range(len(p))))
+        assert is_branching_stable(lts, discrete)
+        assert not is_branching_minimal(lts, discrete)
+        assert is_branching_minimal(lts, minimal_model(p).partition)
 
 
 class TestStrong:

@@ -187,9 +187,10 @@ def check_on_minimal_with_self_check(outdir):
 class TestSelfCheckFailures:
     @pytest.mark.parametrize("module, name, fake", [
         (bisim, "weak_pm_partition", lambda p: discrete(p.elements)),
-        (bisim, "branching_partition", lambda lts: discrete(lts.states)),
+        (bisim, "is_branching_stable", lambda lts, part: False),
+        (bisim, "is_branching_minimal", lambda lts, part: False),
         (minimize, "rmin_via_quotient_d", lambda lts, part: frozenset()),
-    ], ids=["direct-fixpoint", "concrete-branching", "quotient-d"])
+    ], ids=["direct-fixpoint", "stability", "minimality", "quotient-d"])
     def test_minimize_reports_a_disagreeing_oracle(
         self, outdir, capsys, monkeypatch, module, name, fake
     ):
@@ -224,15 +225,20 @@ class TestSelfCheckFailures:
 
             return wrapper
 
-        names = ("weak_pm_partition", "encode_concrete", "branching_partition", "minimal_model")
+        names = (
+            "weak_pm_partition", "encode_concrete", "is_branching_stable",
+            "is_branching_minimal", "minimal_model",
+        )
         for module in (bisim, minimize):
             for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
-        rc = run("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir), "--self-check")
-        assert rc == 0
-        assert calls == Counter(dict.fromkeys(names, 1))
+        model = str(FIXTURES / "strip4.json")
+        for extra in ([], ["--emit-aut"]):
+            calls.clear()
+            assert run("minimize", model, "-o", str(outdir), "--self-check", *extra) == 0
+            assert calls == Counter(dict.fromkeys(names, 1))
 
         calls.clear()
         assert check_on_minimal_with_self_check(outdir) == 0
@@ -269,6 +275,9 @@ class TestInputErrors:
         assert run(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+
+    def expect_no_output(self, outdir):
+        assert [path.name for path in outdir.rglob("*")] == ["model.json"]
 
     def write_model(self, outdir, atom):
         model = outdir / "model.json"
@@ -309,11 +318,13 @@ class TestInputErrors:
         model = self.write_model(outdir, "tau")
         argv = [a.format(model=model, outdir=outdir) for a in argv]
         self.expect_input_error(capsys, *argv, message="atom names collide with reserved labels")
+        self.expect_no_output(outdir)
 
     @pytest.mark.parametrize("atom", ['a"b', "\ud800"], ids=["quote", "lone-surrogate"])
     def test_atom_aut_cannot_spell(self, outdir, capsys, atom):
         model = self.write_model(outdir, atom)
         self.expect_input_error(capsys, "export-aut", model, "-o", str(outdir / "m.aut"))
+        self.expect_no_output(outdir)
 
     @pytest.mark.parametrize("argv", [
         ("export-aut", "{model}", "-o", "{outdir}/m.aut"),
@@ -325,6 +336,7 @@ class TestInputErrors:
         model = self.write_model(outdir, atom)
         argv = [a.format(model=model, outdir=outdir) for a in argv]
         self.expect_input_error(capsys, *argv, message="label ")
+        self.expect_no_output(outdir)
 
     @pytest.mark.parametrize("argv", [
         ("poset", "{outdir}"),

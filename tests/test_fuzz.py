@@ -4,7 +4,8 @@ Every run must end with exit 0 and nothing on stderr, or with exit 2 and one
 ``error:`` line: never a traceback, an internal error or a self-check
 failure.  Names are drawn from an alphabet of the characters that canonical
 cell names, printed atom sets, script strings and ``.aut`` lines treat
-specially.  An exported ``.aut`` file must hold one line per transition.
+specially.  An exported ``.aut`` file must hold one line per transition, and
+a ``minimize`` run that exits with 2 must write no file.
 """
 
 import contextlib
@@ -90,10 +91,13 @@ def test_cli_ends_in_a_result_or_one_input_error(case):
             run(*check, *(["--strict-atoms"] if strict else [])),
             run(*check, "--on-minimal"),
             run("export-aut", tmp / "model.json", "-o", tmp / "model.aut"),
+            run("minimize", tmp / "model.json", "-o", tmp / "aut", "--emit-aut"),
         ]
-        if runs[-1][0] == 0:
+        if runs[-2][0] == 0:
             lines = (tmp / "model.aut").read_text(encoding="utf-8").splitlines()
             assert len(lines) == 1 + int(re.match(r"des \(0,(\d+),", lines[0])[1]), lines
+        if runs[-1][0] == 2:
+            assert list((tmp / "aut").rglob("*")) == []
     for rc, err in runs:
         assert rc in (0, 2), err
         if rc == 0:
