@@ -14,7 +14,7 @@ from typing import Iterator
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
 from .logic import (
-    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, operands,
+    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, Top, operands,
 )
 
 __all__ = ["SatSet", "UnknownAtomError", "sat", "check_script"]
@@ -65,44 +65,50 @@ def _reach(
 def _eval(
     model: ReflexiveKripkeModel,
     root: Formula,
-    memo: dict[Formula, frozenset[int]],
+    memo: dict[int, frozenset[int]],
     strict_atoms: bool,
 ) -> frozenset[int]:
     """Extension of ``root`` as element numbers.  Subformulas are evaluated
     left to right from an explicit stack, so nesting costs no recursion;
-    ``memo`` keeps every extension, from all elements for ``TOP`` on."""
-    if TOP not in memo:
-        memo[TOP] = frozenset(range(len(model)))
+    ``memo`` keeps every extension by node identity, from all elements for
+    ``TOP`` on, so a node shared by several parents is evaluated once and
+    no lookup walks a subtree.  Every node evaluated must live as long as
+    ``memo``, so that no id in it is reused."""
+    if id(TOP) not in memo:
+        memo[id(TOP)] = frozenset(range(len(model)))
+    everything = memo[id(TOP)]
     stack = [root]
     while stack:
         f = stack[-1]
-        if f in memo:
+        if id(f) in memo:
             stack.pop()
             continue
-        todo = [g for g in operands(f) if g not in memo]
+        todo = [g for g in operands(f) if id(g) not in memo]
         if todo:
             stack.extend(reversed(todo))
             continue
         stack.pop()
         match f:
+            case Top():
+                result = everything
             case Atom(name):
                 if strict_atoms and name not in model.atoms:
                     raise UnknownAtomError(f"atom {name!r} is not declared by the model")
                 result = frozenset(i for i, v in enumerate(model.valuations) if name in v)
             case Not(g):
-                result = memo[TOP] - memo[g]
+                result = everything - memo[id(g)]
             case And(a, b):
-                result = memo[a] & memo[b]
+                result = memo[id(a)] & memo[id(b)]
             case Or(a, b):
-                result = memo[a] | memo[b]
+                result = memo[id(a)] | memo[id(b)]
             case Eta(a, b):
-                result = _reach(model, memo[a], memo[b])
+                result = _reach(model, memo[id(a)], memo[id(b)])
             case Gamma(a, b):
-                result = frozenset(_image(model.pred, _reach(model, memo[a], memo[b])))
+                result = frozenset(_image(model.pred, _reach(model, memo[id(a)], memo[id(b)])))
             case Diamond(g):
-                result = frozenset(_image(model.pred, memo[g]))
-        memo[f] = result
-    return memo[root]
+                result = frozenset(_image(model.pred, memo[id(g)]))
+        memo[id(f)] = result
+    return memo[id(root)]
 
 
 def _sat_set(model: ReflexiveKripkeModel, numbers: frozenset[int], f: Formula) -> SatSet:
@@ -123,7 +129,7 @@ def check_script(
     model: ReflexiveKripkeModel, script: Script, strict_atoms: bool = False
 ) -> dict[str, SatSet]:
     """Evaluate every save directive; shared subformulas are memoised."""
-    memo: dict[Formula, frozenset[int]] = {}
+    memo: dict[int, frozenset[int]] = {}
     return {
         name: _sat_set(model, _eval(model, f, memo, strict_atoms), f)
         for name, f in script.saves.items()

@@ -33,15 +33,13 @@ def _load_poset(path: str) -> PosetModel:
     return cell_poset(load_simplicial_model(Path(path).read_bytes()))
 
 
-def _classes_payload(part: bisim.Partition, poset: PosetModel) -> list[dict]:
+def _classes_payload(mm: minimize.MinimalModel) -> list[dict]:
+    members: list[list[str]] = [[] for _ in range(len(mm.partition))]
+    for w, k in zip(mm.source.elements, mm.partition.block):
+        members[k].append(w)
     return [
-        {
-            "id": i,
-            "name": part.names[i],
-            "members": poset.sorted_elements(part.classes[i]),
-            "atoms": sorted(poset.valuation_of(part.names[i])),
-        }
-        for i in range(len(part))
+        {"id": i, "name": min(ws), "members": ws, "atoms": sorted(v)}
+        for i, (ws, v) in enumerate(zip(members, mm.kripke.valuations))
     ]
 
 
@@ -62,7 +60,7 @@ def _self_check_pipeline(poset: PosetModel, mm: minimize.MinimalModel, lts: bisi
         raise SelfCheckFailure("the classes are not a branching bisimulation")
     if not bisim.is_branching_minimal(lts, mm.partition):
         raise SelfCheckFailure("two classes are branching bisimilar")
-    if minimize.rmin_via_quotient_d(lts, mm.partition) != mm.kripke.relation_pairs():
+    if minimize.rmin_via_quotient_d(lts, mm.partition) != mm.kripke.succ:
         raise SelfCheckFailure("quotient d-transitions disagree with the minimal relation")
 
 
@@ -72,7 +70,7 @@ def cmd_minimize(args) -> int:
     lts = bisim.encode_concrete(poset) if args.self_check or args.emit_aut else None
     if args.self_check:
         _self_check_pipeline(poset, mm, lts)
-    classes = _classes_payload(mm.partition, poset)
+    classes = _classes_payload(mm)
     relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
     stem = Path(args.model).stem
     files = {
@@ -166,7 +164,7 @@ def cmd_poset(args) -> int:
     poset = _load_poset(args.model)
     payload = {
         "elements": [
-            {"name": w, "atoms": sorted(poset.valuation_of(w))} for w in poset.elements
+            {"name": w, "atoms": sorted(v)} for w, v in zip(poset.elements, poset.valuations)
         ],
         "covers": [[a, b] for a, b in poset.covers],
     }

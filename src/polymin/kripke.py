@@ -87,10 +87,6 @@ class ReflexiveKripkeModel:
         """Elements reachable in one accessibility step from ``w``."""
         return self.names(self.succ[self.index_of(w)])
 
-    def relation_pairs(self) -> frozenset[tuple[str, str]]:
-        names = self.elements
-        return frozenset((names[a], names[b]) for a, bs in enumerate(self.succ) for b in bs)
-
     def sorted_elements(self, members: Iterable[str]) -> list[str]:
         """Sort a subset of elements into canonical (construction) order."""
         return sorted(members, key=self.index_of)

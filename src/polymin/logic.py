@@ -24,7 +24,7 @@ from .errors import InputError
 
 __all__ = [
     "Formula", "Top", "Atom", "Not", "And", "Or", "Eta", "Gamma", "Diamond",
-    "TOP", "Script", "FormulaSyntaxError", "UndefinedIdentifierError",
+    "TOP", "Script", "FormulaSyntaxError", "UndefinedIdentifierError", "UnprintableAtomError",
     "parse_formula", "parse_script", "format_formula",
     "is_eta_pure", "node_count",
     "operands", "MAX_DEPTH",
@@ -42,6 +42,11 @@ class FormulaSyntaxError(InputError):
 
 class UndefinedIdentifierError(InputError):
     """A script formula refers to a name with no earlier binding."""
+
+
+class UnprintableAtomError(InputError):
+    """An atom name that the concrete syntax cannot spell: it holds a ``"``
+    or a line break, which no string token may contain."""
 
 
 class Formula:
@@ -126,8 +131,19 @@ def operands(f: Formula) -> tuple[Formula, ...]:
 
 
 def is_eta_pure(f: Formula) -> bool:
-    """True iff the formula contains no Gamma and no Diamond node."""
-    return not isinstance(f, (Gamma, Diamond)) and all(map(is_eta_pure, operands(f)))
+    """True iff the formula contains no Gamma and no Diamond node.  Each
+    distinct node object is visited once, so shared subformulas cost once."""
+    seen = {id(f)}
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, (Gamma, Diamond)):
+            return False
+        for h in operands(g):
+            if id(h) not in seen:
+                seen.add(id(h))
+                stack.append(h)
+    return True
 
 
 def node_count(f: Formula) -> int:
@@ -141,7 +157,8 @@ _KEYWORDS = {"true", "eta", "gamma", "diamond", "ap", "let", "save", "load", "mo
 
 
 def format_formula(f: Formula) -> str:
-    """Render a formula; ``parse_formula`` inverts this exactly."""
+    """Render a formula; ``parse_formula`` inverts this exactly.  An atom
+    name holding a ``"`` or a line break raises :class:`UnprintableAtomError`."""
     return _fmt(f, 0)
 
 
@@ -153,6 +170,8 @@ def _fmt(f: Formula, parent_level: int) -> str:
         case Atom(name):
             if _IDENT.match(name) and name not in _KEYWORDS:
                 return name
+            if '"' in name or "\n" in name:
+                raise UnprintableAtomError(f"atom name {name!r} cannot be written as ap(\"...\")")
             return f'ap("{name}")'
         case Not(g):
             return "!" + _fmt(g, 2)
@@ -219,8 +238,10 @@ class _Parser:
         self.pos = 0
         self.env = env  # None: bare identifiers are atoms
         self.nesting = 0
-        # Depth of every node built so far, by id: each such node stays alive
-        # in the tree or in the bindings while the parse runs.
+        # Every distinct node of the parse, keyed by its type and its
+        # operands' ids (an atom by its name), and its depth by id: each one
+        # stays alive here while the parse runs.
+        self.nodes: dict[tuple, Formula] = {}
         self.depth: dict[int, int] = {}
 
     def peek(self) -> _Token:
@@ -236,11 +257,18 @@ class _Parser:
         return FormulaSyntaxError(message, tok.line, tok.column)
 
     def node(self, f: Formula) -> Formula:
-        """``f``, once its depth, counted through ``let`` references, is
-        known to be at most MAX_DEPTH."""
+        """The one node of this parse equal to ``f``, whose operands are such
+        nodes: ``f`` itself when it is new and its depth, counted through
+        ``let`` references, is at most MAX_DEPTH.  Equal text, repeated or
+        bound once and used often, thus gives one shared object."""
+        key = (Atom, f.name) if isinstance(f, Atom) else (type(f), *map(id, operands(f)))
+        known = self.nodes.get(key)
+        if known is not None:
+            return known
         depth = 1 + max((self.depth[id(g)] for g in operands(f)), default=0)
         if depth > MAX_DEPTH:
             raise self.error(f"formula nested deeper than {MAX_DEPTH}")
+        self.nodes[key] = f
         self.depth[id(f)] = depth
         return f
 

@@ -75,15 +75,17 @@ def minimal_model(p: PosetModel) -> MinimalModel:
     return MinimalModel(kripke=kripke, partition=part, source=p)
 
 
-def rmin_via_quotient_d(lts: Lts, part: Partition) -> frozenset[tuple[str, str]]:
+def rmin_via_quotient_d(lts: Lts, part: Partition) -> tuple[tuple[int, ...], ...]:
     """The reversed ``d`` transitions of the concrete LTS ``lts`` projected onto
-    its branching partition ``part``, over ``part``'s class ids ``C0, C1, ...``;
-    must equal :func:`minimal_model`'s relation."""
+    its branching partition ``part``, as sorted successor tables by class
+    number; must equal the ``succ`` of :func:`minimal_model`'s relation."""
     quotient = bisim.quotient_lts(lts, part)
-    return frozenset(
-        (class_id(j), class_id(i))
-        for i, ms in enumerate(quotient.moves) for lab, j in ms if lab == DOWN
-    )
+    succ: list[list[int]] = [[] for _ in quotient.moves]
+    for i, ms in enumerate(quotient.moves):
+        for lab, j in ms:
+            if lab == DOWN:
+                succ[j].append(i)
+    return tuple(map(tuple, succ))
 
 
 def map_back(mm: MinimalModel, class_result: SatSet) -> list[bool]:
@@ -195,18 +197,17 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
     literal (different valuations) or one signature entry that differs
     between their components in the first refinement round that splits them.
     """
-    p.index_of(a)
-    p.index_of(b)
+    i, j = p.index_of(a), p.index_of(b)
     if a == b:
         return None
-    va, vb = p.valuation_of(a), p.valuation_of(b)
+    va, vb = p.valuations[i], p.valuations[j]
     if va != vb:
         gained = sorted(va - vb)
         if gained:
             return Atom(gained[0])
         return Not(Atom(sorted(vb - va)[0]))
     log = _RoundLog(p)
-    x, y = (log.components.block[p.index_of(c)] for c in (a, b))
+    x, y = log.components.block[i], log.components.block[j]
     for k, block in enumerate(log.rounds):
         if block[x] != block[y]:
             [(witness, _)] = log.separate(k - 1, x, [log.signature(k - 1, y)])

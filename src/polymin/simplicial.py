@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from array import array
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import EncodingError, InputError
 from .kripke import ReflexiveKripkeModel, UnknownElementError
@@ -28,7 +28,6 @@ __all__ = [
     "MissingValuationError",
     "ModelSizeError",
     "UnknownElementError",
-    "cell_name",
     "load_simplicial_model",
     "cell_poset",
     "random_model",
@@ -56,57 +55,47 @@ class ModelSizeError(InputError):
     """Arguments to :func:`random_model` that describe no model."""
 
 
-def cell_name(vertices: Iterable[str]) -> str:
-    """Canonical cell name: sorted vertex identifiers joined by ``-``."""
-    return "-".join(sorted(str(v) for v in vertices))
-
-
 @dataclass(frozen=True)
 class SimplicialModel:
     """An abstract simplicial complex with a per-cell valuation.
 
-    ``cells`` keeps the input order, which downstream stages treat as the
-    canonical cell order.  Each cell is a sorted tuple of vertex names and
-    ``valuation`` maps the canonical cell name to its atom set.  ``_names``
-    and ``_covers`` keep the cell names and the covering pairs (face, cell)
-    by cell number for :func:`cell_poset`.
+    Cells are numbered in input order, which downstream stages treat as the
+    canonical cell order, and every per-cell table is indexed by that number:
+    ``cells[i]`` is a sorted tuple of vertex names and ``valuations[i]`` its
+    atom set.  ``_names`` and ``_covers`` keep the canonical cell names and
+    the covering pairs (face, cell) for :func:`cell_poset`.
 
-    :func:`load_simplicial_model` and :func:`random_model` build models from
-    what :func:`_read_cells`, the one validation routine, returns.
+    :func:`_read_cells`, the one validation routine, builds every model.
     """
 
     vertices: tuple[str, ...]
     cells: tuple[tuple[str, ...], ...]
-    valuation: dict[str, frozenset[str]]
+    valuations: tuple[frozenset[str], ...]
     atoms: tuple[str, ...]
     geometry: dict[str, tuple[float, ...]] | None
     _names: tuple[str, ...] = field(repr=False, compare=False)
     _covers: array = field(repr=False, compare=False)
 
 
-class _Cells(NamedTuple):
-    vertices: tuple[str, ...]
-    cells: tuple[tuple[str, ...], ...]
-    names: tuple[str, ...]
-    valuation: dict[str, frozenset[str]]
-    covers: array
-
-
 _NO_ATOMS = object()
 _VERTEX_TYPE = "cell vertices must be a list of strings"
 
 
-def _read_cells(entries: list, declared: list | None) -> _Cells:
-    """Check cells in document form and number them: the one validation
-    routine of a model.
+def _read_cells(
+    entries: list, declared: list | None, atoms: list[str], geometry: dict | None
+) -> SimplicialModel:
+    """Check cells in document form, number them and build the model: the
+    one validation routine of a model.
 
     Each entry is ``{"vertices": [...], "atoms": [...]}``; ``declared`` is
     the vertex list, or ``None`` to take the vertices from the cells in
     order of first appearance.  One pass over the entries type-checks,
     sorts (in place), names and numbers each cell, checks each vertex name
     once and gives equal atom lists one shared frozenset.  A second pass
-    over the numbered cells looks up their faces.  The covering pairs come
-    back as a flat array of cell numbers: face, cell, face, cell, ...
+    over the numbered cells looks up their faces, kept as a flat array of
+    cell numbers: face, cell, face, cell, ...  The model's atoms are
+    ``atoms`` (checked strings) followed by the undeclared ones in order of
+    first use.
     """
     if declared is None:
         order: list[str] = []
@@ -119,7 +108,7 @@ def _read_cells(entries: list, declared: list | None) -> _Cells:
     known = set(order)
     number: dict[str, int] = {}
     cells: list[tuple[str, ...]] = []
-    valuation: dict[str, frozenset[str]] = {}
+    valuations: list[frozenset[str]] = []
     shared: dict[tuple, frozenset[str]] = {}
     for entry in entries:
         if not isinstance(entry, dict) or "vertices" not in entry:
@@ -154,21 +143,21 @@ def _read_cells(entries: list, declared: list | None) -> _Cells:
             raise ModelFormatError(f"cell {name!r} lists a vertex twice")
         if number.setdefault(name, len(cells)) != len(cells):
             raise ModelFormatError(f"duplicate cell {name!r}")
-        atoms = entry.get("atoms", _NO_ATOMS)
-        if atoms is _NO_ATOMS:
+        listed = entry.get("atoms", _NO_ATOMS)
+        if listed is _NO_ATOMS:
             raise MissingValuationError(f"cell {name!r} has no atom list")
-        if not isinstance(atoms, list):
+        if not isinstance(listed, list):
             raise _atoms_type(name)
         # As with vertices, only an atom list not seen before is looked at.
-        key = tuple(atoms)
+        key = tuple(listed)
         try:
             atom_set = shared[key]
         except (KeyError, TypeError):  # new, or holding something unhashable
-            if not all(isinstance(a, str) for a in atoms):
+            if not all(isinstance(a, str) for a in listed):
                 raise _atoms_type(name) from None
             atom_set = shared[key] = frozenset(key)
         cells.append(cell)
-        valuation[name] = atom_set
+        valuations.append(atom_set)
 
     # Face closure: checking the one-vertex-removed faces of every cell covers
     # all smaller faces by induction.  Those faces are exactly its covers.
@@ -186,7 +175,13 @@ def _read_cells(entries: list, declared: list | None) -> _Cells:
                 )
             covers.append(low)
             covers.append(high)
-    return _Cells(tuple(order), tuple(cells), tuple(number), valuation, array("i", covers))
+
+    # A repeated valuation adds no atoms.
+    used = dict.fromkeys(atoms)
+    for atom_set in dict.fromkeys(shared.values()):
+        used.update(dict.fromkeys(sorted(atom_set)))
+    return SimplicialModel(tuple(order), tuple(cells), tuple(valuations), tuple(used), geometry,
+                           tuple(number), array("i", covers))
 
 
 def _atoms_type(name: str) -> ModelFormatError:
@@ -243,15 +238,7 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
             raise ModelFormatError("geometry must be an object of number lists")
         geometry = {k: tuple(xs) for k, xs in geometry.items()}
 
-    read = _read_cells(raw_cells, doc.get("vertices"))
-    # Atoms not declared up front follow in order of first use; a repeated
-    # valuation adds none.
-    atoms = dict.fromkeys(atoms)
-    for cell_atoms in dict.fromkeys(read.valuation.values()):
-        atoms.update(dict.fromkeys(sorted(cell_atoms)))
-
-    return SimplicialModel(read.vertices, read.cells, read.valuation, tuple(atoms), geometry,
-                           read.names, read.covers)
+    return _read_cells(raw_cells, doc.get("vertices"), atoms, geometry)
 
 
 def _is_number(x: object) -> bool:
@@ -263,7 +250,7 @@ def model_to_document(m: SimplicialModel) -> str:
     doc = {
         "atoms": list(m.atoms),
         "cells": [
-            {"vertices": list(c), "atoms": sorted(m.valuation[cell_name(c)])} for c in m.cells
+            {"vertices": list(c), "atoms": sorted(v)} for c, v in zip(m.cells, m.valuations)
         ],
     }
     if m.geometry is not None:
@@ -338,8 +325,7 @@ def cell_poset(m: SimplicialModel) -> PosetModel:
     inclusion; element order follows the input cell order so results map back
     to cells by position.
     """
-    valuations = list(map(m.valuation.__getitem__, m._names))
-    return PosetModel(m._names, m._covers, valuations, m.atoms)
+    return PosetModel(m._names, m._covers, m.valuations, m.atoms)
 
 
 def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> SimplicialModel:
@@ -370,6 +356,4 @@ def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> Simp
         {"vertices": list(c), "atoms": [a for a in atoms if rng.random() < 0.5]} for c in ordered
     ]
     used = sorted({v for c in ordered for v in c}, key=vertices.index)
-    read = _read_cells(entries, used)
-    return SimplicialModel(read.vertices, read.cells, read.valuation, tuple(atoms), None,
-                           read.names, read.covers)
+    return _read_cells(entries, used, atoms, None)

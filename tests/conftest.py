@@ -6,6 +6,7 @@ import pytest
 from polymin import (
     cell_poset, encode_concrete, load_simplicial_model, random_model, rmin_via_quotient_d,
 )
+from polymin.minimize import class_id
 
 from oracles import branching_partition
 
@@ -66,7 +67,8 @@ def concrete_d_relation(p):
     """The minimal relation rebuilt from the concrete route's quotient ``d``
     transitions, independently of :func:`polymin.minimal_model`."""
     lts = encode_concrete(p)
-    return rmin_via_quotient_d(lts, branching_partition(lts))
+    succ = rmin_via_quotient_d(lts, branching_partition(lts))
+    return frozenset((class_id(a), class_id(b)) for a, bs in enumerate(succ) for b in bs)
 
 
 def grid_document(k):

@@ -3,7 +3,7 @@
 import random
 import re
 from collections import deque
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from polymin.bisim import TAU, Label, Lts, Partition
 from polymin.checker import SatSet, UnknownAtomError
@@ -18,6 +18,17 @@ from polymin.simplicial import PosetModel
 
 class EtaPurityError(InputError):
     """An operation restricted to eta-pure formulas received one that is not."""
+
+
+def cell_name(vertices: Iterable[str]) -> str:
+    """Canonical cell name: sorted vertex identifiers joined by ``-``."""
+    return "-".join(sorted(str(v) for v in vertices))
+
+
+def relation_pairs(model: ReflexiveKripkeModel) -> frozenset[tuple[str, str]]:
+    """The accessibility relation as (source, target) name pairs."""
+    names = model.elements
+    return frozenset((names[a], names[b]) for a, bs in enumerate(model.succ) for b in bs)
 
 
 def down(model: ReflexiveKripkeModel, w: str) -> tuple[str, ...]:

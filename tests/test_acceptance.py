@@ -27,7 +27,7 @@ from polymin.simplicial import model_to_document
 from conftest import concrete_d_relation
 from oracles import (
     atoms_of, branching_partition, class_of_element, encode_eta_to_gamma, random_formula,
-    sat_eta_path_oracle,
+    relation_pairs, sat_eta_path_oracle,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -78,7 +78,7 @@ def test_criterion_1_segment3_end_to_end():
         assert blocks == {frozenset({"D", "D-E"}), frozenset({"E", "E-F", "F"})}
         red = class_of_element(mm, "D")
         blue = class_of_element(mm, "E")
-        assert mm.kripke.relation_pairs() == frozenset(
+        assert relation_pairs(mm.kripke) == frozenset(
             {(red, red), (blue, blue), (blue, red)}
         )
         assert elapsed < 0.1, f"pipeline took {elapsed:.3f}s"
@@ -102,7 +102,7 @@ def test_criterion_2_strip4_classes_and_relation():
         c2 = class_of_element(mm, "B")
         c3 = class_of_element(mm, "D")
         c4 = class_of_element(mm, "C-D-E")
-        relation = mm.kripke.relation_pairs()
+        relation = relation_pairs(mm.kripke)
         assert {(c3, c2), (c2, c3), (c3, c3), (c1, c2), (c2, c4)} <= relation
         assert (c1, c4) not in relation
         assert elapsed < 0.5, f"pipeline took {elapsed:.3f}s"
@@ -222,10 +222,10 @@ def test_criterion_8_relation_routes_agree():
         mismatches = 0
         for name in ("segment3.json", "triangle_abc.json", "strip4.json"):
             p = fixture_poset(name)
-            if concrete_d_relation(p) != minimal_model(p).kripke.relation_pairs():
+            if concrete_d_relation(p) != relation_pairs(minimal_model(p).kripke):
                 mismatches += 1
         for seed, p in small_random_posets(100, seed_base=4000):
-            if concrete_d_relation(p) != minimal_model(p).kripke.relation_pairs():
+            if concrete_d_relation(p) != relation_pairs(minimal_model(p).kripke):
                 mismatches += 1
         assert mismatches == 0
 

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import polymin
 from polymin import (
     Partition, PosetModel, bisim, cell_poset, checker, load_simplicial_model, minimize,
 )
@@ -157,6 +161,27 @@ class TestCheck:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("flags", [[], ["--on-minimal"], ["--self-check"]],
+                             ids=["direct", "on-minimal", "self-check"])
+    def test_shared_let_bindings_are_evaluated_once(self, outdir, flags):
+        # Written out as a tree, a60 has 2**60 leaves; b60 is an equal chain
+        # bound separately.  A child process bounds the run, so a checker
+        # that walks the tree fails by timeout instead of hanging the suite.
+        chain = [f"let {x}0 = ap(\"red\")\n" for x in "ab"]
+        chain += [f"let {x}{i + 1} = {x}{i} & {x}{i}\n" for x in "ab" for i in range(60)]
+        script = self.write_script(
+            outdir, "".join(chain) + 'save "a" a60\nsave "ab" a60 & b60\nsave "red" ap("red")\n'
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "polymin.cli", "check", script,
+             "--model", str(FIXTURES / "segment3.json"), *flags],
+            env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent)},
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        results = json.loads(done.stdout)["results"]
+        assert results["a"] == results["ab"] == results["red"] == [True, False, False, True, False]
+
     def test_on_minimal_refuses_gamma(self, outdir, capsys):
         # gamma answers are not preserved by the quotient, so the minimal
         # route must refuse instead of mis-answering
@@ -189,7 +214,7 @@ class TestSelfCheckFailures:
         (bisim, "weak_pm_partition", lambda p: discrete(p.elements)),
         (bisim, "is_branching_stable", lambda lts, part: False),
         (bisim, "is_branching_minimal", lambda lts, part: False),
-        (minimize, "rmin_via_quotient_d", lambda lts, part: frozenset()),
+        (minimize, "rmin_via_quotient_d", lambda lts, part: ()),
     ], ids=["direct-fixpoint", "stability", "minimality", "quotient-d"])
     def test_minimize_reports_a_disagreeing_oracle(
         self, outdir, capsys, monkeypatch, module, name, fake

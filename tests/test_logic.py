@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from polymin.logic import (
     TOP,
@@ -14,6 +14,7 @@ from polymin.logic import (
     Or,
     Top,
     UndefinedIdentifierError,
+    UnprintableAtomError,
     format_formula,
     is_eta_pure,
     node_count,
@@ -22,6 +23,7 @@ from polymin.logic import (
 )
 
 from oracles import EtaPurityError, atoms_of, encode_eta_to_gamma, random_formula
+from test_fuzz import NAMES
 
 APPENDIX_SCRIPT = """load model = "polyInput_Poset.json"
 
@@ -210,10 +212,8 @@ class TestEncode:
             assert node_count(encode_eta_to_gamma(f)) <= 3 * n_in * n_in
 
 
-def formulas(atoms=("red", "blue", "p_1")):
-    leaf = st.one_of(
-        st.just(TOP), st.sampled_from([Atom(a) for a in atoms]), st.just(Atom("odd name"))
-    )
+def formulas(names=st.sampled_from(["red", "blue", "p_1", "odd name"])):
+    leaf = st.one_of(st.just(TOP), names.map(Atom))
     return st.recursive(
         leaf,
         lambda sub: st.one_of(
@@ -232,6 +232,17 @@ class TestRoundTrip:
     @given(formulas())
     def test_print_then_parse_is_identity(self, f):
         assert parse_formula(format_formula(f)) == f
+
+    @given(formulas(NAMES))
+    @example(Atom("a\nb"))
+    @example(And(TOP, Atom('a"b')))
+    @example(Atom("a\rb - c"))
+    def test_printed_text_parses_back_unless_a_name_cannot_be_quoted(self, f):
+        if any('"' in a or "\n" in a for a in atoms_of(f)):
+            with pytest.raises(UnprintableAtomError):
+                format_formula(f)
+        else:
+            assert parse_formula(format_formula(f)) == f
 
     def test_keyword_shaped_atom_uses_ap(self):
         f = Atom("true")

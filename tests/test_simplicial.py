@@ -14,11 +14,11 @@ from polymin.simplicial import (
     ModelSizeError,
     PosetModel,
     UnknownVertexError,
-    cell_name,
     model_to_document,
 )
 
 from conftest import random_posets
+from oracles import cell_name
 
 
 JOINS = "is empty or contains '-', which joins cell names"
@@ -41,9 +41,10 @@ class TestLoad:
     def test_segment3_fixture(self, segment3_model):
         assert len(segment3_model.cells) == 5
         assert segment3_model.atoms == ("red", "blue")
-        assert segment3_model.valuation["D"] == frozenset({"red"})
-        assert segment3_model.valuation["D-E"] == frozenset({"red"})
-        assert segment3_model.valuation["E-F"] == frozenset({"blue"})
+        valuation = dict(zip(map(cell_name, segment3_model.cells), segment3_model.valuations))
+        assert valuation["D"] == frozenset({"red"})
+        assert valuation["D-E"] == frozenset({"red"})
+        assert valuation["E-F"] == frozenset({"blue"})
 
     def test_missing_face_is_rejected(self):
         bad = doc(["red"], [("DE", ["red"])])
@@ -54,7 +55,7 @@ class TestLoad:
     def test_single_vertex_model(self):
         m = load_simplicial_model(doc(["p"], [("A", ["p"])]))
         assert len(m.cells) == 1
-        assert m.valuation["A"] == frozenset({"p"})
+        assert m.valuations == (frozenset({"p"}),)
 
     def test_parse_error(self):
         with pytest.raises(ModelFormatError):
@@ -189,7 +190,7 @@ class TestLoad:
         assert derived.vertices == tuple(
             dict.fromkeys(v for cell in doc["cells"] for v in cell["vertices"])
         )
-        assert (derived.cells, derived.valuation, derived.atoms) == (m.cells, m.valuation, m.atoms)
+        assert (derived.cells, derived.valuations, derived.atoms) == (m.cells, m.valuations, m.atoms)
         assert derived._covers == m._covers
 
     def test_geometry_passthrough(self):
@@ -223,8 +224,8 @@ class TestCellPoset:
         assert len(strip4.elements) == 19
 
     def test_valuation_constancy(self, strip4_model, strip4):
-        for cell in strip4_model.cells:
-            assert strip4.valuation_of(cell_name(cell)) == strip4_model.valuation[cell_name(cell)]
+        for cell, valuation in zip(strip4_model.cells, strip4_model.valuations):
+            assert strip4.valuation_of(cell_name(cell)) == valuation
 
     def test_cells_reconstructible_from_element_names(self, strip4_model, strip4):
         rebuilt = {tuple(name.split("-")) for name in strip4.elements}
