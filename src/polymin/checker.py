@@ -1,13 +1,16 @@
 """Global model checking on finite reflexive Kripke models.
 
 Every operator is evaluated set-wise over the whole model, on sets of element
-numbers; names appear only in the returned :class:`SatSet`.  The reach
-operators are computed with linear breadth-first traversals over the model's
-successor and predecessor tables.
+numbers, and a :class:`SatSet` keeps those numbers; element names are made
+only when its ``members`` are read.  The reach operators are computed with
+linear breadth-first traversals over the model's successor and predecessor
+tables.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterator
 
@@ -19,8 +22,6 @@ from .logic import (
 
 __all__ = ["SatSet", "UnknownAtomError", "sat", "check_script"]
 
-from dataclasses import dataclass
-
 
 class UnknownAtomError(InputError):
     """Raised in strict mode for atoms the model does not declare."""
@@ -28,17 +29,29 @@ class UnknownAtomError(InputError):
 
 @dataclass(frozen=True)
 class SatSet:
-    """The extension of a formula in a model."""
+    """The extension of a formula in a model, as the element numbers of
+    ``model`` that satisfy it."""
 
-    members: frozenset[str]
+    model: ReflexiveKripkeModel
+    numbers: frozenset[int]
     formula: Formula
+
+    @cached_property
+    def members(self) -> frozenset[str]:
+        """The names of the satisfying elements, made on first read."""
+        return frozenset(self.model.names(self.numbers))
 
     def __contains__(self, element: str) -> bool:
         return element in self.members
 
     def to_bools(self, model: ReflexiveKripkeModel) -> list[bool]:
-        """Membership vector in the model's canonical element order."""
-        return [w in self.members for w in model.elements]
+        """Membership vector in ``model``'s canonical element order."""
+        if model is not self.model:  # another model is matched by name
+            return [w in self.members for w in model.elements]
+        vector = [False] * len(model)
+        for i in self.numbers:
+            vector[i] = True
+        return vector
 
 
 def _image(table: tuple[tuple[int, ...], ...], xs) -> Iterator[int]:
@@ -111,10 +124,6 @@ def _eval(
     return memo[id(root)]
 
 
-def _sat_set(model: ReflexiveKripkeModel, numbers: frozenset[int], f: Formula) -> SatSet:
-    return SatSet(frozenset(map(model.elements.__getitem__, numbers)), f)
-
-
 def sat(model: ReflexiveKripkeModel, f: Formula, strict_atoms: bool = False) -> SatSet:
     """Exact extension of ``f`` in ``model``.
 
@@ -122,7 +131,7 @@ def sat(model: ReflexiveKripkeModel, f: Formula, strict_atoms: bool = False) -> 
     in which case they raise :class:`UnknownAtomError`.  Runs in
     O(subformulas * (elements + relation)).
     """
-    return _sat_set(model, _eval(model, f, {}, strict_atoms), f)
+    return SatSet(model, _eval(model, f, {}, strict_atoms), f)
 
 
 def check_script(
@@ -131,6 +140,6 @@ def check_script(
     """Evaluate every save directive; shared subformulas are memoised."""
     memo: dict[int, frozenset[int]] = {}
     return {
-        name: _sat_set(model, _eval(model, f, memo, strict_atoms), f)
+        name: SatSet(model, _eval(model, f, memo, strict_atoms), f)
         for name, f in script.saves.items()
     }

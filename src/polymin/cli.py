@@ -11,6 +11,7 @@ that cannot be read or written, 3 an unexpected internal error.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import traceback
@@ -113,8 +114,11 @@ def cmd_check(args) -> int:
                     "model does not preserve; check it without --on-minimal"
                 )
     if args.self_check or not args.on_minimal:
-        sat_sets = checker.check_script(poset, script, strict_atoms=args.strict_atoms)
-        direct = {name: sat_set.to_bools(poset) for name, sat_set in sat_sets.items()}
+        # the extensions go once their vectors are made, before the write
+        direct = {
+            name: sat_set.to_bools(poset) for name, sat_set
+            in checker.check_script(poset, script, strict_atoms=args.strict_atoms).items()
+        }
     if args.self_check or args.on_minimal:
         # transfer only holds for the eta fragment
         eta = replace(script, saves={n: f for n, f in script.saves.items() if is_eta_pure(f)})
@@ -224,6 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # The model tables, extensions and partitions form no reference cycles,
+    # yet the cyclic collector would walk them again and again as they are
+    # built; what a command leaves is freed by reference counting.  The
+    # collector's state is restored on every exit.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.handler(args)
     except (InputError, OSError) as exc:
@@ -237,6 +247,9 @@ def main(argv: list[str] | None = None) -> int:
         where = f"{Path(frame.filename).name}:{frame.lineno}"
         print(f"internal error: {exc!r} at {where}", file=sys.stderr)
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

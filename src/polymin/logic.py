@@ -147,7 +147,27 @@ def is_eta_pure(f: Formula) -> bool:
 
 
 def node_count(f: Formula) -> int:
-    return 1 + sum(map(node_count, operands(f)))
+    """The size of ``f`` written out as a tree.  Each distinct node object is
+    sized once, after its operands, from an explicit stack, so shared
+    subformulas cost once and nesting costs no recursion."""
+    size: dict[int, int] = {}
+    stack: list = [f]
+    while stack:
+        g = stack.pop()
+        if type(g) is tuple:  # a node and its operands, all sized by now
+            g, ops = g
+            n = 1
+            for h in ops:
+                n += size[id(h)]
+            size[id(g)] = n
+        elif id(g) not in size:
+            ops = operands(g)
+            if ops:
+                stack.append((g, ops))
+                stack.extend(ops)
+            else:
+                size[id(g)] = 1
+    return size[id(f)]
 
 
 # -- pretty printing --------------------------------------------------------

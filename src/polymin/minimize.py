@@ -91,14 +91,16 @@ def rmin_via_quotient_d(lts: Lts, part: Partition) -> tuple[tuple[int, ...], ...
 def map_back(mm: MinimalModel, class_result: SatSet) -> list[bool]:
     """Expand a class-level answer to a per-cell boolean vector.
 
-    Output order is the source model's canonical element order.
+    Output order is the source model's canonical element order.  The answer
+    must have been computed on ``mm.kripke``: its numbers are class numbers
+    of that model only.
     """
-    valid = {class_id(i) for i in range(len(mm.partition))}
-    unknown = set(class_result.members) - valid
+    if class_result.model is not mm.kripke:
+        raise UnknownClassError("the result was not computed on this minimal model")
+    unknown = sorted(i for i in class_result.numbers if not 0 <= i < len(mm.partition))
     if unknown:
-        raise UnknownClassError(f"unknown classes in result: {sorted(unknown)}")
-    hit = {mm.kripke.index_of(c) for c in class_result.members}
-    return [k in hit for k in mm.partition.block]
+        raise UnknownClassError(f"unknown classes in result: {list(map(class_id, unknown))}")
+    return list(map(class_result.to_bools(mm.kripke).__getitem__, mm.partition.block))
 
 
 # -- distinguishing formulas -----------------------------------------------------

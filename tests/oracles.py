@@ -265,7 +265,8 @@ def sat_eta_path_oracle(model: ReflexiveKripkeModel, f: Formula, bound: int) -> 
         raise BoundTooSmallError(f"bound must be at least 2, got {bound}")
     if not is_eta_pure(f):
         raise EtaPurityError("the path oracle only evaluates eta-pure formulas")
-    return SatSet(_oracle_eval(model, f, bound), f)
+    names = _oracle_eval(model, f, bound)
+    return SatSet(model, frozenset(map(model.index_of, names)), f)
 
 
 def _oracle_eval(model: ReflexiveKripkeModel, f: Formula, bound: int) -> frozenset[str]:

@@ -215,7 +215,7 @@ def any_formula(rng, depth, atoms):
 class TestAgainstSetOracle:
     """``check_script`` equals the name-based set evaluator it replaced, on
     every save, for every operator, in both strict-atom modes, on posets and
-    on their (non-poset) minimal models."""
+    on their (non-poset) minimal models, in member names and in vectors."""
 
     def check_model(self, model, seed):
         rng = random.Random(seed)
@@ -233,6 +233,11 @@ class TestAgainstSetOracle:
                 continue
             got = check_script(model, script, strict_atoms=strict)
             assert {k: v.members for k, v in got.items()} == expected, (seed, strict)
+            # another model object is matched by element name
+            twin = ReflexiveKripkeModel(model.elements, model.succ, model.valuations, model.atoms)
+            for k, v in got.items():
+                vector = [w in expected[k] for w in model.elements]
+                assert v.to_bools(model) == vector == v.to_bools(twin), (seed, strict, k)
 
     def test_fixtures(self, segment3, triangle, strip4):
         for p in (segment3, triangle, strip4):

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from polymin import (
     Partition, PosetModel, bisim, cell_poset, checker, load_simplicial_model, minimize,
 )
 from polymin.checker import SatSet
-from polymin.cli import main
+from polymin.cli import SelfCheckFailure, build_parser, main
+from polymin.errors import InputError
 
 from oracles import aut_moves
 
@@ -231,7 +233,7 @@ class TestSelfCheckFailures:
             got = real(model, script, strict_atoms)
             if isinstance(model, PosetModel):  # the direct route
                 got = {
-                    name: SatSet(frozenset(model.elements) - s.members, s.formula)
+                    name: SatSet(model, frozenset(range(len(model))) - s.numbers, s.formula)
                     for name, s in got.items()
                 }
             return got
@@ -471,3 +473,79 @@ class TestPoset:
         payload = json.loads(out.read_text())
         assert [e["name"] for e in payload["elements"]] == ["D", "E", "F", "D-E", "E-F"]
         assert ["D", "D-E"] in payload["covers"]
+
+
+class TestCollectorPause:
+    """``main`` runs the command with the cyclic collector off, because
+    polymin's own objects form no reference cycles for it to free."""
+
+    @pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+    def collecting(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    @pytest.mark.parametrize("raised, rc", [
+        (None, 0),
+        (SelfCheckFailure("faked"), 1),
+        (InputError("faked"), 2),
+        (RuntimeError("faked"), 3),
+    ], ids=["exit-0", "exit-1", "exit-2", "exit-3"])
+    def test_the_collector_state_is_restored(self, outdir, monkeypatch, collecting, raised, rc):
+        seen = []
+        real = minimize.minimal_model
+
+        def observed(poset):
+            seen.append(gc.isenabled())
+            if raised is not None:
+                raise raised
+            return real(poset)
+
+        monkeypatch.setattr(minimize, "minimal_model", observed)
+        assert run("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir)) == rc
+        assert seen == [False]
+        assert gc.isenabled() == collecting
+
+    @staticmethod
+    def unreachable_objects(action) -> int:
+        """How many objects only the cyclic collector could free after ``action``."""
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            action()
+            gc.collect()
+            return len(gc.garbage)
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+
+    # ``minimize`` writes its two JSON files with the standard library's
+    # indenting encoder, which builds a cycle of closures on every call.
+    @pytest.mark.parametrize("argv, indented_json", [
+        (["check", "{script}", "--model", "{model}", "-o", "{out}/results.json"], 0),
+        (["check", "{script}", "--model", "{model}", "-o", "{out}/results.json",
+          "--on-minimal"], 0),
+        (["check", "{script}", "--model", "{model}", "-o", "{out}/results.json",
+          "--self-check"], 0),
+        (["minimize", "{model}", "-o", "{out}", "--self-check", "--emit-aut"], 2),
+    ], ids=["check", "check-on-minimal", "check-self-check", "minimize-self-check-emit-aut"])
+    def test_commands_make_no_reference_cycles(self, outdir, argv, indented_json):
+        script = outdir / "script.txt"
+        script.write_text(
+            'let g = ap("green")\n'
+            'save "reach" eta(g | ap("grey"), g)\n'
+            'save "twice" eta(g, eta(g | ap("grey"), g))\n'
+        )
+        fields = {"script": script, "model": FIXTURES / "strip4.json", "out": outdir}
+        argv = [a.format(**fields) for a in argv]
+        assert main(argv) == 0  # first imports and caches are not the command's
+
+        def parse():
+            build_parser().parse_args(argv)
+            for _ in range(indented_json):
+                json.dumps({"classes": [{"id": 0}]}, indent=2)
+
+        parsing = self.unreachable_objects(parse)
+        command = self.unreachable_objects(lambda: main(argv))
+        assert 0 < command <= parsing

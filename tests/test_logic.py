@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, strategies as st
 
+import polymin
 from polymin.logic import (
     TOP,
     And,
@@ -18,6 +24,7 @@ from polymin.logic import (
     format_formula,
     is_eta_pure,
     node_count,
+    operands,
     parse_formula,
     parse_script,
 )
@@ -131,6 +138,36 @@ class TestDepthLimit:
         parse_script(script + f'save "x" a{MAX_DEPTH - 1}\n')
         with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
             parse_script(script + f'save "x" !a{MAX_DEPTH - 1}\n')
+
+
+def tree_size(f):
+    return 1 + sum(map(tree_size, operands(f)))
+
+
+class TestNodeCount:
+    def test_counts_the_tree(self):
+        for seed in range(100):
+            f = random_formula(seed, 4, ["a", "b", "c"])
+            assert node_count(f) == tree_size(f), seed
+        shared = Atom("a")
+        assert node_count(And(shared, Not(shared))) == 4
+
+    def test_shared_let_chain_is_sized_once_per_node(self):
+        # Written out as a tree, a60 has 2**61 - 1 nodes.  A child process
+        # bounds the run, so a count that walks the tree fails by timeout.
+        chain = 'let a0 = ap("p")\n' + "".join(f"let a{i + 1} = a{i} & a{i}\n" for i in range(60))
+        code = (
+            "import sys\n"
+            "from polymin.logic import node_count, parse_script\n"
+            "print(node_count(parse_script(sys.stdin.read()).saves['a']))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=chain + 'save "a" a60\n',
+            env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent)},
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert int(done.stdout) == 2**61 - 1
 
 
 class TestParseScript:

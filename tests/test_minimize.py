@@ -102,20 +102,29 @@ class TestQuotientDRoute:
 class TestMapBack:
     def test_red_class_vector(self, segment3):
         mm = minimal_model(segment3)
-        red = class_of_element(mm, "D")
-        result = SatSet(frozenset({red}), TOP)
+        red = mm.kripke.index_of(class_of_element(mm, "D"))
+        result = SatSet(mm.kripke, frozenset({red}), TOP)
         assert map_back(mm, result) == [True, False, False, True, False]
 
     def test_empty_and_full(self, strip4):
         mm = minimal_model(strip4)
-        assert map_back(mm, SatSet(frozenset(), TOP)) == [False] * 19
-        everything = frozenset(mm.kripke.elements)
-        assert map_back(mm, SatSet(everything, TOP)) == [True] * 19
+        assert map_back(mm, SatSet(mm.kripke, frozenset(), TOP)) == [False] * 19
+        everything = frozenset(range(len(mm.kripke)))
+        assert map_back(mm, SatSet(mm.kripke, everything, TOP)) == [True] * 19
 
     def test_unknown_class_rejected(self, segment3):
         mm = minimal_model(segment3)
         with pytest.raises(UnknownClassError):
-            map_back(mm, SatSet(frozenset({"C9"}), TOP))
+            map_back(mm, SatSet(mm.kripke, frozenset({9}), TOP))
+
+    @pytest.mark.parametrize("model", ["other quotient", "source"])
+    def test_answer_from_another_model_rejected(self, segment3, strip4, model):
+        # element 0 exists in every model, so only the model the answer was
+        # computed on tells it apart
+        mm = minimal_model(segment3)
+        other = minimal_model(strip4).kripke if model == "other quotient" else segment3
+        with pytest.raises(UnknownClassError):
+            map_back(mm, SatSet(other, frozenset({0}), TOP))
 
 
 class TestTransfer:
