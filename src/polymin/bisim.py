@@ -46,27 +46,23 @@ class LabelError(InputError):
 class Lts:
     """A finite labelled transition system with set-semantics transitions.
 
-    ``states`` keeps construction order (it numbers states in exports); each
-    transition is stored once, in ``moves[i]``: the distinct (label, target
-    number) pairs of state number i.
+    States are numbers, as in Aldebaran files: element, component or class
+    numbers.  Each transition is stored once, in ``moves[i]``: the distinct
+    (label, target) pairs of state i.
     """
 
-    __slots__ = ("states", "moves")
+    __slots__ = ("moves",)
 
-    def __init__(self, states: Iterable[str], moves: Iterable[Iterable[tuple[Label, int]]]):
-        self.states: tuple[str, ...] = tuple(states)
+    def __init__(self, moves: Iterable[Iterable[tuple[Label, int]]]):
         self.moves = tuple(map(frozenset, moves))
 
     @property
-    def transitions(self) -> frozenset[tuple[str, Label, str]]:
-        """Every transition as a (source, label, target) triple of names."""
-        names = self.states
-        return frozenset(
-            (names[i], lab, names[j]) for i, ms in enumerate(self.moves) for lab, j in ms
-        )
+    def transitions(self) -> frozenset[tuple[int, Label, int]]:
+        """Every transition as a (source, label, target) triple of numbers."""
+        return frozenset((i, lab, j) for i, ms in enumerate(self.moves) for lab, j in ms)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.moves)
 
 
 def _label_text(label: Label) -> str:
@@ -79,12 +75,11 @@ def _label_text(label: Label) -> str:
 
 @dataclass(frozen=True)
 class Partition:
-    """An ordered partition of a fixed universe.
+    """An ordered partition of a model's elements.
 
-    ``block[i]`` is the class number of the universe's i-th member; classes
-    are numbered in order of their first member, so equal partitions have
-    equal tables.  Each class is also named after its lexicographically least
-    member.
+    ``block[i]`` is the class number of element i; classes are numbered in
+    order of their first member, so equal partitions have equal tables.
+    ``universe`` holds the element names that :attr:`classes` lists.
     """
 
     universe: tuple[str, ...]
@@ -97,12 +92,10 @@ class Partition:
             members[k].append(w)
         return tuple(map(frozenset, members))
 
-    @cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(map(min, self.classes))
+    _count = cached_property(lambda self: max(self.block, default=-1) + 1)
 
     def __len__(self) -> int:
-        return max(self.block, default=-1) + 1
+        return self._count
 
 
 # -- encodings ---------------------------------------------------------------
@@ -129,7 +122,7 @@ def encode_concrete(p: PosetModel) -> Lts:
         m.update((TAU if vals[j] == vi else CHANGE, j) for j in chain(p.succ[i], p.pred[i]))
         m.update((DOWN, j) for j in p.pred[i])
         moves.append(m)
-    return Lts(p.elements, moves)
+    return Lts(moves)
 
 
 def components_same_valuation(p: PosetModel) -> Partition:
@@ -162,25 +155,25 @@ def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
     Each component self-loops on its valuation *set*; an ``s`` transition
     links components holding any comparable pair; a ``d`` transition links
     components holding any ordered pair.  Duplicates collapse.  Returns the
-    LTS together with the component partition (states are its class names).
+    LTS together with the component partition (states are its class numbers).
     """
     part = components_same_valuation(p)
     comp = part.block
-    moves: list[set[tuple[Label, int]]] = [set() for _ in part.names]
+    moves: list[set[tuple[Label, int]]] = [set() for _ in range(len(part))]
     for w, c in enumerate(comp):
         moves[c].add((p.valuations[w], c))
         moves[c].update((STEP, comp[u]) for u in chain(p.succ[w], p.pred[w]))
         moves[c].update((DOWN, comp[u]) for u in p.pred[w])
-    return Lts(part.names, moves), part
+    return Lts(moves), part
 
 
 # -- partition refinement ------------------------------------------------------
 
-def strong_partition(l: Lts) -> Partition:
-    """Coarsest partition stable under the classic transfer condition."""
+def strong_partition(l: Lts) -> tuple[int, ...]:
+    """Block table of the coarsest partition stable under strong transfer."""
     for block in strong_rounds(l):
         pass
-    return Partition(l.states, tuple(block))
+    return tuple(block)
 
 
 def strong_rounds(l: Lts) -> Iterator[list[int]]:
@@ -242,7 +235,7 @@ def is_branching_minimal(l: Lts, part: Partition) -> bool:
     quotient = quotient_lts(l, part, drop_tau_self_loops=True)
     if any(lab == TAU for ms in quotient.moves for lab, _ in ms):
         return False
-    return len(strong_partition(quotient)) == len(quotient)
+    return len(set(strong_partition(quotient))) == len(quotient)
 
 
 # -- direct fixpoint on the poset model ----------------------------------------
@@ -323,41 +316,38 @@ def _matching_path(
 # -- quotients and pull-backs ---------------------------------------------------
 
 def quotient_lts(l: Lts, part: Partition, drop_tau_self_loops: bool = False) -> Lts:
-    """Project an LTS onto partition classes (set semantics).
-
-    States are the class names.  ``drop_tau_self_loops`` removes quotient tau
-    self-loops, which branching bisimilarity cannot observe; they are kept by
-    default for rule-for-rule fidelity.
-    """
-    if part.universe != l.states:
-        raise ValueError("partition universe does not match the LTS states")
+    """Project an LTS onto partition classes (set semantics); the quotient's
+    states are the class numbers.  ``drop_tau_self_loops`` removes quotient
+    tau self-loops, which branching bisimilarity cannot observe; they are
+    kept by default for rule-for-rule fidelity."""
     block = part.block
-    moves: list[set[tuple[Label, int]]] = [set() for _ in part.names]
-    for i, ms in enumerate(l.moves):
-        a = block[i]
+    if len(block) != len(l):
+        raise ValueError("the partition does not number the LTS states")
+    moves: list[set[tuple[Label, int]]] = [set() for _ in range(len(part))]
+    for a, ms in zip(block, l.moves):
         moves[a].update(
             (lab, block[j]) for lab, j in ms
             if not (drop_tau_self_loops and lab == TAU and block[j] == a)
         )
-    return Lts(part.names, moves)
+    return Lts(moves)
 
 
-def pull_back(coarse: Partition, fine: Partition) -> Partition:
-    """Transport a partition of class names back to the underlying elements.
+def pull_back(coarse: tuple[int, ...], fine: Partition) -> Partition:
+    """Transport a block table over class numbers back to the elements.
 
-    ``fine`` partitions the elements; ``coarse`` partitions ``fine``'s class
-    names.  The result groups elements whose ``fine`` classes share a
-    ``coarse`` class.
+    ``fine`` partitions the elements; ``coarse`` maps each ``fine`` class
+    number to a block.  The result groups elements whose ``fine`` classes
+    share a ``coarse`` block.
     """
-    if coarse.universe != fine.names:
-        raise ValueError("the coarse partition's universe is not the fine class names")
-    return Partition(fine.universe, tuple(map(coarse.block.__getitem__, fine.block)))
+    if len(coarse) != len(fine):
+        raise ValueError("the coarse table does not number the fine classes")
+    return Partition(fine.universe, tuple(map(coarse.__getitem__, fine.block)))
 
 
 # -- Aldebaran format -------------------------------------------------------------
 
 def to_aut(l: Lts) -> str:
-    """Serialise to Aldebaran format; state numbers follow state order.
+    """Serialise to Aldebaran format, state numbers as they are.
 
     A label must not hold a ``"`` or a line boundary (any that
     :meth:`str.splitlines` splits at): the format has no escapes for them.
@@ -366,7 +356,7 @@ def to_aut(l: Lts) -> str:
     for lab in dict.fromkeys(lab for _, lab, _ in triples):
         if '"' in lab or "".join(lab.splitlines()) != lab:
             raise LabelError(f"label {lab!r} cannot be written in Aldebaran format")
-    lines = [f"des (0,{len(triples)},{len(l.states)})"]
+    lines = [f"des (0,{len(triples)},{len(l)})"]
     lines += [f'({src},"{lab}",{dst})' for src, lab, dst in triples]
     text = "\n".join(lines) + "\n"
     try:

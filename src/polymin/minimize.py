@@ -39,8 +39,8 @@ class MinimalModel:
     """Quotient of a poset model by logical equivalence.
 
     ``kripke`` is the quotient model over class identifiers ``C0, C1, ...``
-    (ordered by each class's least element); ``partition`` maps the source
-    elements to those classes.
+    (ordered by each class's least element); ``partition.block`` maps each
+    source element number to its class number.
     """
 
     kripke: ReflexiveKripkeModel
@@ -51,10 +51,10 @@ class MinimalModel:
 def minimal_model(p: PosetModel) -> MinimalModel:
     """Build the quotient model over logical-equivalence classes.
 
-    The classes are strong-bisimilarity classes of the abstract encoding,
-    pulled back to cells.  The relation holds between classes with an ordered
-    member pair, so it is reflexive by reflexivity of the order; the valuation
-    is lifted from any member (all members agree, which is asserted).
+    The abstract encoding's strong-bisimilarity block table, pulled back to
+    cells, gives the classes.  The relation holds between classes with an
+    ordered member pair, so it is reflexive; the valuation is lifted from any
+    member (all members agree, which is asserted).
     """
     lts, components = bisim.encode_abstract(p)
     part = bisim.pull_back(bisim.strong_partition(lts), components)

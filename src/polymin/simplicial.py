@@ -355,5 +355,5 @@ def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> Simp
     entries = [
         {"vertices": list(c), "atoms": [a for a in atoms if rng.random() < 0.5]} for c in ordered
     ]
-    used = sorted({v for c in ordered for v in c}, key=vertices.index)
+    used = [v for v in vertices if (v,) in cells]
     return _read_cells(entries, used, atoms, None)

@@ -8,7 +8,7 @@ from polymin import (
 )
 from polymin.minimize import class_id
 
-from oracles import branching_partition
+from oracles import as_partition, branching_partition
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -67,7 +67,7 @@ def concrete_d_relation(p):
     """The minimal relation rebuilt from the concrete route's quotient ``d``
     transitions, independently of :func:`polymin.minimal_model`."""
     lts = encode_concrete(p)
-    succ = rmin_via_quotient_d(lts, branching_partition(lts))
+    succ = rmin_via_quotient_d(lts, as_partition(p, branching_partition(lts)))
     return frozenset((class_id(a), class_id(b)) for a, bs in enumerate(succ) for b in bs)
 
 

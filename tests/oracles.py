@@ -60,6 +60,26 @@ def atoms_of(f: Formula) -> frozenset[str]:
     return frozenset().union(*map(atoms_of, operands(f)))
 
 
+def as_partition(model: ReflexiveKripkeModel, block: Iterable[int]) -> Partition:
+    """A block table over ``model``'s element numbers as a partition."""
+    return Partition(model.elements, tuple(block))
+
+
+def n_blocks(block: Iterable[int]) -> int:
+    """The number of blocks of a block table."""
+    return len(set(block))
+
+
+def class_names(part: Partition) -> tuple[str, ...]:
+    """Each class named after its lexicographically least member."""
+    return tuple(map(min, part.classes))
+
+
+def named_transitions(lts: Lts, names: tuple[str, ...]) -> frozenset[tuple[str, Label, str]]:
+    """An LTS's transitions as (source, label, target) triples of ``names``."""
+    return frozenset((names[i], lab, names[j]) for i, lab, j in lts.transitions)
+
+
 def aut_moves(text: str) -> list[set[tuple[str, int]]]:
     """Each state's (label, target) pairs in Aldebaran text; checks the header."""
     header, *lines = text.splitlines()
@@ -109,8 +129,8 @@ def _matching_path(
 
 # -- the concrete route: round-based branching bisimilarity -------------------
 
-def branching_partition(l: Lts, tau: Label = TAU) -> Partition:
-    """Coarsest branching bisimulation partition of an LTS.
+def branching_partition(l: Lts, tau: Label = TAU) -> tuple[int, ...]:
+    """Block table of the coarsest branching bisimulation of an LTS.
 
     Signature-based refinement: a state's signature collects the visible
     moves reachable after silent steps that stay inside its own block; silent
@@ -127,7 +147,7 @@ def branching_partition(l: Lts, tau: Label = TAU) -> Partition:
 
     for block in _rounds(len(l), signature):
         pass
-    return Partition(l.states, tuple(block))
+    return tuple(block)
 
 
 def _inert_closure(l: Lts, i: int, block: list[int], tau: Label) -> list[int]:

@@ -26,8 +26,8 @@ from polymin.simplicial import model_to_document
 
 from conftest import concrete_d_relation
 from oracles import (
-    atoms_of, branching_partition, class_of_element, encode_eta_to_gamma, random_formula,
-    relation_pairs, sat_eta_path_oracle,
+    as_partition, atoms_of, branching_partition, class_of_element, encode_eta_to_gamma,
+    random_formula, relation_pairs, sat_eta_path_oracle,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -127,7 +127,7 @@ def test_criterion_4_equivalence_routes_agree():
         mismatches = 0
         for seed, p in small_random_posets(100):
             direct = weak_pm_partition(p)
-            concrete = branching_partition(encode_concrete(p))
+            concrete = as_partition(p, branching_partition(encode_concrete(p)))
             abstract_lts, components = encode_abstract(p)
             pulled = pull_back(strong_partition(abstract_lts), components)
             if not (direct == concrete == pulled):

@@ -29,7 +29,10 @@ from polymin.bisim import (
 )
 from polymin.simplicial import PosetModel
 
-from oracles import aut_moves, branching_partition, is_weak_pm_bisimulation, random_formula
+from oracles import (
+    as_partition, aut_moves, branching_partition, class_names, is_weak_pm_bisimulation,
+    n_blocks, named_transitions, random_formula,
+)
 
 from conftest import random_posets
 
@@ -43,9 +46,9 @@ def count_label(lts, label):
 
 
 def refines(fine, coarse):
-    """Every class of ``fine`` fits inside a class of ``coarse``."""
+    """Every block of the table ``fine`` fits inside a block of ``coarse``."""
     image = {}
-    return all(image.setdefault(a, b) == b for a, b in zip(fine.block, coarse.block))
+    return all(image.setdefault(a, b) == b for a, b in zip(fine, coarse))
 
 
 def renumbered(universe, block):
@@ -78,10 +81,25 @@ TRI_CLASSES = {
 }
 
 
+class TestPartition:
+    def test_class_count_is_computed_once(self):
+        # map_back reads len(partition) once per class number of an answer
+        class Scanned(tuple):
+            scans = 0
+
+            def __iter__(self):
+                Scanned.scans += 1
+                return super().__iter__()
+
+        part = Partition(("a", "b", "c"), Scanned((0, 1, 0)))
+        assert [len(part) for _ in range(3)] == [2, 2, 2]
+        assert Scanned.scans == 1
+
+
 class TestEncodeConcrete:
     def test_segment3_transition_counts(self, segment3):
         lts = encode_concrete(segment3)
-        assert len(lts.states) == 5
+        assert len(lts) == 5
         assert len(lts.transitions) == 27
         atom_loops = sum(
             1 for _, lab, _ in lts.transitions if lab not in (TAU, CHANGE, DOWN)
@@ -92,20 +110,22 @@ class TestEncodeConcrete:
         assert count_label(lts, DOWN) == 9
 
     def test_segment3_specific_transitions(self, segment3):
-        lts = encode_concrete(segment3)
-        assert ("D-E", CHANGE, "E") in lts.transitions
-        assert ("E", CHANGE, "D-E") in lts.transitions
-        assert ("D-E", DOWN, "E") in lts.transitions
-        assert ("E", DOWN, "D-E") not in lts.transitions
+        transitions = named_transitions(encode_concrete(segment3), segment3.elements)
+        assert ("D-E", CHANGE, "E") in transitions
+        assert ("E", CHANGE, "D-E") in transitions
+        assert ("D-E", DOWN, "E") in transitions
+        assert ("E", DOWN, "D-E") not in transitions
 
     def test_one_element_poset(self):
-        lts = encode_concrete(one_point_poset())
-        assert set(lts.transitions) == {("A", "p", "A"), ("A", TAU, "A"), ("A", DOWN, "A")}
+        p = one_point_poset()
+        assert set(named_transitions(encode_concrete(p), p.elements)) == {
+            ("A", "p", "A"), ("A", TAU, "A"), ("A", DOWN, "A")
+        }
 
     def test_down_uses_full_order_not_covers(self, strip4):
-        lts = encode_concrete(strip4)
+        transitions = named_transitions(encode_concrete(strip4), strip4.elements)
         # D sits two levels below D-E-F; the down transition is still direct
-        assert ("D-E-F", DOWN, "D") in lts.transitions
+        assert ("D-E-F", DOWN, "D") in transitions
 
     def test_reserved_label_clash_rejected(self):
         with pytest.raises(LabelError):
@@ -135,56 +155,56 @@ class TestComponents:
 
     def test_refines_weak_partition(self):
         for _, p in random_posets(25):
-            assert refines(components_same_valuation(p), weak_pm_partition(p))
+            assert refines(components_same_valuation(p).block, weak_pm_partition(p).block)
 
 
 class TestEncodeAbstract:
     def test_segment3(self, segment3):
         lts, part = encode_abstract(segment3)
-        assert len(lts.states) == 2
+        assert len(lts) == 2
         assert len(lts.transitions) == 9
         assert count_label(lts, STEP) == 4
         assert count_label(lts, DOWN) == 3
         assert class_sets(part) == {SEG_RED, SEG_BLUE}
-        red_name = part.names[part.block[segment3.index_of("D")]]
-        blue_name = part.names[part.block[segment3.index_of("E")]]
-        assert (red_name, frozenset({"red"}), red_name) in lts.transitions
-        assert (red_name, DOWN, blue_name) in lts.transitions
-        assert (blue_name, DOWN, red_name) not in lts.transitions
+        red = part.block[segment3.index_of("D")]
+        blue = part.block[segment3.index_of("E")]
+        assert (red, frozenset({"red"}), red) in lts.transitions
+        assert (red, DOWN, blue) in lts.transitions
+        assert (blue, DOWN, red) not in lts.transitions
 
     def test_one_element_poset(self):
         lts, _ = encode_abstract(one_point_poset())
-        assert len(lts.states) == 1
+        assert len(lts) == 1
         assert len(lts.transitions) == 3
 
     def test_strip4_state_count(self, strip4):
         lts, _ = encode_abstract(strip4)
-        assert len(lts.states) == len(components_same_valuation(strip4)) == 4
+        assert len(lts) == len(components_same_valuation(strip4)) == 4
 
     def test_state_count_matches_components(self):
         for _, p in random_posets(20):
             lts, part = encode_abstract(p)
-            assert len(lts.states) == len(components_same_valuation(p))
+            assert len(lts) == len(components_same_valuation(p))
             assert part == components_same_valuation(p)
 
 
 class TestBranching:
     def test_segment3(self, segment3):
-        part = branching_partition(encode_concrete(segment3))
+        part = as_partition(segment3, branching_partition(encode_concrete(segment3)))
         assert class_sets(part) == {SEG_RED, SEG_BLUE}
 
     def test_strip4_has_exactly_the_four_classes(self, strip4):
-        part = branching_partition(encode_concrete(strip4))
+        part = as_partition(strip4, branching_partition(encode_concrete(strip4)))
         assert class_sets(part) == STRIP_CLASSES
 
     def test_two_states_same_loops_collapse(self):
-        lts = Lts(["x", "y"], [{("p", 0)}, {("p", 1)}])
-        assert len(branching_partition(lts)) == 1
+        lts = Lts([{("p", 0)}, {("p", 1)}])
+        assert n_blocks(branching_partition(lts)) == 1
 
     def test_tau_cycle_is_handled(self):
-        lts = Lts(["x", "y", "z"], [{(TAU, 1), ("p", 2)}, {(TAU, 0), ("p", 2)}, set()])
-        part = branching_partition(lts)
-        assert part.block[0] == part.block[1]
+        lts = Lts([{(TAU, 1), ("p", 2)}, {(TAU, 0), ("p", 2)}, set()])
+        block = branching_partition(lts)
+        assert block[0] == block[1]
 
 
 class TestCertificate:
@@ -200,7 +220,7 @@ class TestCertificate:
                     assert not certified(lts, renumbered(p.elements, split)), (seed, w)
                     splits += 1
             for a, b in combinations(range(len(part)), 2):
-                if p.valuation_of(part.names[a]) == p.valuation_of(part.names[b]):
+                if p.valuations[part.block.index(a)] == p.valuations[part.block.index(b)]:
                     merged = tuple(a if k == b else k for k in part.block)
                     assert not certified(lts, renumbered(p.elements, merged)), (seed, a, b)
                     merges += 1
@@ -229,17 +249,22 @@ class TestCertificate:
 class TestStrong:
     def test_abstract_segment3_is_identity(self, segment3):
         lts, _ = encode_abstract(segment3)
-        part = strong_partition(lts)
-        assert len(part) == 2
+        block = strong_partition(lts)
+        assert n_blocks(block) == 2
 
     def test_abstract_triangle_pulls_back_to_weak_classes(self, triangle):
         lts, comp = encode_abstract(triangle)
         pulled = pull_back(strong_partition(lts), comp)
         assert class_sets(pulled) == class_sets(weak_pm_partition(triangle))
 
+    def test_pull_back_rejects_a_table_of_another_length(self, triangle):
+        lts, comp = encode_abstract(triangle)
+        with pytest.raises(ValueError):
+            pull_back(strong_partition(lts) + (0,), comp)
+
     def test_no_transitions_one_class(self):
-        lts = Lts(["a", "b", "c"], [set()] * 3)
-        assert len(strong_partition(lts)) == 1
+        lts = Lts([set()] * 3)
+        assert n_blocks(strong_partition(lts)) == 1
 
     def test_branching_is_coarser_or_equal(self):
         for _, p in random_posets(25):
@@ -277,7 +302,7 @@ class TestPipelineAgreement:
     def test_three_routes_agree_on_fixtures(self, segment3, triangle, strip4):
         for p in (segment3, triangle, strip4):
             direct = weak_pm_partition(p)
-            concrete = branching_partition(encode_concrete(p))
+            concrete = as_partition(p, branching_partition(encode_concrete(p)))
             lts, comp = encode_abstract(p)
             pulled = pull_back(strong_partition(lts), comp)
             assert direct == concrete == pulled
@@ -285,7 +310,7 @@ class TestPipelineAgreement:
     def test_three_routes_agree_on_random_models(self):
         for seed, p in random_posets(30):
             direct = weak_pm_partition(p)
-            concrete = branching_partition(encode_concrete(p))
+            concrete = as_partition(p, branching_partition(encode_concrete(p)))
             lts, comp = encode_abstract(p)
             pulled = pull_back(strong_partition(lts), comp)
             assert direct == concrete == pulled, seed
@@ -315,30 +340,30 @@ class TestPipelineAgreement:
 class TestQuotient:
     def test_segment3_quotient_d_transitions(self, segment3):
         lts = encode_concrete(segment3)
-        part = branching_partition(lts)
+        part = as_partition(segment3, branching_partition(lts))
         q = quotient_lts(lts, part)
-        red = part.names[part.block[segment3.index_of("D")]]
-        blue = part.names[part.block[segment3.index_of("E")]]
+        red = part.block[segment3.index_of("D")]
+        blue = part.block[segment3.index_of("E")]
         d_edges = {(s, t) for s, lab, t in q.transitions if lab == DOWN}
         assert d_edges == {(red, red), (blue, blue), (red, blue)}
 
     def test_identity_partition_is_isomorphic(self, segment3):
         lts = encode_concrete(segment3)
-        part = Partition(lts.states, tuple(range(len(lts))))
+        part = Partition(segment3.elements, tuple(range(len(lts))))
         q = quotient_lts(lts, part)
-        assert len(q.states) == len(lts.states)
+        assert len(q) == len(lts)
         assert len(q.transitions) == len(lts.transitions)
 
     def test_all_in_one_partition(self, segment3):
         lts = encode_concrete(segment3)
-        part = Partition(lts.states, (0,) * len(lts))
+        part = Partition(segment3.elements, (0,) * len(lts))
         q = quotient_lts(lts, part)
-        assert len(q.states) == 1
+        assert len(q) == 1
         assert {lab for _, lab, _ in q.transitions} == {"red", "blue", TAU, CHANGE, DOWN}
 
     def test_trim_tau_self_loops(self, segment3):
         lts = encode_concrete(segment3)
-        part = branching_partition(lts)
+        part = as_partition(segment3, branching_partition(lts))
         q = quotient_lts(lts, part, drop_tau_self_loops=True)
         assert not any(
             lab == TAU and s == t for s, lab, t in q.transitions
@@ -346,17 +371,17 @@ class TestQuotient:
 
     def test_partition_mismatch_rejected(self, segment3, triangle):
         lts = encode_concrete(segment3)
-        part = branching_partition(encode_concrete(triangle))
+        part = as_partition(triangle, branching_partition(encode_concrete(triangle)))
         with pytest.raises(ValueError):
             quotient_lts(lts, part)
 
 
 class TestDeterminism:
     def test_identical_runs_identical_class_order(self, strip4):
-        a = branching_partition(encode_concrete(strip4))
-        b = branching_partition(encode_concrete(strip4))
+        a = as_partition(strip4, branching_partition(encode_concrete(strip4)))
+        b = as_partition(strip4, branching_partition(encode_concrete(strip4)))
         assert a.classes == b.classes
-        assert a.names == b.names
+        assert class_names(a) == class_names(b)
 
     def test_class_order_follows_least_member(self, strip4):
         part = weak_pm_partition(strip4)

@@ -18,13 +18,15 @@ from polymin import (
     sat,
     weak_pm_partition,
 )
+from polymin.bisim import Partition
 from polymin.checker import SatSet
+from polymin.cli import main
 from polymin.kripke import UnknownElementError
 from polymin.logic import TOP, is_eta_pure, node_count
 from polymin.minimize import UnknownClassError, _RoundLog
 from polymin.simplicial import PosetModel
 
-from conftest import concrete_d_relation, random_posets
+from conftest import FIXTURES, concrete_d_relation, random_posets
 from oracles import class_of_element, members_of, random_formula, relation_pairs
 
 
@@ -64,6 +66,24 @@ class TestMinimalModel:
         monkeypatch.setattr(bisim, "encode_concrete", forbidden)
         assert len(minimal_model(strip4).partition) == 4
         assert distinguishing_formula(strip4, "A", "D") is not None
+
+    def test_production_routes_make_no_class_names(
+        self, segment3, triangle, strip4, tmp_path, monkeypatch
+    ):
+        # class names are made only where a file is written
+        def forbidden(self):
+            raise AssertionError("a production route named the classes")
+
+        monkeypatch.setattr(Partition, "classes", property(forbidden))
+        for stem, p in (("segment3", segment3), ("triangle_abc", triangle), ("strip4", strip4)):
+            minimal_model(p)
+            for a, b in combinations(p.elements, 2):
+                distinguishing_formula(p, a, b)
+            script = tmp_path / f"{stem}.txt"
+            script.write_text(f'save "reach" eta(true, ap("{p.atoms[0]}"))\n')
+            model = str(FIXTURES / f"{stem}.json")
+            out = str(tmp_path / f"{stem}.results.json")
+            assert main(["check", str(script), "--model", model, "--on-minimal", "-o", out]) == 0
 
     def test_refinement_is_looked_up_in_bisim(self, strip4, monkeypatch):
         # a tracer that wraps the refinement in polymin.bisim must see its call

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from array import array
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import polymin
 from polymin import InputError, cell_poset, load_simplicial_model, random_model
 from polymin.cli import main
 from polymin.kripke import UnknownElementError
@@ -307,6 +312,22 @@ class TestRandomModel:
             for k in range(1, len(cell)):
                 for face in combinations(cell, k):
                     assert cell_name(face) in names
+
+    def test_many_vertices_in_linear_time(self):
+        # Ordering the 23,217 used vertices by their list position scans the
+        # list once per vertex: tens of seconds at 100,000 vertices, against
+        # under a second for one pass.  A child process bounds the run.
+        code = (
+            "from polymin import random_model\n"
+            "print(len(random_model(1, 100_000, 1, 1).vertices))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent)},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert int(done.stdout) == 23217
 
     def test_invalid_sizes(self):
         with pytest.raises(ModelSizeError):
