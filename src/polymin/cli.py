@@ -6,13 +6,18 @@ answers mapped back), plus generators and Aldebaran export for interop.
 
 Exit codes: 0 success, 1 self-check failure, 2 invalid input or a path
 that cannot be read or written, 3 an unexpected internal error.
+
+Every JSON file written is what ``json.dumps`` writes for its payload with an
+indent of 2, plus a newline, byte for byte, non-ASCII characters escaped
+(see :mod:`polymin.jsontext`).
+:func:`main` may be called many times in one process: the parser is built
+once, at import, and a call leaves nothing on it for the next.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 import traceback
 from dataclasses import replace
@@ -20,6 +25,7 @@ from pathlib import Path
 
 from . import bisim, checker, minimize
 from .errors import EncodingError, InputError
+from .jsontext import json_text
 from .logic import is_eta_pure, parse_script
 from .simplicial import (
     PosetModel, cell_poset, load_simplicial_model, model_to_document, random_model,
@@ -75,9 +81,8 @@ def cmd_minimize(args) -> int:
     relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
     stem = Path(args.model).stem
     files = {
-        f"{stem}.classes.json": json.dumps({"classes": classes}, indent=2) + "\n",
-        f"{stem}.minmodel.json":
-            json.dumps({"classes": classes, "relation": relation}, indent=2) + "\n",
+        f"{stem}.classes.json": json_text({"classes": classes}),
+        f"{stem}.minmodel.json": json_text({"classes": classes, "relation": relation}),
     }
     if args.emit_aut:
         quotient = bisim.quotient_lts(
@@ -131,25 +136,8 @@ def cmd_check(args) -> int:
                 raise SelfCheckFailure(f"direct and minimal answers differ for {name!r}")
 
     results = minimal if args.on_minimal else direct
-    _write(args.output, _results_text(str(model_path), results))
+    _write(args.output, json_text({"model": str(model_path), "results": results}))
     return 0
-
-
-_BOOL_WORDS = ("false", "true")
-
-
-def _results_text(model: str, results: dict[str, list[bool]]) -> str:
-    """The result file: ``json.dumps({"model": model, "results": results},
-    indent=2) + "\n"``, byte for byte, without the standard library's
-    pure-Python indenting encoder."""
-    saves = ",\n".join(
-        f"    {json.dumps(name)}: "
-        + ("[\n      " + ",\n      ".join(map(_BOOL_WORDS.__getitem__, vector)) + "\n    ]"
-           if vector else "[]")
-        for name, vector in results.items()
-    )
-    body = "{\n" + saves + "\n  }" if results else "{}"
-    return f'{{\n  "model": {json.dumps(model)},\n  "results": {body}\n}}\n'
 
 
 def cmd_gen_random(args) -> int:
@@ -172,7 +160,7 @@ def cmd_poset(args) -> int:
         ],
         "covers": [[a, b] for a, b in poset.covers],
     }
-    _write(args.output, json.dumps(payload, indent=2) + "\n")
+    _write(args.output, json_text(payload))
     return 0
 
 
@@ -226,8 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: parsing leaves nothing on the parser, so every call of ``main``
+# in one process shares it.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     # The model tables, extensions and partitions form no reference cycles,
     # yet the cyclic collector would walk them again and again as they are
     # built; what a command leaves is freed by reference counting.  The

@@ -17,6 +17,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import EncodingError, InputError
+from .jsontext import json_text
 from .kripke import ReflexiveKripkeModel, UnknownElementError
 
 __all__ = [
@@ -255,7 +256,7 @@ def model_to_document(m: SimplicialModel) -> str:
     }
     if m.geometry is not None:
         doc["geometry"] = {k: list(v) for k, v in m.geometry.items()}
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc)
 
 
 class PosetModel(ReflexiveKripkeModel):

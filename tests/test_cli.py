@@ -13,7 +13,7 @@ from polymin import (
     Partition, PosetModel, bisim, cell_poset, checker, load_simplicial_model, minimize,
 )
 from polymin.checker import SatSet
-from polymin.cli import SelfCheckFailure, build_parser, main
+from polymin.cli import SelfCheckFailure, main
 from polymin.errors import InputError
 
 from oracles import aut_moves
@@ -272,9 +272,24 @@ class TestSelfCheckFailures:
         assert calls == Counter(minimal_model=1)
 
 
+def standard_text(path: Path) -> str:
+    """What the standard encoder writes for the payload of the JSON file ``path``."""
+    return json.dumps(json.loads(path.read_text(encoding="utf-8")), indent=2) + "\n"
+
+
+ODD_NAMES_MODEL = {
+    "atoms": ["na\u00efve", 'q"\\'],
+    "cells": [
+        {"vertices": ["\u00e9"], "atoms": ["na\u00efve"]},
+        {"vertices": ["\u20ac"], "atoms": ['q"\\']},
+        {"vertices": ["\u00e9", "\u20ac"], "atoms": ["na\u00efve"]},
+    ],
+}
+
+
 class TestResultWriter:
-    """The check result file is byte for byte what the standard encoder
-    writes for the same payload."""
+    """Every JSON file the commands write is byte for byte what the standard
+    encoder writes for the same payload."""
 
     @pytest.mark.parametrize("script, cells, model_name", [
         ("", [("A", ["p"])], "model.json"),
@@ -293,6 +308,74 @@ class TestResultWriter:
         assert len(results) == script.count("save")
         payload = {"model": str(model), "results": results}
         assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("model", [FIXTURES / "strip4.json", None], ids=["strip4", "odd-names"])
+    def test_minimize_files_match_the_standard_encoder(self, outdir, model):
+        if model is None:
+            model = outdir / "odd.json"
+            model.write_text(json.dumps(ODD_NAMES_MODEL))
+        assert run("minimize", str(model), "-o", str(outdir / "out")) == 0
+        for suffix in ("classes", "minmodel"):
+            out = outdir / "out" / f"{model.stem}.{suffix}.json"
+            assert out.read_text(encoding="utf-8") == standard_text(out)
+
+    def test_poset_file_matches_the_standard_encoder(self, outdir):
+        model = outdir / "odd.json"
+        model.write_text(json.dumps(ODD_NAMES_MODEL))
+        out = outdir / "poset.json"
+        assert run("poset", str(model), "-o", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == standard_text(out)
+
+    def test_gen_random_file_matches_the_standard_encoder(self, outdir):
+        out = outdir / "model.json"
+        assert run("gen-random", "3", "6", "2", "3", "-o", str(out)) == 0
+        assert out.read_text(encoding="utf-8") == standard_text(out)
+
+
+class TestSharedParser:
+    """Every call of ``main`` in one process parses with the parser built when
+    ``polymin.cli`` is imported, and no call leaves anything on it."""
+
+    def test_a_plain_check_after_on_minimal_takes_the_direct_route(self, outdir, monkeypatch):
+        routes = []
+        real = minimize.minimal_model
+
+        def observed(poset):
+            routes.append("minimal")
+            return real(poset)
+
+        monkeypatch.setattr(minimize, "minimal_model", observed)
+        script = outdir / "script.txt"
+        script.write_text('save "red" eta(ap("red"), ap("red"))\n')
+        check = ["check", str(script), "--model", str(FIXTURES / "segment3.json"), "-o"]
+        assert main([*check, str(outdir / "minimal.json"), "--on-minimal"]) == 0
+        assert routes == ["minimal"]
+        assert main([*check, str(outdir / "direct.json")]) == 0
+        assert routes == ["minimal"]
+        assert (outdir / "direct.json").read_bytes() == (outdir / "minimal.json").read_bytes()
+
+    @pytest.mark.parametrize("rejected", [
+        ["check"], ["minimize", "--no-such-flag", "m.json"], ["gen-random", "x", "1", "1", "1"], [],
+    ], ids=["missing-argument", "unknown-flag", "bad-int", "no-command"])
+    def test_a_rejected_argv_leaves_the_next_call_alone(self, outdir, capsys, rejected):
+        with pytest.raises(SystemExit) as exc:
+            main(rejected)
+        assert exc.value.code == 2
+        assert "usage: polymin" in capsys.readouterr().err
+        assert run("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir)) == 0
+        assert (outdir / "strip4.classes.json").exists()
+
+    def test_a_fresh_interpreter_writes_the_same_bytes(self, tmp_path):
+        model = str(FIXTURES / "strip4.json")
+        done = subprocess.run(
+            [sys.executable, "-m", "polymin.cli", "minimize", model, "-o", str(tmp_path / "sub")],
+            env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent)},
+            capture_output=True, text=True, timeout=20,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert run("minimize", model, "-o", str(tmp_path / "main")) == 0
+        for name in ("strip4.classes.json", "strip4.minmodel.json"):
+            assert (tmp_path / "sub" / name).read_bytes() == (tmp_path / "main" / name).read_bytes()
 
 
 class TestInputErrors:
@@ -520,17 +603,13 @@ class TestCollectorPause:
             gc.set_debug(0)
             gc.garbage.clear()
 
-    # ``minimize`` writes its two JSON files with the standard library's
-    # indenting encoder, which builds a cycle of closures on every call.
-    @pytest.mark.parametrize("argv, indented_json", [
-        (["check", "{script}", "--model", "{model}", "-o", "{out}/results.json"], 0),
-        (["check", "{script}", "--model", "{model}", "-o", "{out}/results.json",
-          "--on-minimal"], 0),
-        (["check", "{script}", "--model", "{model}", "-o", "{out}/results.json",
-          "--self-check"], 0),
-        (["minimize", "{model}", "-o", "{out}", "--self-check", "--emit-aut"], 2),
+    @pytest.mark.parametrize("argv", [
+        ["check", "{script}", "--model", "{model}", "-o", "{out}/results.json"],
+        ["check", "{script}", "--model", "{model}", "-o", "{out}/results.json", "--on-minimal"],
+        ["check", "{script}", "--model", "{model}", "-o", "{out}/results.json", "--self-check"],
+        ["minimize", "{model}", "-o", "{out}", "--self-check", "--emit-aut"],
     ], ids=["check", "check-on-minimal", "check-self-check", "minimize-self-check-emit-aut"])
-    def test_commands_make_no_reference_cycles(self, outdir, argv, indented_json):
+    def test_commands_make_no_reference_cycles(self, outdir, argv):
         script = outdir / "script.txt"
         script.write_text(
             'let g = ap("green")\n'
@@ -540,12 +619,4 @@ class TestCollectorPause:
         fields = {"script": script, "model": FIXTURES / "strip4.json", "out": outdir}
         argv = [a.format(**fields) for a in argv]
         assert main(argv) == 0  # first imports and caches are not the command's
-
-        def parse():
-            build_parser().parse_args(argv)
-            for _ in range(indented_json):
-                json.dumps({"classes": [{"id": 0}]}, indent=2)
-
-        parsing = self.unreachable_objects(parse)
-        command = self.unreachable_objects(lambda: main(argv))
-        assert 0 < command <= parsing
+        assert self.unreachable_objects(lambda: main(argv)) == 0
