@@ -17,7 +17,7 @@ from typing import Iterator
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
 from .logic import (
-    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, Top, operands,
+    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, Top, postorder,
 )
 
 __all__ = ["SatSet", "UnknownAtomError", "sat", "check_script"]
@@ -82,25 +82,18 @@ def _eval(
     strict_atoms: bool,
 ) -> frozenset[int]:
     """Extension of ``root`` as element numbers.  Subformulas are evaluated
-    left to right from an explicit stack, so nesting costs no recursion;
-    ``memo`` keeps every extension by node identity, from all elements for
-    ``TOP`` on, so a node shared by several parents is evaluated once and
-    no lookup walks a subtree.  Every node evaluated must live as long as
-    ``memo``, so that no id in it is reused."""
+    in ``postorder``, so nesting costs no recursion; ``memo`` keeps every
+    extension by node identity, from all elements for ``TOP`` on, and is the
+    walk's ``done``, so a node shared by several parents or saves is
+    evaluated once and no lookup walks a subtree.  Every node evaluated must
+    live as long as ``memo``, so that no id in it is reused.  Of the formula
+    code only the parser, ``format_formula`` and the dataclass ``__eq__``,
+    ``__hash__`` and ``__repr__`` recurse, so any depth of ``root`` built
+    with the constructors is evaluated here."""
     if id(TOP) not in memo:
         memo[id(TOP)] = frozenset(range(len(model)))
     everything = memo[id(TOP)]
-    stack = [root]
-    while stack:
-        f = stack[-1]
-        if id(f) in memo:
-            stack.pop()
-            continue
-        todo = [g for g in operands(f) if id(g) not in memo]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
+    for f in postorder(root, memo):
         match f:
             case Top():
                 result = everything

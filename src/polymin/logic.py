@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Container, Iterator
 
 from .errors import InputError
 
@@ -27,7 +28,7 @@ __all__ = [
     "TOP", "Script", "FormulaSyntaxError", "UndefinedIdentifierError", "UnprintableAtomError",
     "parse_formula", "parse_script", "format_formula",
     "is_eta_pure", "node_count",
-    "operands", "MAX_DEPTH",
+    "operands", "postorder", "MAX_DEPTH",
 ]
 
 
@@ -111,10 +112,12 @@ class Diamond(Formula):
 TOP = Top()
 
 
-# Deepest formula the parser accepts.  The parser recurses about four frames
-# per nesting level and hashing or comparing formulas two per level, also on
-# the twice as deep eta-to-gamma rewriting, so at this depth none of them
-# needs more than about 420 of Python's default 1000 frames.
+# Deepest formula the parser accepts.  Three things still recurse once per
+# nesting level: the parser (about four frames), ``_fmt`` and the dataclass
+# ``__eq__``/``__hash__``/``__repr__`` (two each, also on the twice as deep
+# eta-to-gamma rewriting), so at this depth none of them needs more than
+# about 420 of Python's default 1000 frames.  ``postorder`` and its users
+# (``is_eta_pure``, ``node_count``, the checker) never recurse, at any depth.
 MAX_DEPTH = 100
 
 
@@ -130,43 +133,35 @@ def operands(f: Formula) -> tuple[Formula, ...]:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def is_eta_pure(f: Formula) -> bool:
-    """True iff the formula contains no Gamma and no Diamond node.  Each
-    distinct node object is visited once, so shared subformulas cost once."""
-    seen = {id(f)}
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, (Gamma, Diamond)):
-            return False
-        for h in operands(g):
-            if id(h) not in seen:
-                seen.add(id(h))
-                stack.append(h)
-    return True
-
-
-def node_count(f: Formula) -> int:
-    """The size of ``f`` written out as a tree.  Each distinct node object is
-    sized once, after its operands, from an explicit stack, so shared
-    subformulas cost once and nesting costs no recursion."""
-    size: dict[int, int] = {}
+def postorder(f: Formula, done: Container[int] = ()) -> Iterator[Formula]:
+    """Each distinct node of ``f`` whose id is not in ``done``, once, after its
+    operands, left to right, from an explicit stack.  ``done`` is read at
+    every step, so the caller may add ids to it while iterating; the walk
+    does not enter a node found there."""
+    seen: set[int] = set()
     stack: list = [f]
     while stack:
         g = stack.pop()
-        if type(g) is tuple:  # a node and its operands, all sized by now
-            g, ops = g
-            n = 1
-            for h in ops:
-                n += size[id(h)]
-            size[id(g)] = n
-        elif id(g) not in size:
-            ops = operands(g)
-            if ops:
-                stack.append((g, ops))
-                stack.extend(ops)
-            else:
-                size[id(g)] = 1
+        if g is None:  # the node below it has had its operands walked
+            g = stack.pop()
+            seen.add(id(g))
+            yield g
+        elif id(g) not in seen and id(g) not in done:
+            stack.append(g)
+            stack.append(None)
+            stack.extend(reversed(operands(g)))
+
+
+def is_eta_pure(f: Formula) -> bool:
+    """True iff the formula contains no Gamma and no Diamond node."""
+    return not any(isinstance(g, (Gamma, Diamond)) for g in postorder(f))
+
+
+def node_count(f: Formula) -> int:
+    """The size of ``f`` written out as a tree, summed over its distinct nodes."""
+    size: dict[int, int] = {}
+    for g in postorder(f):
+        size[id(g)] = 1 + sum(size[id(h)] for h in operands(g))
     return size[id(f)]
 
 

@@ -114,6 +114,11 @@ def _valuation_formula(atoms: tuple[str, ...], held: frozenset[str]) -> Formula:
     return f if f is not None else TOP
 
 
+def _differences(own: frozenset, others: list[frozenset]) -> list[tuple[str, int]]:
+    """The signature entries on which ``own`` disagrees with some of ``others``."""
+    return [e for e in own.union(*others) if any((e in own) != (e in o) for o in others)]
+
+
 class _RoundLog:
     """The rounds of the abstract route's strong refinement (block tables over
     component numbers), with an exact formula (its extension is the block's
@@ -137,24 +142,31 @@ class _RoundLog:
     def formula(self, k: int, j: int) -> tuple[Formula, int]:
         """Round 0 is one block and round 1 splits it by valuation, as every
         component has ``s`` and ``d`` self-loops.  A later block adds to its
-        parent's formula literals that exclude the parent's other blocks."""
-        if (k, j) not in self._formulas:
-            rep = self.reps[k][j]
-            if k == 0:
-                out = (TOP, 1)
-            elif k == 1:
-                f = _valuation_formula(self.atoms, self.valuations[rep])
-                out = (f, node_count(f))
-            else:
-                parent = self.rounds[k - 1][rep]
-                out = self.formula(k - 1, parent)
+        parent's formula literals that exclude the parent's other blocks; an
+        explicit stack builds it after every block those formulas read."""
+        stack: list = [(k, j, None)]
+        while stack:
+            r, b, siblings = stack.pop()
+            if (r, b) in self._formulas:
+                continue
+            rep = self.reps[r][b]
+            if r <= 1:
+                f = TOP if r == 0 else _valuation_formula(self.atoms, self.valuations[rep])
+                self._formulas[r, b] = (f, node_count(f))
+            elif siblings is None:
+                parent = self.rounds[r - 1][rep]
                 siblings = [
-                    self.signature(k - 1, r) for i, r in self.reps[k].items()
-                    if i != j and self.rounds[k - 1][r] == parent
+                    self.signature(r - 1, s) for i, s in self.reps[r].items()
+                    if i != b and self.rounds[r - 1][s] == parent
                 ]
-                for lit, size in self.separate(k - 1, rep, siblings):
+                own = self.signature(r - 1, rep)
+                stack += [(r, b, siblings), (1, self.rounds[1][rep], None), (r - 1, parent, None)]
+                stack += [(r - 1, t, None) for _, t in _differences(own, siblings)]
+            else:
+                out = self._formulas[r - 1, self.rounds[r - 1][rep]]
+                for lit, size in self.separate(r - 1, rep, siblings):
                     out = (And(out[0], lit), out[1] + 1 + size)
-            self._formulas[k, j] = out
+                self._formulas[r, b] = out
         return self._formulas[k, j]
 
     def literal(self, k: int, s: int, entry: tuple[str, int], positive: bool):
@@ -178,9 +190,7 @@ class _RoundLog:
         on each of ``others``: greedily, the smallest still separating one."""
         own = self.signature(k, s)
         candidates = sorted(
-            (self.literal(k, s, e, e in own)[1], e)
-            for e in own.union(*others)
-            if any((e in own) != (e in o) for o in others)
+            (self.literal(k, s, e, e in own)[1], e) for e in _differences(own, others)
         )
         chosen = []
         for _, e in candidates:

@@ -35,3 +35,30 @@ def barycentric_subdivision(m: SimplicialModel) -> tuple[str, list[int]]:
         ],
     }
     return json.dumps(document), [c[-1] for c in listed]
+
+
+def corridor_document(k: int) -> str:
+    """A 1 x ``k`` triangulated strip as a model document, with 8k + 3 cells.
+
+    A cell's column is the least x of its vertices ``x<x>y<y>``.  Columns
+    alternate between the atoms ``a`` and ``b`` and the last one, x = k, is
+    ``goal``.  Every column is its own class, and round-based refinement
+    splits off one column per round, so it takes about k rounds.
+    """
+    def atom(x):
+        return "goal" if x == k else "ab"[x % 2]
+
+    points = [(x, y) for x in range(k + 1) for y in (0, 1)]
+    cells = [[p] for p in points]
+    cells += [[(x, y), (x + 1, y)] for x in range(k) for y in (0, 1)]
+    cells += [[(x, 0), (x, 1)] for x in range(k + 1)]
+    cells += [[(x, 0), (x + 1, 1)] for x in range(k)]
+    cells += [[(x, 0), (x + 1, 0), (x + 1, 1)] for x in range(k)]
+    cells += [[(x, 0), (x, 1), (x + 1, 1)] for x in range(k)]
+    return json.dumps({
+        "atoms": ["a", "b", "goal"],
+        "cells": [
+            {"vertices": [f"x{x}y{y}" for x, y in c], "atoms": [atom(min(x for x, _ in c))]}
+            for c in cells
+        ],
+    })

@@ -397,3 +397,25 @@ def random_formula(seed: int, max_depth: int, atoms: list[str]) -> Formula:
         return Eta(build(depth - 1), build(depth - 1))
 
     return build(max_depth)
+
+
+# -- deep formulas --------------------------------------------------------------
+# Built with the constructors, past the parser's MAX_DEPTH.  Never repr, hash
+# or compare them: those recurse once per level, and the shared chain's tree
+# is astronomically large.
+
+def not_chain(depth: int, bottom: Formula) -> Formula:
+    """``bottom`` under ``depth`` negations: ``depth`` + 1 nested levels."""
+    for _ in range(depth):
+        bottom = Not(bottom)
+    return bottom
+
+
+def shared_and_chain(length: int, atom: str) -> Formula:
+    """``length`` levels of ``f & f`` over one atom, each level one node that
+    uses the one below twice: ``length`` + 1 distinct nodes, 2**(length + 1) - 1
+    tree nodes."""
+    f: Formula = Atom(atom)
+    for _ in range(length):
+        f = And(f, f)
+    return f

@@ -21,7 +21,8 @@ from polymin.logic import (
 from conftest import grid_document, random_posets
 from oracles import (
     BoundTooSmallError, EtaPurityError, atom_extension, check_script_by_names, down,
-    encode_eta_to_gamma, neighbours, random_formula, sat_eta_path_oracle,
+    encode_eta_to_gamma, neighbours, not_chain, random_formula, sat_eta_path_oracle,
+    shared_and_chain,
 )
 
 
@@ -188,6 +189,18 @@ class TestScripts:
         assert members(results["greens"], strip4) == ["C-D-E"]
         assert "D" in results["reach"]
         assert "A" not in results["reach"]
+
+    def test_deep_library_formulas(self, strip4):
+        # deeper than MAX_DEPTH, so only the constructors build them; two
+        # saves share the 10,000-level chain, whose tree has 2**10_001 - 1 nodes
+        gamma = Gamma(Atom("green"), Atom("red"))
+        deep, shared = not_chain(10_000, gamma), shared_and_chain(10_000, "grey")
+        expected = sat(strip4, gamma).numbers
+        assert sat(strip4, deep).numbers == expected
+        script = Script(bindings={}, saves={"chain": shared, "both": And(deep, shared)})
+        results = check_script(strip4, script)
+        grey = sat(strip4, Atom("grey")).numbers
+        assert (results["chain"].numbers, results["both"].numbers) == (grey, expected & grey)
 
     def test_empty_script(self, strip4):
         assert check_script(strip4, parse_script("")) == {}

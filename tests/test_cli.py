@@ -1,6 +1,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -66,6 +67,21 @@ class TestMinimize:
         concrete = (outdir / "segment3.concrete.aut").read_text()
         assert concrete.splitlines()[0] == "des (0,27,5)"
         assert (outdir / "segment3.quotient.aut").exists()
+
+    def test_trim_self_tau_drops_exactly_the_tau_self_loops(self, outdir):
+        model = str(FIXTURES / "strip4.json")
+        plain, trimmed, exported = outdir / "plain", outdir / "trimmed", outdir / "strip4.aut"
+        assert run("minimize", model, "-o", str(plain), "--emit-aut") == 0
+        assert run("minimize", model, "-o", str(trimmed), "--emit-aut", "--trim-self-tau") == 0
+        assert run("export-aut", model, "-o", str(exported)) == 0
+        header, *lines = (plain / "strip4.quotient.aut").read_text().splitlines()
+        counts = re.fullmatch(r"des \(0,(\d+),(\d+)\)", header)
+        assert counts and int(counts[1]) == len(lines)
+        kept = [line for line in lines if not re.fullmatch(r'\((\d+),"tau",\1\)', line)]
+        assert len(kept) < len(lines)
+        expected = [f"des (0,{len(kept)},{counts[2]})", *kept]
+        assert (trimmed / "strip4.quotient.aut").read_text() == "\n".join(expected) + "\n"
+        assert (trimmed / "strip4.concrete.aut").read_bytes() == exported.read_bytes()
 
     def test_outputs_are_deterministic(self, outdir):
         a, b = outdir / "a", outdir / "b"

@@ -29,7 +29,9 @@ from polymin.logic import (
     parse_script,
 )
 
-from oracles import EtaPurityError, atoms_of, encode_eta_to_gamma, random_formula
+from oracles import (
+    EtaPurityError, atoms_of, encode_eta_to_gamma, not_chain, random_formula, shared_and_chain,
+)
 from test_fuzz import NAMES
 
 APPENDIX_SCRIPT = """load model = "polyInput_Poset.json"
@@ -168,6 +170,14 @@ class TestNodeCount:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert int(done.stdout) == 2**61 - 1
+
+    def test_deep_library_formulas_are_walked_without_recursion(self):
+        # MAX_DEPTH caps parsed formulas only; the constructors build any depth
+        deep = not_chain(10_000, Gamma(Atom("a"), Atom("b")))
+        shared = shared_and_chain(10_000, "a")
+        counts = node_count(deep), node_count(shared)
+        assert counts == (10_003, 2**10_001 - 1)
+        assert (is_eta_pure(deep), is_eta_pure(shared)) == (False, True)
 
 
 class TestParseScript:

@@ -27,6 +27,7 @@ from polymin.minimize import UnknownClassError, _RoundLog
 from polymin.simplicial import PosetModel
 
 from conftest import FIXTURES, concrete_d_relation, random_posets
+from families import corridor_document
 from oracles import class_of_element, members_of, random_formula, relation_pairs
 
 
@@ -246,6 +247,30 @@ class TestDistinguishingFormula:
         ]
         assert outputs[0] == outputs[1]
         assert "eta(" in outputs[0]
+
+    def test_long_refinement_builds_its_witness_without_recursion(self):
+        # Corridor columns 0 and 2 part in the last of about k rounds.  The
+        # child allows 100 frames beyond its depth at the call, fewer than
+        # there are rounds, so a build that recurses once a round fails.  The
+        # witness is never printed, hashed or compared: its tree is
+        # astronomically large.
+        k = 200
+        program = (
+            "import inspect, sys\n"
+            "from polymin import cell_poset, distinguishing_formula, load_simplicial_model\n"
+            "from polymin import minimal_model, sat\n"
+            "p = cell_poset(load_simplicial_model(sys.stdin.read()))\n"
+            "sys.setrecursionlimit(len(inspect.stack(0)) + 100)\n"
+            "extension = sat(p, distinguishing_formula(p, 'x0y0', 'x2y0'))\n"
+            "print('x0y0' in extension, 'x2y0' in extension, len(minimal_model(p).kripke))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", program], input=corridor_document(k),
+            env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent)},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.split() == ["True", "False", str(k + 1)]
 
 
 class TestIdempotence:
