@@ -3,10 +3,11 @@
 A model is a finite set of elements, a reflexive accessibility relation and a
 valuation assigning a set of atoms to every element.  Cell posets are a
 special case (see :mod:`polymin.simplicial`): their successor and predecessor
-tables here are the up-sets and down-sets of the order, and no other copy of
-the order is kept.  Quotients produced by minimisation are generally not
-posets but are always reflexive Kripke models, so the checker is written
-against this class.
+tables here are the up-sets and down-sets of the order, read from faces the
+loader has checked, and a poset stores them as built.  Quotients produced by
+minimisation are generally not posets but are always reflexive Kripke models,
+so the checker is written against this class, whose constructor derives
+``pred`` from ``succ`` and checks reflexivity.
 
 Elements are numbered 0..n-1 in construction order.  The relation is stored
 once, as tables of sorted element numbers (``succ``, ``pred``) that the checker

@@ -2,9 +2,10 @@
 
 A model is stored as a set of cells (non-empty vertex sets, closed under
 taking faces) together with a per-cell set of atoms.  Its discrete carrier is
-the *cell poset*: one node per cell, ordered by vertex-set inclusion.  Vertex
-coordinates, when present in the input, are carried along untouched; nothing
-here is geometric.
+the *cell poset*: one node per cell, ordered by face inclusion.  The loader's
+face pass, which checks that every face is listed, is the one validation of
+that order; the poset is read from the faces and trusts them.  Vertex
+coordinates, when present in the input, are carried along untouched.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import random
 from dataclasses import dataclass, field
 from array import array
 from itertools import combinations
-from typing import Iterable
 
 from .errors import EncodingError, InputError
 from .jsontext import json_text
@@ -63,8 +63,9 @@ class SimplicialModel:
     Cells are numbered in input order, which downstream stages treat as the
     canonical cell order, and every per-cell table is indexed by that number:
     ``cells[i]`` is a sorted tuple of vertex names and ``valuations[i]`` its
-    atom set.  ``_names`` and ``_covers`` keep the canonical cell names and
-    the covering pairs (face, cell) for :func:`cell_poset`.
+    atom set.  ``_index`` maps each canonical cell name to its number, in
+    cell order, and ``_covers`` keeps the covering pairs (face, cell) that
+    the face pass found; :func:`cell_poset` reads both.
 
     :func:`_read_cells`, the one validation routine, builds every model.
     """
@@ -74,7 +75,7 @@ class SimplicialModel:
     valuations: tuple[frozenset[str], ...]
     atoms: tuple[str, ...]
     geometry: dict[str, tuple[float, ...]] | None
-    _names: tuple[str, ...] = field(repr=False, compare=False)
+    _index: dict[str, int] = field(repr=False, compare=False)
     _covers: array = field(repr=False, compare=False)
 
 
@@ -182,7 +183,7 @@ def _read_cells(
     for atom_set in dict.fromkeys(shared.values()):
         used.update(dict.fromkeys(sorted(atom_set)))
     return SimplicialModel(tuple(order), tuple(cells), tuple(valuations), tuple(used), geometry,
-                           tuple(number), array("i", covers))
+                           number, array("i", covers))
 
 
 def _atoms_type(name: str) -> ModelFormatError:
@@ -262,54 +263,25 @@ def model_to_document(m: SimplicialModel) -> str:
 class PosetModel(ReflexiveKripkeModel):
     """A finite poset with a valuation, viewed as a reflexive Kripke model.
 
-    The order is given by its distinct covering pairs, a flat array of
-    element numbers (low, high, low, high, ...), kept and read by name
-    through ``covers``.  Its reflexive-transitive closure is computed once
-    and becomes the Kripke accessibility relation, which is the only stored
-    copy of the order: ``succ[i]`` is the up-set of element i and
-    ``pred[i]`` its down-set.
+    The constructor stores the order's tables as built and checks nothing:
+    ``index`` maps element names to numbers in element order, ``succ[i]``
+    and ``pred[i]`` are the sorted up-set and down-set of element i (each
+    holding i) and the only stored copy of the order, and ``covers`` is a
+    flat array of covering pairs (low, high, low, high, ...).
+    :func:`cell_poset` builds them from faces the loader has checked.
     """
 
     __slots__ = ("_covers",)
 
-    def __init__(
-        self,
-        elements: Iterable[str],
-        covers: array,
-        valuations: Iterable[Iterable[str]],
-        atoms: Iterable[str],
-    ):
-        elements = tuple(elements)
-        n = len(elements)
-        above: list[list[int]] = [[] for _ in range(n)]
-        n_below = [0] * n
-        pairs = iter(covers)
-        for low, high in zip(pairs, pairs):
-            if low == high:
-                w = elements[low]
-                raise ValueError(f"cover ({w!r}, {w!r}) is reflexive")
-            above[low].append(high)
-            n_below[high] += 1
-
-        # Topological pass from the minimal elements; what it cannot place
-        # lies on or above a cycle, which would break antisymmetry.
-        ranked = [w for w in range(n) if not n_below[w]]
-        for w in ranked:
-            for h in above[w]:
-                n_below[h] -= 1
-                if not n_below[h]:
-                    ranked.append(h)
-        if len(ranked) != n:
-            stuck = elements[next(w for w in range(n) if n_below[w])]
-            raise ValueError(f"covering relation has a cycle at or below {stuck!r}")
-        up: list[tuple[int, ...]] = [()] * n
-        for w in reversed(ranked):
-            reach = {w}
-            for h in above[w]:
-                reach.update(up[h])
-            up[w] = tuple(sorted(reach))
-
-        super().__init__(elements, up, valuations, atoms)
+    def __init__(self, index: dict[str, int], succ: tuple[tuple[int, ...], ...],
+                 pred: tuple[tuple[int, ...], ...], valuations: tuple[frozenset[str], ...],
+                 atoms: tuple[str, ...], covers: array):
+        self.elements = tuple(index)
+        self._index = index
+        self.succ = succ
+        self.pred = pred
+        self.valuations = valuations
+        self.atoms = atoms
         self._covers = covers
 
     @property
@@ -320,13 +292,38 @@ class PosetModel(ReflexiveKripkeModel):
 
 
 def cell_poset(m: SimplicialModel) -> PosetModel:
-    """Build the cell poset of a simplicial model.
+    """Build the cell poset of a simplicial model from its cells' faces.
 
-    One poset element per cell, named canonically, ordered by vertex-set
-    inclusion; element order follows the input cell order so results map back
-    to cells by position.
+    One element per cell, named canonically, in input cell order so results
+    map back to cells by position; the order is face inclusion.  The loader
+    has checked that every face is listed, so each down-set is read from the
+    faces: the cell, its covers (the loader's, k in a row for a cell of
+    k >= 2 vertices), its vertices and, from four vertices on, its faces of
+    2 to k - 2 vertices.  Inverting the down-sets in cell order leaves every
+    up-set sorted.  The poset shares the model's index, valuations and covers.
     """
-    return PosetModel(m._names, m._covers, m.valuations, m.atoms)
+    number = m._index.__getitem__
+    faces = m._covers[::2].tolist()
+    succ: list = [[] for _ in m.cells]
+    pred: list[tuple[int, ...]] = []
+    at = 0
+    for high, cell in enumerate(m.cells):
+        k = len(cell)
+        down = [high]
+        if k > 1:
+            down += faces[at:at + k]
+            at += k
+        if k > 2:  # an edge's covers are its vertices
+            down += map(number, cell)  # a vertex is named as itself
+            for size in range(2, k - 1):
+                down += map(number, map("-".join, combinations(cell, size)))
+        down.sort()
+        for low in down:
+            succ[low].append(high)
+        pred.append(tuple(down))
+    for i, up in enumerate(succ):
+        succ[i] = tuple(up)  # each list is freed as its tuple is made
+    return PosetModel(m._index, tuple(succ), tuple(pred), m.valuations, m.atoms, m._covers)
 
 
 def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> SimplicialModel:

@@ -1,7 +1,9 @@
-"""Test-only model families built from other models."""
+"""Test-only model families, as model documents built from parameters or from
+other models."""
 
 import json
-from itertools import combinations
+import random
+from itertools import combinations, permutations, product
 
 from polymin.simplicial import SimplicialModel
 
@@ -60,5 +62,43 @@ def corridor_document(k: int) -> str:
         "cells": [
             {"vertices": [f"x{x}y{y}" for x, y in c], "atoms": [atom(min(x for x, _ in c))]}
             for c in cells
+        ],
+    })
+
+
+KUHN_COLOURS = ("floor", "wall", "goal")  # weakest first
+
+
+def kuhn3d_document(n: int, seed: int) -> str:
+    """An n x n x n cube grid as a model document: each unit cube is cut into
+    6 tetrahedra around its main diagonal (Kuhn's triangulation), and the
+    complex is closed under faces.
+
+    Each vertex ``x<x>y<y>z<z>`` gets a seeded colour, ``floor``, ``wall``
+    or ``goal``, and a cell takes its strongest vertex colour, goal over
+    wall over floor.  Cells are listed by size, then by vertex tuple.
+    """
+    rng = random.Random(seed)
+    points = list(product(range(n + 1), repeat=3))
+    strength = {p: rng.choices(range(3), weights=(6, 3, 1))[0] for p in points}
+    cells: set[tuple] = set()
+    for corner in product(range(n), repeat=3):
+        for axes in permutations(range(3)):
+            # the path from this corner to the opposite one, one axis at a time
+            tet = [corner]
+            for axis in axes:
+                step = list(tet[-1])
+                step[axis] += 1
+                tet.append(tuple(step))
+            for k in range(1, 5):
+                cells.update(combinations(tet, k))
+    return json.dumps({
+        "atoms": list(KUHN_COLOURS),
+        "cells": [
+            {
+                "vertices": [f"x{x}y{y}z{z}" for x, y, z in c],
+                "atoms": [KUHN_COLOURS[max(map(strength.__getitem__, c))]],
+            }
+            for c in sorted(cells, key=lambda c: (len(c), c))
         ],
     })

@@ -2,6 +2,7 @@
 
 import random
 import re
+from array import array
 from collections import deque
 from typing import Iterable, Iterator
 
@@ -23,6 +24,52 @@ class EtaPurityError(InputError):
 def cell_name(vertices: Iterable[str]) -> str:
     """Canonical cell name: sorted vertex identifiers joined by ``-``."""
     return "-".join(sorted(str(v) for v in vertices))
+
+
+def poset_from_covers(
+    elements: Iterable[str], covers: array, valuations: Iterable[Iterable[str]],
+    atoms: Iterable[str],
+) -> PosetModel:
+    """The poset whose order is the reflexive-transitive closure of arbitrary
+    covering pairs, given as a flat array of element numbers (low, high, low,
+    high, ...): the reference for :func:`polymin.cell_poset`'s face-built
+    tables, and the way tests build hand-made posets.
+
+    A reflexive cover, or a cycle, which would break antisymmetry, raises
+    ``ValueError``; so do duplicate element names.
+    """
+    elements = tuple(elements)
+    n = len(elements)
+    above: list[list[int]] = [[] for _ in range(n)]
+    n_below = [0] * n
+    pairs = iter(covers)
+    for low, high in zip(pairs, pairs):
+        if low == high:
+            w = elements[low]
+            raise ValueError(f"cover ({w!r}, {w!r}) is reflexive")
+        above[low].append(high)
+        n_below[high] += 1
+
+    # Topological pass from the minimal elements; what it cannot place
+    # lies on or above a cycle, which would break antisymmetry.
+    ranked = [w for w in range(n) if not n_below[w]]
+    for w in ranked:
+        for h in above[w]:
+            n_below[h] -= 1
+            if not n_below[h]:
+                ranked.append(h)
+    if len(ranked) != n:
+        stuck = elements[next(w for w in range(n) if n_below[w])]
+        raise ValueError(f"covering relation has a cycle at or below {stuck!r}")
+    up: list[tuple[int, ...]] = [()] * n
+    for w in reversed(ranked):
+        reach = {w}
+        for h in above[w]:
+            reach.update(up[h])
+        up[w] = tuple(sorted(reach))
+
+    k = ReflexiveKripkeModel(elements, up, valuations, atoms)
+    return PosetModel(k._index, k.succ, k.pred, k.valuations, k.atoms, covers)
 
 
 def relation_pairs(model: ReflexiveKripkeModel) -> frozenset[tuple[str, str]]:

@@ -27,11 +27,10 @@ from polymin.bisim import (
     is_branching_stable,
     pull_back,
 )
-from polymin.simplicial import PosetModel
 
 from oracles import (
     as_partition, aut_moves, branching_partition, class_names, is_weak_pm_bisimulation,
-    n_blocks, named_transitions, random_formula,
+    n_blocks, named_transitions, poset_from_covers, random_formula,
 )
 
 from conftest import random_posets
@@ -62,7 +61,7 @@ def certified(lts, part):
 
 
 def one_point_poset(atom="p"):
-    return PosetModel(["A"], array("i"), [{atom}], [atom])
+    return poset_from_covers(["A"], array("i"), [{atom}], [atom])
 
 
 SEG_RED = frozenset({"D", "D-E"})
@@ -150,7 +149,7 @@ class TestComponents:
         }
 
     def test_uniform_connected_model_is_one_class(self):
-        p = PosetModel(["a", "b", "ab"], array("i", [0, 2, 1, 2]), [{"p"}] * 3, ["p"])
+        p = poset_from_covers(["a", "b", "ab"], array("i", [0, 2, 1, 2]), [{"p"}] * 3, ["p"])
         assert len(components_same_valuation(p)) == 1
 
     def test_refines_weak_partition(self):
@@ -235,8 +234,10 @@ class TestCertificate:
         assert not is_branching_stable(lts, merged)
 
     @pytest.mark.parametrize("p", [
-        PosetModel(["A", "B"], array("i"), [{"p"}] * 2, ["p"]),
-        PosetModel(["a", "b", "ab"], array("i", [0, 2, 1, 2]), [{"p"}, {"q"}, {"p"}], ["p", "q"]),
+        poset_from_covers(["A", "B"], array("i"), [{"p"}] * 2, ["p"]),
+        poset_from_covers(
+            ["a", "b", "ab"], array("i", [0, 2, 1, 2]), [{"p"}, {"q"}, {"p"}], ["p", "q"]
+        ),
     ], ids=["strong-split", "tau-between-classes"])
     def test_minimality_rejects_a_stable_split(self, p):
         lts = encode_concrete(p)
@@ -282,7 +283,7 @@ class TestWeakPm:
     def test_antichain_distinct_atoms_is_identity(self):
         elements = [f"x{i}" for i in range(4)]
         atoms = [f"p{i}" for i in range(4)]
-        p = PosetModel(elements, array("i"), [{a} for a in atoms], atoms)
+        p = poset_from_covers(elements, array("i"), [{a} for a in atoms], atoms)
         assert len(weak_pm_partition(p)) == 4
 
     def test_result_is_a_weak_bisimulation(self, segment3, triangle, strip4):

@@ -24,11 +24,12 @@ from polymin.cli import main
 from polymin.kripke import UnknownElementError
 from polymin.logic import TOP, is_eta_pure, node_count
 from polymin.minimize import UnknownClassError, _RoundLog
-from polymin.simplicial import PosetModel
 
 from conftest import FIXTURES, concrete_d_relation, random_posets
 from families import corridor_document
-from oracles import class_of_element, members_of, random_formula, relation_pairs
+from oracles import (
+    class_of_element, members_of, poset_from_covers, random_formula, relation_pairs,
+)
 
 
 class TestMinimalModel:
@@ -116,7 +117,7 @@ class TestQuotientDRoute:
             assert concrete_d_relation(p) == relation_pairs(minimal_model(p).kripke), seed
 
     def test_one_element_poset(self):
-        p = PosetModel(["A"], array("i"), [["p"]], ["p"])
+        p = poset_from_covers(["A"], array("i"), [["p"]], ["p"])
         assert concrete_d_relation(p) == frozenset({("C0", "C0")})
 
 

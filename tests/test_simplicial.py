@@ -17,13 +17,13 @@ from polymin.simplicial import (
     MissingValuationError,
     ModelFormatError,
     ModelSizeError,
-    PosetModel,
     UnknownVertexError,
     model_to_document,
 )
 
-from conftest import random_posets
-from oracles import cell_name
+from conftest import grid_document, load_fixture, random_posets
+from families import barycentric_subdivision, corridor_document, kuhn3d_document
+from oracles import cell_name, poset_from_covers
 
 
 JOINS = "is empty or contains '-', which joins cell names"
@@ -185,7 +185,7 @@ class TestLoad:
         declared = load_simplicial_model(json.dumps({**doc, "vertices": list(m.vertices)}))
         assert declared == m and declared.vertices == m.vertices
         assert declared._covers == m._covers
-        assert declared._names == m._names
+        assert declared._index == m._index
 
         # Vertex lists in reverse: cells are sorted on load, and derived
         # vertices follow their first appearance in the lists as written.
@@ -283,14 +283,70 @@ class TestPartialOrderLaws:
     def test_deep_chain(self):
         chain = [f"c{i}" for i in range(1500)]
         covers = array("i", [k for i in range(1499) for k in (i, i + 1)])
-        p = PosetModel(chain, covers, [()] * 1500, [])
+        p = poset_from_covers(chain, covers, [()] * 1500, [])
         assert len(p.successors("c0")) == 1500
         assert p.names(p.pred[1499]) == tuple(chain)
         assert related(p, "c0", "c1499") and not related(p, "c1499", "c0")
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError):
-            PosetModel(["a", "b"], array("i", [0, 1, 1, 0]), [(), ()], [])
+            poset_from_covers(["a", "b"], array("i", [0, 1, 1, 0]), [(), ()], [])
+
+
+class TestFaceBuiltTables:
+    """``cell_poset`` reads the order from each cell's faces; the generic
+    closure of the loader's covers must give the same tables."""
+
+    def check(self, m):
+        p = cell_poset(m)
+        ref = poset_from_covers(tuple(m._index), m._covers, m.valuations, m.atoms)
+        assert p.elements == ref.elements and p._index == ref._index
+        assert p.succ == ref.succ and p.pred == ref.pred
+        assert p.covers == ref.covers
+        assert p.valuations == ref.valuations and p.atoms == ref.atoms
+        return p
+
+    @pytest.mark.parametrize("name", ["segment3.json", "triangle_abc.json", "strip4.json"])
+    def test_fixtures(self, name):
+        self.check(load_fixture(name))
+
+    def test_random_models_up_to_dimension_4(self):
+        sizes = set()
+        for seed in range(250):
+            m = random_model(seed, 5 + seed % 4, seed % 5, seed % 3)
+            self.check(m)
+            sizes.update(map(len, m.cells))
+        assert sizes == {1, 2, 3, 4, 5}
+
+    def test_subdivisions_corridor_and_grid(self):
+        for seed in range(20):
+            m = random_model(seed, 3 + seed % 3, 2 + seed % 2, 2)
+            self.check(load_simplicial_model(barycentric_subdivision(m)[0]))
+        self.check(load_simplicial_model(corridor_document(6)))
+        self.check(load_simplicial_model(grid_document(5)))
+
+    def test_kuhn_cube_grid(self, tmp_path):
+        document = kuhn3d_document(3, 1)
+        p = self.check(load_simplicial_model(document))
+        assert len(p) == 883 and sum(map(len, p.succ)) == 5977
+        model = tmp_path / "kuhn3.json"
+        model.write_text(document)
+        script = tmp_path / "script.txt"
+        script.write_text(
+            'let g = ap("goal")\n'
+            'save "reach" eta(ap("floor") | g, g)\n'
+            'save "walled" !eta(ap("floor"), ap("wall")) & ap("floor")\n'
+        )
+        base = ["check", str(script), "--model", str(model), "-o"]
+        assert main([*base, str(tmp_path / "direct.json")]) == 0
+        assert main([*base, str(tmp_path / "minimal.json"), "--on-minimal"]) == 0
+        assert (tmp_path / "direct.json").read_bytes() == (tmp_path / "minimal.json").read_bytes()
+
+    def test_closed_9_simplex(self):
+        vertices = [f"v{i}" for i in range(10)]
+        cells = [c for k in range(1, 11) for c in combinations(vertices, k)]
+        p = self.check(load_simplicial_model(doc(["p"], [(c, ["p"]) for c in cells])))
+        assert len(p) == 1023 and p.pred[-1] == tuple(range(1023))
 
 
 class TestRandomModel:
