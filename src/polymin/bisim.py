@@ -3,19 +3,24 @@
 The abstract encoding quotients same-valuation connected components and uses
 labels ``atom sets + {s, d}``; strong bisimilarity on it, pulled back to the
 cells, is logical equivalence of the reach logic on the poset, and it is the
-route minimisation uses.  The concrete encoding turns a poset model into an
-LTS over the labels ``atoms + {tau, c, d}`` whose branching bisimilarity gives
-the same classes; it is kept for Aldebaran export and for a linear certificate
-that a partition *is* its branching bisimilarity.  A direct fixpoint
-computation straight from the model is kept as an oracle.
+route minimisation uses.  Its numbered tables (:func:`abstract_tables`: each
+component's valuation and its ``s`` and ``d`` successors) are built from
+component down-unions, and minimisation refines them directly.  The concrete
+encoding turns a poset model into an LTS over the labels ``atoms + {tau, c,
+d}`` whose branching bisimilarity gives the same classes; it is kept for
+Aldebaran export and for a linear certificate that a partition *is* its
+branching bisimilarity.  Every refinement runs through one engine,
+:func:`refine`, over per-label successor tables; :func:`strong_partition`
+reduces any :class:`Lts` to it.  A direct fixpoint computation straight from
+the model is kept as an oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterable, Iterator
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .simplicial import PosetModel
@@ -23,8 +28,8 @@ from .simplicial import PosetModel
 __all__ = [
     "TAU", "CHANGE", "DOWN", "STEP",
     "Lts", "Partition", "LabelError",
-    "encode_concrete", "components_same_valuation", "encode_abstract",
-    "strong_partition", "strong_rounds", "is_branching_stable", "is_branching_minimal",
+    "encode_concrete", "components_same_valuation", "abstract_tables", "encode_abstract",
+    "refine", "strong_partition", "is_branching_stable", "is_branching_minimal",
     "weak_pm_partition", "quotient_lts", "pull_back",
     "to_aut",
 ]
@@ -149,50 +154,97 @@ def components_same_valuation(p: PosetModel) -> Partition:
     return Partition(p.elements, tuple(block))
 
 
+def abstract_tables(
+    p: PosetModel,
+) -> tuple[Partition, list[frozenset[str]], list[set[int]], list[set[int]]]:
+    """The numbered tables of the abstract encoding: the same-valuation
+    component partition, each component's valuation, and its ``s`` and ``d``
+    successors by component number.
+
+    ``down[c]`` unions the components of every member's down-set, so it
+    holds c itself; ``step[c]`` is ``down[c]`` together with every component
+    whose ``down`` holds c.
+    """
+    part = components_same_valuation(p)
+    comp = part.block
+    # components are numbered in order of least member: the dict's keys
+    # arrive in component order, and all members share one valuation
+    valuations = list(dict(zip(comp, p.valuations)).values())
+    down: list[set[int]] = [set() for _ in valuations]
+    for c, below in zip(comp, p.pred):
+        down[c].update(map(comp.__getitem__, below))
+    step = [set(below) for below in down]
+    for x, below in enumerate(down):
+        for y in below:
+            step[y].add(x)
+    return part, valuations, step, down
+
+
 def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
     """Encode a poset model as an LTS over its same-valuation components.
 
     Each component self-loops on its valuation *set*; an ``s`` transition
     links components holding any comparable pair; a ``d`` transition links
     components holding any ordered pair.  Duplicates collapse.  Returns the
-    LTS together with the component partition (states are its class numbers).
+    LTS together with the component partition (states are its class numbers);
+    the moves are read off :func:`abstract_tables`.
     """
-    part = components_same_valuation(p)
-    comp = part.block
-    moves: list[set[tuple[Label, int]]] = [set() for _ in range(len(part))]
-    for w, c in enumerate(comp):
-        moves[c].add((p.valuations[w], c))
-        moves[c].update((STEP, comp[u]) for u in chain(p.succ[w], p.pred[w]))
-        moves[c].update((DOWN, comp[u]) for u in p.pred[w])
-    return Lts(moves), part
+    part, valuations, step, down = abstract_tables(p)
+    return Lts(
+        chain([(v, c)], zip(repeat(STEP), s), zip(repeat(DOWN), d))
+        for c, (v, s, d) in enumerate(zip(valuations, step, down))
+    ), part
 
 
 # -- partition refinement ------------------------------------------------------
 
-def strong_partition(l: Lts) -> tuple[int, ...]:
-    """Block table of the coarsest partition stable under strong transfer."""
-    for block in strong_rounds(l):
-        pass
-    return tuple(block)
+def refine(
+    block: Sequence[int], tables: Sequence[Sequence[Iterable[int]]]
+) -> Iterator[Sequence[int]]:
+    """Signature-based refinement, round by round, from the block table
+    ``block`` (blocks numbered in order of first state).
 
-
-def strong_rounds(l: Lts) -> Iterator[list[int]]:
-    """Signature-based refinement from a single block, round by round: each
-    round splits every block by its states' sets of moves (label, target
-    block), with block numbers in order of first state.  The last table
-    yielded is stable: it is :func:`strong_partition`'s."""
-    block = [0] * len(l)
-    n_blocks = 1
+    Each table of ``tables`` holds one label's successors by state.  A round
+    splits every block by its states' sets of successor blocks under each
+    label, with new block numbers in order of first state.  The first table
+    yielded is ``block`` itself; the last is stable.
+    """
+    n_blocks = len(set(block))
     while True:
         yield block
-        groups: dict[object, int] = {}
-        new = []
-        for i, ms in enumerate(l.moves):
-            signature = frozenset((lab, block[t]) for lab, t in ms)
-            new.append(groups.setdefault((block[i], signature), len(groups)))
+        if n_blocks == len(block):  # every block is one state: stable
+            return
+        get = block.__getitem__
+        signatures = [[frozenset(map(get, targets)) for targets in t] for t in tables]
+        groups: dict[tuple, int] = {}
+        new = [groups.setdefault(key, len(groups)) for key in zip(block, *signatures)]
         if len(groups) == n_blocks:
             return
         block, n_blocks = new, len(groups)
+
+
+def strong_partition(l: Lts) -> tuple[int, ...]:
+    """Block table of the coarsest partition stable under strong transfer.
+
+    A label that only ever loops (a valuation set, an atom) is read once:
+    states start apart by their sets of such labels.  Every other label
+    becomes a successor table for :func:`refine`.
+    """
+    moving = {lab for i, ms in enumerate(l.moves) for lab, j in ms if j != i}
+    tables: dict[Label, list[list[int]]] = {lab: [[] for _ in l.moves] for lab in moving}
+    first: dict[frozenset[Label], int] = {}
+    block = []
+    for i, ms in enumerate(l.moves):
+        loops = []
+        for lab, j in ms:
+            if lab in moving:
+                tables[lab][i].append(j)
+            else:
+                loops.append(lab)
+        block.append(first.setdefault(frozenset(loops), len(first)))
+    for block in refine(block, list(tables.values())):
+        pass
+    return tuple(block)
 
 
 # -- certificate of branching bisimilarity ----------------------------------------

@@ -77,12 +77,15 @@ def cmd_minimize(args) -> int:
     lts = bisim.encode_concrete(poset) if args.self_check or args.emit_aut else None
     if args.self_check:
         _self_check_pipeline(poset, mm, lts)
-    classes = _classes_payload(mm)
     relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
+    # Both files open with the classes array at one depth, so it is written
+    # once: the minimal model's text continues the classes file's, whose
+    # closing "\n}\n" gives way to a comma and the relation's member.
+    classes = json_text({"classes": _classes_payload(mm)})
     stem = Path(args.model).stem
     files = {
-        f"{stem}.classes.json": json_text({"classes": classes}),
-        f"{stem}.minmodel.json": json_text({"classes": classes, "relation": relation}),
+        f"{stem}.classes.json": classes,
+        f"{stem}.minmodel.json": classes[:-3] + "," + json_text({"relation": relation})[1:],
     }
     if args.emit_aut:
         quotient = bisim.quotient_lts(

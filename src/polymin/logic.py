@@ -217,12 +217,9 @@ _TOKEN = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # ident | string | punct | end
-    value: str
-    line: int
-    column: int
+# A token is a tuple (kind, value, line, column); kind is ident, string,
+# punct or end.
+_Token = tuple[str, str, int, int]
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -235,7 +232,7 @@ def _tokenize(text: str) -> list[_Token]:
         kind = m.lastgroup
         value = m.group()
         if kind != "ws":
-            tokens.append(_Token(kind, value, line, col))
+            tokens.append((kind, value, line, col))
         newlines = value.count("\n")
         if newlines:
             line += newlines
@@ -243,7 +240,7 @@ def _tokenize(text: str) -> list[_Token]:
         else:
             col += len(value)
         pos = m.end()
-    tokens.append(_Token("end", "", line, col))
+    tokens.append(("end", "", line, col))
     return tokens
 
 
@@ -268,8 +265,8 @@ class _Parser:
         return tok
 
     def error(self, message: str) -> FormulaSyntaxError:
-        tok = self.peek()
-        return FormulaSyntaxError(message, tok.line, tok.column)
+        _, _, line, column = self.peek()
+        return FormulaSyntaxError(message, line, column)
 
     def node(self, f: Formula) -> Formula:
         """The one node of this parse equal to ``f``, whose operands are such
@@ -288,15 +285,24 @@ class _Parser:
         return f
 
     def expect_punct(self, value: str) -> None:
-        tok = self.next()
-        if tok.kind != "punct" or tok.value != value:
-            raise FormulaSyntaxError(
-                f"expected {value!r}, found {tok.value!r}", tok.line, tok.column
-            )
+        kind, found, line, column = self.next()
+        if kind != "punct" or found != value:
+            raise FormulaSyntaxError(f"expected {value!r}, found {found!r}", line, column)
+
+    def string(self, message: str) -> str:
+        """The text inside the next token, which must be a quoted string."""
+        kind, value, line, column = self.next()
+        if kind != "string":
+            raise FormulaSyntaxError(message, line, column)
+        return value[1:-1]
+
+    def at_punct(self, value: str) -> bool:
+        kind, found, _, _ = self.peek()
+        return kind == "punct" and found == value
 
     def at_ident(self, word: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == "ident" and (word is None or tok.value == word)
+        kind, value, _, _ = self.peek()
+        return kind == "ident" and (word is None or value == word)
 
     # formula := or-chain
     def formula(self) -> Formula:
@@ -304,7 +310,7 @@ class _Parser:
         if self.nesting > MAX_DEPTH:
             raise self.error(f"formula nested deeper than {MAX_DEPTH}")
         node = self.and_chain()
-        while self.peek().kind == "punct" and self.peek().value == "|":
+        while self.at_punct("|"):
             self.next()
             node = self.node(Or(node, self.and_chain()))
         self.nesting -= 1
@@ -312,14 +318,14 @@ class _Parser:
 
     def and_chain(self) -> Formula:
         node = self.unary()
-        while self.peek().kind == "punct" and self.peek().value == "&":
+        while self.at_punct("&"):
             self.next()
             node = self.node(And(node, self.unary()))
         return node
 
     def unary(self) -> Formula:
         negations = 0
-        while self.peek().kind == "punct" and self.peek().value == "!":
+        while self.at_punct("!"):
             self.next()
             negations += 1
         node = self.primary()
@@ -328,25 +334,22 @@ class _Parser:
         return node
 
     def primary(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.value == "(":
+        kind, word, line, column = self.peek()
+        if kind == "punct" and word == "(":
             self.next()
             node = self.formula()
             self.expect_punct(")")
             return node
-        if tok.kind == "ident":
-            word = tok.value
+        if kind == "ident":
             if word == "true":
                 self.next()
                 return self.node(TOP)
             if word == "ap":
                 self.next()
                 self.expect_punct("(")
-                s = self.next()
-                if s.kind != "string":
-                    raise FormulaSyntaxError("expected quoted atom name", s.line, s.column)
+                name = self.string("expected quoted atom name")
                 self.expect_punct(")")
-                return self.node(Atom(s.value[1:-1]))
+                return self.node(Atom(name))
             if word in ("eta", "gamma"):
                 self.next()
                 self.expect_punct("(")
@@ -366,19 +369,19 @@ class _Parser:
                 return self.node(Atom(word))
             if word not in self.env:
                 raise UndefinedIdentifierError(
-                    f"undefined identifier {word!r} (line {tok.line}, column {tok.column})"
+                    f"undefined identifier {word!r} (line {line}, column {column})"
                 )
             return self.env[word]
-        raise self.error(f"expected a formula, found {tok.value!r}" if tok.value else "unexpected end of input")
+        raise self.error(f"expected a formula, found {word!r}" if word else "unexpected end of input")
 
 
 def parse_formula(text: str) -> Formula:
     """Parse one formula; bare identifiers denote atoms."""
     parser = _Parser(text, env=None)
     node = parser.formula()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise FormulaSyntaxError(f"unexpected trailing input {tok.value!r}", tok.line, tok.column)
+    kind, value, line, column = parser.peek()
+    if kind != "end":
+        raise FormulaSyntaxError(f"unexpected trailing input {value!r}", line, column)
     return node
 
 
@@ -403,40 +406,36 @@ def parse_script(text: str) -> Script:
 
     if parser.at_ident("load"):
         parser.next()
-        tok = parser.next()
-        if not (tok.kind == "ident" and tok.value == "model"):
-            raise FormulaSyntaxError("expected 'model' after 'load'", tok.line, tok.column)
+        kind, value, line, column = parser.next()
+        if not (kind == "ident" and value == "model"):
+            raise FormulaSyntaxError("expected 'model' after 'load'", line, column)
         parser.expect_punct("=")
-        s = parser.next()
-        if s.kind != "string":
-            raise FormulaSyntaxError("expected quoted model path", s.line, s.column)
-        model_ref = s.value[1:-1]
+        _, _, line, column = parser.peek()
+        model_ref = parser.string("expected quoted model path")
         if "\0" in model_ref:
-            raise FormulaSyntaxError("model path holds a NUL character", s.line, s.column)
+            raise FormulaSyntaxError("model path holds a NUL character", line, column)
 
     bindings: dict[str, Formula] = parser.env
     while parser.at_ident("let"):
         parser.next()
-        name_tok = parser.next()
-        if name_tok.kind != "ident" or name_tok.value in _KEYWORDS:
-            raise FormulaSyntaxError("expected binding name", name_tok.line, name_tok.column)
+        kind, name, line, column = parser.next()
+        if kind != "ident" or name in _KEYWORDS:
+            raise FormulaSyntaxError("expected binding name", line, column)
         parser.expect_punct("=")
-        bindings[name_tok.value] = parser.formula()
+        bindings[name] = parser.formula()
 
     saves: dict[str, Formula] = {}
     while parser.at_ident("save"):
         parser.next()
-        s = parser.next()
-        if s.kind != "string":
-            raise FormulaSyntaxError("expected quoted save name", s.line, s.column)
-        name = s.value[1:-1]
+        _, _, line, column = parser.peek()
+        name = parser.string("expected quoted save name")
         if name in saves:
-            raise FormulaSyntaxError(f"duplicate save name {name!r}", s.line, s.column)
+            raise FormulaSyntaxError(f"duplicate save name {name!r}", line, column)
         saves[name] = parser.formula()
 
-    tok = parser.peek()
-    if tok.kind != "end":
+    kind, value, line, column = parser.peek()
+    if kind != "end":
         raise FormulaSyntaxError(
-            f"expected 'let', 'save' or end of script, found {tok.value!r}", tok.line, tok.column
+            f"expected 'let', 'save' or end of script, found {value!r}", line, column
         )
     return Script(bindings=bindings, saves=saves, model_ref=model_ref)

@@ -1,11 +1,13 @@
 """Quotient Kripke models and answers mapped back to cells.
 
 The minimal model's nodes are the equivalence classes computed by strong
-bisimilarity on the abstract LTS over same-valuation components, pulled back
-to the cells; its accessibility relation holds between two classes when some
-member pair is ordered.  The result is a reflexive Kripke model but in general
-not a poset (transitivity can fail), so it is never re-interpreted as one.
-Distinguishing formulas are read off the rounds of that same refinement.
+bisimilarity on the abstract encoding's numbered component tables, refined
+from the components' valuations by :func:`polymin.bisim.refine` and pulled
+back to the cells; its accessibility relation holds between two classes when
+some member pair is ordered, and is read from the components' down-sets.  The
+result is a reflexive Kripke model but in general not a poset (transitivity
+can fail), so it is never re-interpreted as one.  Distinguishing formulas are
+read off the rounds of that same refinement.
 """
 
 from __future__ import annotations
@@ -51,28 +53,38 @@ class MinimalModel:
 def minimal_model(p: PosetModel) -> MinimalModel:
     """Build the quotient model over logical-equivalence classes.
 
-    The abstract encoding's strong-bisimilarity block table, pulled back to
-    cells, gives the classes.  The relation holds between classes with an
-    ordered member pair, so it is reflexive; the valuation is lifted from any
-    member (all members agree, which is asserted).
+    Strong bisimilarity on the abstract encoding's tables, refined from the
+    components' valuations and pulled back to cells, gives the classes.  The
+    relation holds between classes with an ordered member pair, read from the
+    components' down-sets, so it is reflexive; the valuation is lifted from
+    any member (all members agree, which is asserted).
     """
-    lts, components = bisim.encode_abstract(p)
-    part = bisim.pull_back(bisim.strong_partition(lts), components)
+    components, valuations, step, down = bisim.abstract_tables(p)
+    for block in bisim.refine(_valuation_split(valuations), (step, down)):
+        pass
+    part = bisim.pull_back(tuple(block), components)
     ids = [class_id(i) for i in range(len(part))]
-    cls = part.block
 
-    succ: list[set[int]] = [set() for _ in ids]
-    valuations: dict[int, frozenset[str]] = {}
-    for w, targets in enumerate(p.succ):
-        succ[cls[w]].update(map(cls.__getitem__, targets))
-        if valuations.setdefault(cls[w], p.valuations[w]) != p.valuations[w]:
-            block = sorted(part.classes[cls[w]])
-            raise AssertionError(f"class {ids[cls[w]]} mixes valuations: {block}")
+    below: list[set[int]] = [set() for _ in ids]
+    lifted: dict[int, frozenset[str]] = {}
+    for k, v, d in zip(block, valuations, down):
+        below[k].update(map(block.__getitem__, d))
+        if lifted.setdefault(k, v) != v:
+            raise AssertionError(f"class {ids[k]} mixes valuations: {sorted(part.classes[k])}")
+    # ascending sources leave every successor list sorted
+    succ: list[list[int]] = [[] for _ in ids]
+    for k, ys in enumerate(below):
+        for y in ys:
+            succ[y].append(k)
 
-    kripke = ReflexiveKripkeModel(
-        ids, [sorted(s) for s in succ], [valuations[i] for i in range(len(ids))], p.atoms
-    )
+    kripke = ReflexiveKripkeModel(ids, succ, [lifted[i] for i in range(len(ids))], p.atoms)
     return MinimalModel(kripke=kripke, partition=part, source=p)
+
+
+def _valuation_split(valuations: list[frozenset[str]]) -> list[int]:
+    """The block table of equal valuations, numbered in order of first state."""
+    first: dict[frozenset[str], int] = {}
+    return [first.setdefault(v, len(first)) for v in valuations]
 
 
 def rmin_via_quotient_d(lts: Lts, part: Partition) -> tuple[tuple[int, ...], ...]:
@@ -126,17 +138,21 @@ class _RoundLog:
 
     def __init__(self, p: PosetModel):
         self.atoms = p.atoms
-        self.lts, self.components = bisim.encode_abstract(p)
-        self.valuations = dict(zip(self.components.block, p.valuations))
-        self.rounds = list(bisim.strong_rounds(self.lts))
+        self.components, self.valuations, self.step, self.down = bisim.abstract_tables(p)
+        split = _valuation_split(self.valuations)
+        # round 0 is one block; refinement starts at round 1, the valuation
+        # split, which is round 0 itself when there is one valuation
+        self.rounds = [[0] * len(split)] if max(split, default=0) > 0 else []
+        self.rounds += bisim.refine(split, (self.step, self.down))
         self.reps = [{j: s for s, j in enumerate(block)} for block in self.rounds]
         self._formulas: dict[tuple[int, int], tuple[Formula, int]] = {}
 
     def signature(self, k: int, s: int) -> frozenset[tuple[str, int]]:
         """Component ``s``'s ``s`` and ``d`` moves by round-``k`` target block;
         past round 1 nothing else differs inside a block."""
+        block = self.rounds[k]
         return frozenset(
-            (lab, self.rounds[k][t]) for lab, t in self.lts.moves[s] if lab in (STEP, DOWN)
+            [(STEP, block[t]) for t in self.step[s]] + [(DOWN, block[t]) for t in self.down[s]]
         )
 
     def formula(self, k: int, j: int) -> tuple[Formula, int]:

@@ -4,9 +4,10 @@ import random
 import re
 from array import array
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
 
-from polymin.bisim import TAU, Label, Lts, Partition
+from polymin.bisim import DOWN, STEP, TAU, Label, Lts, Partition, components_same_valuation
 from polymin.checker import SatSet, UnknownAtomError
 from polymin.errors import InputError
 from polymin.kripke import ReflexiveKripkeModel
@@ -225,6 +226,40 @@ def _rounds(n: int, signature) -> Iterator[list[int]]:
         if len(groups) == n_blocks:
             return
         block, n_blocks = new, len(groups)
+
+
+# -- the abstract route read pair by pair, kept as its reference ---------------
+
+def encode_abstract_by_pairs(p: PosetModel) -> Lts:
+    """The abstract encoding built pair by pair: every order pair adds its
+    ``s`` moves in both directions and its ``d`` move, and every cell its
+    component's valuation loop.  The reference for
+    :func:`polymin.bisim.encode_abstract`'s moves."""
+    comp = components_same_valuation(p).block
+    moves: list[set[tuple[Label, int]]] = [set() for _ in range(max(comp, default=-1) + 1)]
+    for w, c in enumerate(comp):
+        moves[c].add((p.valuations[w], c))
+        moves[c].update((STEP, comp[u]) for u in chain(p.succ[w], p.pred[w]))
+        moves[c].update((DOWN, comp[u]) for u in p.pred[w])
+    return Lts(moves)
+
+
+def strong_rounds_by_pairs(l: Lts) -> Iterator[list[int]]:
+    """Signature-based refinement from a single block, round by round: each
+    round splits every block by its states' sets of moves (label, target
+    block), with block numbers in order of first state.  The last table
+    yielded is stable: it is :func:`polymin.strong_partition`'s."""
+    return _rounds(len(l), lambda i, block: frozenset((lab, block[t]) for lab, t in l.moves[i]))
+
+
+def quotient_succ_by_pairs(p: PosetModel, part: Partition) -> tuple[tuple[int, ...], ...]:
+    """The quotient relation read from every order pair: class a reaches
+    class b when a member of a lies below a member of b."""
+    cls = part.block
+    succ: list[set[int]] = [set() for _ in range(len(part))]
+    for w, targets in enumerate(p.succ):
+        succ[cls[w]].update(map(cls.__getitem__, targets))
+    return tuple(tuple(sorted(s)) for s in succ)
 
 
 # -- the checker's name-based set evaluator, kept as its reference ------------

@@ -1,13 +1,20 @@
+import importlib.util
 from array import array
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
 from polymin import (
+    cell_poset,
     components_same_valuation,
+    distinguishing_formula,
     encode_abstract,
     encode_concrete,
+    format_formula,
+    load_simplicial_model,
     minimal_model,
+    random_model,
     parse_formula,
     quotient_lts,
     sat,
@@ -27,13 +34,26 @@ from polymin.bisim import (
     is_branching_stable,
     pull_back,
 )
+from polymin.minimize import _RoundLog
 
 from oracles import (
-    as_partition, aut_moves, branching_partition, class_names, is_weak_pm_bisimulation,
-    n_blocks, named_transitions, poset_from_covers, random_formula,
+    as_partition, aut_moves, branching_partition, class_names, encode_abstract_by_pairs,
+    is_weak_pm_bisimulation, n_blocks, named_transitions, poset_from_covers,
+    quotient_succ_by_pairs, random_formula, strong_rounds_by_pairs,
 )
 
-from conftest import random_posets
+from conftest import load_fixture, random_posets
+from families import corridor_document, kuhn3d_document
+
+
+def maze_grid(n):
+    """The seeded maze on an n x n grid that the benchmark generates
+    (``perfbench/gen.py``, read from that file), as a cell poset."""
+    path = Path(__file__).parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return cell_poset(load_simplicial_model(gen.grid_document(n, 1)))
 
 
 def class_sets(partition):
@@ -267,6 +287,20 @@ class TestStrong:
         lts = Lts([set()] * 3)
         assert n_blocks(strong_partition(lts)) == 1
 
+    @pytest.mark.parametrize("moves", [
+        [],
+        [set()],
+        # "a" loops on 1 and 2 and moves elsewhere from 0
+        [{("a", 3)}, {("a", 1)}, {("a", 2), ("b", 0)}, set()],
+        [{("a", 1), ("a", 0)}, {("a", 1)}, {("a", 2), ("b", 2)}],
+        # every label only loops
+        [{("p", 0)}, {("q", 1)}, {("p", 2)}, {("p", 3), ("q", 3)}, set()],
+    ], ids=["no-states", "one-state", "loop-or-move", "loop-then-split", "only-loops"])
+    def test_edge_cases_match_the_oracle(self, moves):
+        lts = Lts(moves)
+        *_, stable = strong_rounds_by_pairs(lts)
+        assert strong_partition(lts) == tuple(stable)
+
     def test_branching_is_coarser_or_equal(self):
         for _, p in random_posets(25):
             lts = encode_concrete(p)
@@ -402,3 +436,80 @@ class TestAut:
     def test_round_trip_is_isomorphic(self, segment3):
         lts = encode_concrete(segment3)
         assert aut_moves(to_aut(lts)) == list(map(set, lts.moves))
+
+
+ORACLE_FAMILIES = {
+    "fixtures": lambda: [cell_poset(load_fixture(f"{stem}.json"))
+                         for stem in ("segment3", "triangle_abc", "strip4")],
+    "random": lambda: [p for _, p in random_posets(200, max_cells=40, n_vertices=7, max_dim=3)],
+    "grids": lambda: [maze_grid(n) for n in range(3, 23)],
+    "corridor": lambda: [cell_poset(load_simplicial_model(corridor_document(50)))],
+    "kuhn3d": lambda: [cell_poset(load_simplicial_model(kuhn3d_document(3, 1)))],
+}
+
+
+class TestNumberedTables:
+    """The abstract encoding, the refinement rounds and the quotient relation
+    are read from numbered component tables; the oracles read every order
+    pair and every move."""
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_tables_match_the_pair_oracles(self, family):
+        for p in ORACLE_FAMILIES[family]():
+            lts, components = encode_abstract(p)
+            reference = encode_abstract_by_pairs(p)
+            assert lts.moves == reference.moves
+            rounds = [list(block) for block in strong_rounds_by_pairs(reference)]
+            assert [list(block) for block in _RoundLog(p).rounds] == rounds
+            assert strong_partition(lts) == tuple(rounds[-1])
+            mm = minimal_model(p)
+            assert mm.partition == pull_back(tuple(rounds[-1]), components)
+            assert mm.kripke.succ == quotient_succ_by_pairs(p, mm.partition)
+
+    @pytest.mark.parametrize("family", ["random", "grids"])
+    def test_quotient_strong_partition_matches_the_oracle(self, family):
+        for p in ORACLE_FAMILIES[family]()[::10]:
+            lts = encode_concrete(p)
+            quotient = quotient_lts(lts, minimal_model(p).partition)
+            *_, stable = strong_rounds_by_pairs(quotient)
+            assert strong_partition(quotient) == tuple(stable)
+
+
+# Pinned witness texts for pairs of same-valued cells in different classes:
+# the witness depends on every round table and on the order of its
+# candidate literals, so any change to either shows here.
+WITNESSES = [
+    ("strip4", "A", "D", "!eta(!red & !green & grey,red & !green & !grey)"),
+    ("random", "v1", "v11-v3", "eta(p0 & !p1,p0 & p1 & !eta(p0 & p1,p0 & !p1))"),
+    ("random", "v3", "v5-v6-v7",
+     "eta(p0 & p1,p0 & !p1 & !eta(p0 & !p1,p0 & p1 & !eta(p0 & p1,p0 & !p1)))"),
+    ("random", "v6", "v2-v7-v8", "eta(!p0 & p1,p0 & p1 & !eta(p0 & p1,p0 & !p1))"),
+    ("grid", "r0c0", "r0c4",
+     "eta(wall & !floor & !goal | !wall & !floor & goal,!wall & !floor & goal)"),
+    ("grid", "r0c4", "r2c0-r3c1",
+     "!eta(wall & !floor & !goal | !wall & !floor & goal,!wall & !floor & goal)"),
+    ("grid", "r1c2", "r3c3-r4c3-r4c4",
+     "eta(wall & !floor & !goal | !wall & floor & !goal & !eta(!wall & floor & !goal,"
+     "!wall & !floor & goal & !eta(!wall & !floor & goal,wall & !floor & !goal)),"
+     "!wall & floor & !goal & !eta(!wall & floor & !goal,!wall & !floor & goal & "
+     "!eta(!wall & !floor & goal,wall & !floor & !goal)))"),
+    ("corridor", "x0y0", "x2y0",
+     "eta(a & !b & !goal,!a & b & !goal & eta(!a & b & !goal,"
+     "a & !b & !goal & eta(a & !b & !goal,!a & b & !goal)))"),
+    ("corridor", "x0y0", "x4y0-x5y0", "eta(a & !b & !goal,!a & b & !goal)"),
+    ("corridor", "x1y0", "x3y0-x3y1",
+     "eta(!a & b & !goal,a & !b & !goal & eta(a & !b & !goal,!a & b & !goal))"),
+]
+
+WITNESS_MODELS = {
+    "strip4": lambda: cell_poset(load_fixture("strip4.json")),
+    "random": lambda: cell_poset(random_model(11, 12, 5, 2)),
+    "grid": lambda: maze_grid(8),
+    "corridor": lambda: cell_poset(load_simplicial_model(corridor_document(5))),
+}
+
+
+def test_witness_text_is_unchanged():
+    posets = {name: make() for name, make in WITNESS_MODELS.items()}
+    for name, a, b, text in WITNESSES:
+        assert format_formula(distinguishing_formula(posets[name], a, b)) == text, (name, a, b)

@@ -90,13 +90,13 @@ class TestMinimalModel:
     def test_refinement_is_looked_up_in_bisim(self, strip4, monkeypatch):
         # a tracer that wraps the refinement in polymin.bisim must see its call
         calls = []
-        real = bisim.strong_partition
+        real = bisim.refine
 
-        def counted(lts):
-            calls.append(len(lts))
-            return real(lts)
+        def counted(block, tables):
+            calls.append(len(block))
+            return real(block, tables)
 
-        monkeypatch.setattr(bisim, "strong_partition", counted)
+        monkeypatch.setattr(bisim, "refine", counted)
         assert len(minimal_model(strip4).partition) == 4
         assert calls == [len(bisim.encode_abstract(strip4)[0])]
 
