@@ -9,10 +9,12 @@ component down-unions, and minimisation refines them directly.  The concrete
 encoding turns a poset model into an LTS over the labels ``atoms + {tau, c,
 d}`` whose branching bisimilarity gives the same classes; it is kept for
 Aldebaran export and for a linear certificate that a partition *is* its
-branching bisimilarity.  Every refinement runs through one engine,
-:func:`refine`, over per-label successor tables; :func:`strong_partition`
-reduces any :class:`Lts` to it.  A direct fixpoint computation straight from
-the model is kept as an oracle.
+branching bisimilarity: one pass, :func:`branching_quotient`, checks that it
+is stable and returns the quotient that minimality and the relation are read
+from.  Every refinement runs through one engine, :func:`refine`, over
+per-label successor tables; :func:`strong_partition` reduces any :class:`Lts`
+to it.  A direct fixpoint computation straight from the model is kept as an
+oracle.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ __all__ = [
     "TAU", "CHANGE", "DOWN", "STEP",
     "Lts", "Partition", "LabelError",
     "encode_concrete", "components_same_valuation", "abstract_tables", "encode_abstract",
-    "refine", "strong_partition", "is_branching_stable", "is_branching_minimal",
+    "refine", "strong_partition", "branching_quotient", "is_branching_minimal",
     "weak_pm_partition", "quotient_lts", "pull_back",
     "to_aut",
 ]
@@ -70,14 +72,6 @@ class Lts:
         return len(self.moves)
 
 
-def _label_text(label: Label) -> str:
-    """The Aldebaran spelling of a label.  Refinement compares labels by
-    value: ``{"a,b"}`` and ``{"a", "b"}`` are both spelt ``{a,b}``."""
-    if isinstance(label, frozenset):
-        return "{" + ",".join(sorted(label)) + "}"
-    return str(label)
-
-
 @dataclass(frozen=True)
 class Partition:
     """An ordered partition of a model's elements.
@@ -105,9 +99,6 @@ class Partition:
 
 # -- encodings ---------------------------------------------------------------
 
-_RESERVED_CONCRETE = {TAU, CHANGE, DOWN}
-
-
 def encode_concrete(p: PosetModel) -> Lts:
     """Encode a poset model as an LTS over ``atoms + {tau, c, d}``.
 
@@ -117,7 +108,7 @@ def encode_concrete(p: PosetModel) -> Lts:
     a ``d`` transition to everything below it in the full order (including
     itself).
     """
-    clash = _RESERVED_CONCRETE & set(p.atoms)
+    clash = {TAU, CHANGE, DOWN}.intersection(p.atoms)
     if clash:
         raise LabelError(f"atom names collide with reserved labels: {sorted(clash)}")
     vals = p.valuations
@@ -249,13 +240,15 @@ def strong_partition(l: Lts) -> tuple[int, ...]:
 
 # -- certificate of branching bisimilarity ----------------------------------------
 
-def is_branching_stable(l: Lts, part: Partition) -> bool:
-    """Is ``part``, a partition of ``l``'s states, a branching bisimulation?
+def branching_quotient(l: Lts, part: Partition) -> Lts | None:
+    """The quotient of ``l`` by ``part`` without inert ``tau`` moves, or None
+    if ``part``, a partition of ``l``'s states, is no branching bisimulation.
 
     Inside each block, ``tau`` moves link states into components, whose
     signatures (their members' non-inert moves by label and target block)
-    must all be equal.  An inert ``tau`` move must have its converse, as in
-    :func:`encode_concrete`, so that a component's states reach each other.
+    must all be equal: they are the block's moves in the quotient.  An
+    inert ``tau`` move must have its converse, as in :func:`encode_concrete`,
+    so that a component's states reach each other.
     """
     block = part.block
     seen = [False] * len(l)
@@ -270,24 +263,22 @@ def is_branching_stable(l: Lts, part: Partition) -> bool:
                 if lab != TAU or block[t] != block[s]:
                     signature.add((lab, block[t]))
                 elif (TAU, v) not in l.moves[t]:
-                    return False
+                    return None
                 elif not seen[t]:
                     seen[t] = True
                     component.append(t)
         if signatures.setdefault(block[s], frozenset(signature)) != signature:
-            return False
-    return True
+            return None
+    return Lts(signatures.get(k, ()) for k in range(len(part)))
 
 
-def is_branching_minimal(l: Lts, part: Partition) -> bool:
-    """Are the blocks of a branching bisimulation ``part`` of ``l`` pairwise
-    inequivalent?  Each state is branching bisimilar to its block in the
-    quotient without ``tau`` self-loops; with no ``tau`` move left there,
-    strong bisimilarity on it must separate every block."""
-    quotient = quotient_lts(l, part, drop_tau_self_loops=True)
-    if any(lab == TAU for ms in quotient.moves for lab, _ in ms):
-        return False
-    return len(set(strong_partition(quotient))) == len(quotient)
+def is_branching_minimal(quotient: Lts) -> bool:
+    """Are the blocks of a branching bisimulation pairwise inequivalent?
+    ``quotient`` is the one :func:`branching_quotient` returns, where each
+    state is branching bisimilar to its block; with no ``tau`` move left
+    there, strong bisimilarity on it must separate every block."""
+    tau_free = all(lab != TAU for ms in quotient.moves for lab, _ in ms)
+    return tau_free and len(set(strong_partition(quotient))) == len(quotient)
 
 
 # -- direct fixpoint on the poset model ----------------------------------------
@@ -367,20 +358,16 @@ def _matching_path(
 
 # -- quotients and pull-backs ---------------------------------------------------
 
-def quotient_lts(l: Lts, part: Partition, drop_tau_self_loops: bool = False) -> Lts:
+def quotient_lts(l: Lts, part: Partition) -> Lts:
     """Project an LTS onto partition classes (set semantics); the quotient's
-    states are the class numbers.  ``drop_tau_self_loops`` removes quotient
-    tau self-loops, which branching bisimilarity cannot observe; they are
-    kept by default for rule-for-rule fidelity."""
+    states are the class numbers.  Every move is kept, ``tau`` self-loops
+    included, for rule-for-rule fidelity."""
     block = part.block
     if len(block) != len(l):
         raise ValueError("the partition does not number the LTS states")
     moves: list[set[tuple[Label, int]]] = [set() for _ in range(len(part))]
     for a, ms in zip(block, l.moves):
-        moves[a].update(
-            (lab, block[j]) for lab, j in ms
-            if not (drop_tau_self_loops and lab == TAU and block[j] == a)
-        )
+        moves[a].update((lab, block[j]) for lab, j in ms)
     return Lts(moves)
 
 
@@ -399,12 +386,12 @@ def pull_back(coarse: tuple[int, ...], fine: Partition) -> Partition:
 # -- Aldebaran format -------------------------------------------------------------
 
 def to_aut(l: Lts) -> str:
-    """Serialise to Aldebaran format, state numbers as they are.
+    """Serialise to Aldebaran format: state numbers as they are, string labels.
 
     A label must not hold a ``"`` or a line boundary (any that
     :meth:`str.splitlines` splits at): the format has no escapes for them.
     """
-    triples = sorted((i, _label_text(lab), j) for i, ms in enumerate(l.moves) for lab, j in ms)
+    triples = sorted((i, lab, j) for i, ms in enumerate(l.moves) for lab, j in ms)
     for lab in dict.fromkeys(lab for _, lab, _ in triples):
         if '"' in lab or "".join(lab.splitlines()) != lab:
             raise LabelError(f"label {lab!r} cannot be written in Aldebaran format")

@@ -87,11 +87,10 @@ def _valuation_split(valuations: list[frozenset[str]]) -> list[int]:
     return [first.setdefault(v, len(first)) for v in valuations]
 
 
-def rmin_via_quotient_d(lts: Lts, part: Partition) -> tuple[tuple[int, ...], ...]:
-    """The reversed ``d`` transitions of the concrete LTS ``lts`` projected onto
-    its branching partition ``part``, as sorted successor tables by class
-    number; must equal the ``succ`` of :func:`minimal_model`'s relation."""
-    quotient = bisim.quotient_lts(lts, part)
+def rmin_via_quotient_d(quotient: Lts) -> tuple[tuple[int, ...], ...]:
+    """The reversed ``d`` moves of the concrete LTS's branching quotient, as
+    sorted successor tables by class number; must equal the ``succ`` of
+    :func:`minimal_model`'s relation."""
     succ: list[list[int]] = [[] for _ in quotient.moves]
     for i, ms in enumerate(quotient.moves):
         for lab, j in ms:

@@ -338,13 +338,16 @@ def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> Simp
         raise ModelSizeError("max_dim must be non-negative")
     if n_atoms < 0:
         raise ModelSizeError("n_atoms must be non-negative")
+    top = min(max_dim + 1, n_vertices)  # up to n_vertices faces of 2**top - 1 cells each
+    if top > 20 or n_vertices * (2**top - 1) > 10**6:  # top first: no huge power is computed
+        raise ModelSizeError(f"n_vertices {n_vertices} and max_dim {max_dim} allow over 10**6 cells")
     rng = random.Random(seed)
     vertices = [f"v{i}" for i in range(n_vertices)]
     atoms = [f"p{i}" for i in range(n_atoms)]
 
     cells: set[tuple[str, ...]] = set()
     for _ in range(rng.randint(1, n_vertices)):
-        size = rng.randint(1, min(max_dim + 1, n_vertices))
+        size = rng.randint(1, top)
         face = sorted(rng.sample(vertices, size))
         for k in range(1, len(face) + 1):
             cells.update(combinations(face, k))

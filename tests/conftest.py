@@ -1,10 +1,10 @@
-import json
 from pathlib import Path
 
 import pytest
 
 from polymin import (
-    cell_poset, encode_concrete, load_simplicial_model, random_model, rmin_via_quotient_d,
+    cell_poset, encode_concrete, load_simplicial_model, quotient_lts, random_model,
+    rmin_via_quotient_d,
 )
 from polymin.minimize import class_id
 
@@ -67,31 +67,5 @@ def concrete_d_relation(p):
     """The minimal relation rebuilt from the concrete route's quotient ``d``
     transitions, independently of :func:`polymin.minimal_model`."""
     lts = encode_concrete(p)
-    succ = rmin_via_quotient_d(lts, as_partition(p, branching_partition(lts)))
+    succ = rmin_via_quotient_d(quotient_lts(lts, as_partition(p, branching_partition(lts))))
     return frozenset((class_id(a), class_id(b)) for a, bs in enumerate(succ) for b in bs)
-
-
-def grid_document(k):
-    """A plain triangulated k x k grid as a model document: every unit square
-    is split by one diagonal, cells are listed vertices, then edges, then
-    triangles, and the atoms ``wall``/``floor``/``goal`` follow column stripes."""
-    def v(x, y):
-        return f"v{x}_{y}"
-
-    def atom(x):
-        return "goal" if x == k else "wall" if x % 4 == 0 else "floor"
-
-    points = [(x, y) for y in range(k + 1) for x in range(k + 1)]
-    edges = [((x, y), (x + 1, y)) for x, y in points if x < k]
-    edges += [((x, y), (x, y + 1)) for x, y in points if y < k]
-    edges += [((x, y), (x + 1, y + 1)) for x, y in points if x < k and y < k]
-    triangles = [((x, y), (x + 1, y), (x + 1, y + 1)) for x, y in points if x < k and y < k]
-    triangles += [((x, y), (x, y + 1), (x + 1, y + 1)) for x, y in points if x < k and y < k]
-    cells = [[(x, y)] for x, y in points] + [list(e) for e in edges] + [list(t) for t in triangles]
-    return json.dumps({
-        "atoms": ["wall", "floor", "goal"],
-        "cells": [
-            {"vertices": [v(*p) for p in c], "atoms": [atom(min(x for x, _ in c))]}
-            for c in cells
-        ],
-    })

@@ -39,6 +39,32 @@ def barycentric_subdivision(m: SimplicialModel) -> tuple[str, list[int]]:
     return json.dumps(document), [c[-1] for c in listed]
 
 
+def grid_document(k: int) -> str:
+    """A plain triangulated k x k grid as a model document: every unit square
+    is split by one diagonal, cells are listed vertices, then edges, then
+    triangles, and the atoms ``wall``/``floor``/``goal`` follow column stripes."""
+    def v(x, y):
+        return f"v{x}_{y}"
+
+    def atom(x):
+        return "goal" if x == k else "wall" if x % 4 == 0 else "floor"
+
+    points = [(x, y) for y in range(k + 1) for x in range(k + 1)]
+    edges = [((x, y), (x + 1, y)) for x, y in points if x < k]
+    edges += [((x, y), (x, y + 1)) for x, y in points if y < k]
+    edges += [((x, y), (x + 1, y + 1)) for x, y in points if x < k and y < k]
+    triangles = [((x, y), (x + 1, y), (x + 1, y + 1)) for x, y in points if x < k and y < k]
+    triangles += [((x, y), (x, y + 1), (x + 1, y + 1)) for x, y in points if x < k and y < k]
+    cells = [[(x, y)] for x, y in points] + [list(e) for e in edges] + [list(t) for t in triangles]
+    return json.dumps({
+        "atoms": ["wall", "floor", "goal"],
+        "cells": [
+            {"vertices": [v(*p) for p in c], "atoms": [atom(min(x for x, _ in c))]}
+            for c in cells
+        ],
+    })
+
+
 def corridor_document(k: int) -> str:
     """A 1 x ``k`` triangulated strip as a model document, with 8k + 3 cells.
 

@@ -30,8 +30,8 @@ from polymin.bisim import (
     Partition,
     STEP,
     TAU,
+    branching_quotient,
     is_branching_minimal,
-    is_branching_stable,
     pull_back,
 )
 from polymin.minimize import _RoundLog
@@ -77,7 +77,13 @@ def renumbered(universe, block):
 
 
 def certified(lts, part):
-    return is_branching_stable(lts, part) and is_branching_minimal(lts, part)
+    quotient = branching_quotient(lts, part)
+    return quotient is not None and is_branching_minimal(quotient)
+
+
+def trimmed_quotient(lts, part):
+    """The projection of ``lts`` onto ``part`` without ``tau`` self-loops."""
+    return Lts(ms - {(TAU, k)} for k, ms in enumerate(quotient_lts(lts, part).moves))
 
 
 def one_point_poset(atom="p"):
@@ -250,8 +256,8 @@ class TestCertificate:
         part = minimal_model(strip4).partition
         a, b = (part.block[strip4.index_of(w)] for w in ("A", "B"))
         merged = renumbered(strip4.elements, [a if k == b else k for k in part.block])
-        assert is_branching_stable(lts, part)
-        assert not is_branching_stable(lts, merged)
+        assert branching_quotient(lts, part) is not None
+        assert branching_quotient(lts, merged) is None
 
     @pytest.mark.parametrize("p", [
         poset_from_covers(["A", "B"], array("i"), [{"p"}] * 2, ["p"]),
@@ -261,10 +267,22 @@ class TestCertificate:
     ], ids=["strong-split", "tau-between-classes"])
     def test_minimality_rejects_a_stable_split(self, p):
         lts = encode_concrete(p)
-        discrete = Partition(p.elements, tuple(range(len(p))))
-        assert is_branching_stable(lts, discrete)
-        assert not is_branching_minimal(lts, discrete)
-        assert is_branching_minimal(lts, minimal_model(p).partition)
+        discrete = branching_quotient(lts, Partition(p.elements, tuple(range(len(p)))))
+        assert discrete is not None
+        assert not is_branching_minimal(discrete)
+        assert is_branching_minimal(branching_quotient(lts, minimal_model(p).partition))
+
+    def test_quotient_states_are_block_numbers(self):
+        # blocks numbered against the order of their first states
+        lts = Lts([{("p", 0), (CHANGE, 1)}, {("q", 1)}])
+        part = Partition(("a", "b"), (1, 0))
+        assert branching_quotient(lts, part).moves == quotient_lts(lts, part).moves
+
+    def test_a_one_way_inert_tau_move_is_rejected(self):
+        # 0 moves to 1 by tau inside their block, but 1 cannot move back
+        lts = Lts([{(TAU, 1), ("p", 0)}, {("p", 1)}])
+        assert branching_quotient(lts, Partition(("a", "b"), (0, 0))) is None
+        assert branching_quotient(lts, Partition(("a", "b"), (0, 1))) is not None
 
 
 class TestStrong:
@@ -399,7 +417,7 @@ class TestQuotient:
     def test_trim_tau_self_loops(self, segment3):
         lts = encode_concrete(segment3)
         part = as_partition(segment3, branching_partition(lts))
-        q = quotient_lts(lts, part, drop_tau_self_loops=True)
+        q = branching_quotient(lts, part)
         assert not any(
             lab == TAU and s == t for s, lab, t in q.transitions
         )
@@ -473,6 +491,20 @@ class TestNumberedTables:
             quotient = quotient_lts(lts, minimal_model(p).partition)
             *_, stable = strong_rounds_by_pairs(quotient)
             assert strong_partition(quotient) == tuple(stable)
+
+    @pytest.mark.parametrize("family", ["fixtures", "random", "grids", "kuhn3d"])
+    def test_branching_quotient_is_the_trimmed_projection(self, family):
+        for p in ORACLE_FAMILIES[family]():
+            lts = encode_concrete(p)
+            part = minimal_model(p).partition
+            assert branching_quotient(lts, part).moves == trimmed_quotient(lts, part).moves
+            # merging two classes of one valuation breaks stability
+            valuation = dict(zip(part.block, p.valuations))
+            for a, b in combinations(range(len(part)), 2):
+                if valuation[a] == valuation[b]:
+                    merged = renumbered(p.elements, [a if k == b else k for k in part.block])
+                    assert branching_quotient(lts, merged) is None
+                    break
 
 
 # Pinned witness texts for pairs of same-valued cells in different classes:

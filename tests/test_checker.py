@@ -18,7 +18,8 @@ from polymin.logic import (
     And, Atom, Diamond, Eta, Gamma, Not, Or, Script, TOP,
 )
 
-from conftest import grid_document, random_posets
+from conftest import random_posets
+from families import grid_document
 from oracles import (
     BoundTooSmallError, EtaPurityError, atom_extension, check_script_by_names, down,
     encode_eta_to_gamma, neighbours, not_chain, random_formula, sat_eta_path_oracle,
@@ -148,6 +149,11 @@ class TestKripkeInputs:
     def test_non_reflexive_rejected(self):
         with pytest.raises(ValueError):
             ReflexiveKripkeModel(["a", "b"], [[1], [1]], [(), ()], [])
+
+    def test_duplicate_names_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            ReflexiveKripkeModel(["a", "a"], [[0], [1]], [(), ()], [])
+        assert type(exc.value) is ValueError and str(exc.value) == "duplicate element names"
 
     def test_sat_on_plain_kripke_model(self):
         # a 2-cycle plus reflexive loops: not a poset, still checkable

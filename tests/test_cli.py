@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -230,9 +231,9 @@ def check_on_minimal_with_self_check(outdir):
 class TestSelfCheckFailures:
     @pytest.mark.parametrize("module, name, fake", [
         (bisim, "weak_pm_partition", lambda p: discrete(p.elements)),
-        (bisim, "is_branching_stable", lambda lts, part: False),
-        (bisim, "is_branching_minimal", lambda lts, part: False),
-        (minimize, "rmin_via_quotient_d", lambda lts, part: ()),
+        (bisim, "branching_quotient", lambda lts, part: None),
+        (bisim, "is_branching_minimal", lambda quotient: False),
+        (minimize, "rmin_via_quotient_d", lambda quotient: ()),
     ], ids=["direct-fixpoint", "stability", "minimality", "quotient-d"])
     def test_minimize_reports_a_disagreeing_oracle(
         self, outdir, capsys, monkeypatch, module, name, fake
@@ -269,19 +270,20 @@ class TestSelfCheckFailures:
             return wrapper
 
         names = (
-            "weak_pm_partition", "encode_concrete", "is_branching_stable",
+            "weak_pm_partition", "encode_concrete", "branching_quotient",
             "is_branching_minimal", "minimal_model",
         )
         for module in (bisim, minimize):
-            for name in names:
+            for name in (*names, "quotient_lts"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
+        # the certificate reads the quotient it builds; only the export projects
         model = str(FIXTURES / "strip4.json")
-        for extra in ([], ["--emit-aut"]):
+        for extra, projections in (([], 0), (["--emit-aut"], 1)):
             calls.clear()
             assert run("minimize", model, "-o", str(outdir), "--self-check", *extra) == 0
-            assert calls == Counter(dict.fromkeys(names, 1))
+            assert calls == Counter(dict.fromkeys(names, 1), quotient_lts=projections)
 
         calls.clear()
         assert check_on_minimal_with_self_check(outdir) == 0
@@ -477,6 +479,33 @@ class TestInputErrors:
     def test_bad_gen_random_arguments(self, capsys):
         self.expect_input_error(capsys, "gen-random", "1", "3", "-1", "2",
                                 message="max_dim must be non-negative")
+        self.expect_input_error(capsys, "gen-random", "1", "3", "1", "-1",
+                                message="n_atoms must be non-negative")
+        # faces of 40 vertices, or a billion vertex names, are refused before
+        # anything is built
+        for argv, message in [
+            (("1", "40", "39", "1"), "n_vertices 40 and max_dim 39 allow over 10**6 cells"),
+            (("1", "1000000000", "0", "1"),
+             "n_vertices 1000000000 and max_dim 0 allow over 10**6 cells"),
+        ]:
+            start = time.perf_counter()
+            self.expect_input_error(capsys, "gen-random", *argv, message=message)
+            assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("text, message", [
+        ('save x true\n', "expected quoted save name (line 1, column 6)"),
+        ('load path = "m.json"\n', "expected 'model' after 'load' (line 1, column 6)"),
+        ('let save = true\n', "expected binding name (line 1, column 5)"),
+        ('save "x" true\nfoo\n',
+         "expected 'let', 'save' or end of script, found 'foo' (line 2, column 1)"),
+    ], ids=["unquoted-save-name", "load-without-model", "let-keyword", "trailing-text"])
+    def test_script_syntax_error(self, outdir, capsys, text, message):
+        script = outdir / "script.txt"
+        script.write_text(text)
+        self.expect_input_error(
+            capsys, "check", str(script), "--model", str(FIXTURES / "segment3.json"),
+            message=message,
+        )
 
 
 class TestInternalError:

@@ -209,6 +209,25 @@ class TestParseScript:
         with pytest.raises(FormulaSyntaxError):
             parse_script('let a = ap("p")\nsave "x" a\nsave "x" a')
 
+    @pytest.mark.parametrize("text, message", [
+        ('save x true', "expected quoted save name (line 1, column 6)"),
+        ('load model = x', "expected quoted model path (line 1, column 14)"),
+        ('load path = "m.json"', "expected 'model' after 'load' (line 1, column 6)"),
+        ('let save = true', "expected binding name (line 1, column 5)"),
+        ('let "a" = true', "expected binding name (line 1, column 5)"),
+        ('save "x" true\nfoo',
+         "expected 'let', 'save' or end of script, found 'foo' (line 2, column 1)"),
+        ('save "x" true\nlet a = true',
+         "expected 'let', 'save' or end of script, found 'let' (line 2, column 1)"),
+    ], ids=[
+        "unquoted-save-name", "unquoted-model-path", "load-without-model", "let-keyword",
+        "let-string", "trailing-text", "let-after-save",
+    ])
+    def test_syntax_errors(self, text, message):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse_script(text)
+        assert type(exc.value) is FormulaSyntaxError and str(exc.value) == message
+
     def test_empty_script(self):
         s = parse_script("")
         assert s.saves == {}

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from array import array
 from itertools import combinations
 from pathlib import Path
@@ -21,8 +22,8 @@ from polymin.simplicial import (
     model_to_document,
 )
 
-from conftest import grid_document, load_fixture, random_posets
-from families import barycentric_subdivision, corridor_document, kuhn3d_document
+from conftest import load_fixture, random_posets
+from families import barycentric_subdivision, corridor_document, grid_document, kuhn3d_document
 from oracles import cell_name, poset_from_covers
 
 
@@ -144,12 +145,29 @@ class TestLoad:
             ]}, ModelFormatError, "duplicate cell 'A-B'"),
             ({"atoms": [], "cells": [{"vertices": ["A"]}]},
              MissingValuationError, "cell 'A' has no atom list"),
+            ({"atoms": [], "vertices": "A", "cells": [{"vertices": ["A"], "atoms": []}]},
+             ModelFormatError, "vertices must be a list of strings"),
+            ({"atoms": [], "cells": [5]}, ModelFormatError, "malformed cell entry: 5"),
+            ({"atoms": [], "cells": [{"atoms": []}]},
+             ModelFormatError, "malformed cell entry: {'atoms': []}"),
+            ({"atoms": [], "cells": [{"vertices": [], "atoms": []}]},
+             ModelFormatError, "cells must have at least one vertex"),
+            ({"atoms": [], "cells": [{"vertices": [["a"]], "atoms": []}]},
+             ModelFormatError, "cell vertices must be a list of strings"),
+            ({"atoms": [], "cells": [{"vertices": [1], "atoms": []}]},
+             ModelFormatError, "cell vertices must be a list of strings"),
+            ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": [["p"]]}]},
+             ModelFormatError, "atoms of cell 'a' must be a list of strings"),
+            ([{"vertices": ["a"], "atoms": []}],
+             ModelFormatError, "model document must be a JSON object"),
         ],
         ids=[
             "atoms-int", "cell-atoms-int", "cell-vertices-int", "geometry-list",
             "geometry-value-int", "cell-atoms-string", "cell-vertices-string", "dash-vertex",
             "repeated-vertex", "empty-vertex", "missing-face", "undeclared-vertex",
-            "duplicate-cell", "no-atoms",
+            "duplicate-cell", "no-atoms", "vertices-string", "cell-entry-int",
+            "cell-entry-without-vertices", "no-vertices", "unhashable-vertex",
+            "vertex-int", "unhashable-atom", "document-list",
         ],
     )
     def test_ill_typed_document_is_rejected(self, document, error, message, tmp_path, capsys):
@@ -390,3 +408,12 @@ class TestRandomModel:
             random_model(1, 0, 2, 2)
         with pytest.raises(ModelSizeError):
             random_model(1, 3, -1, 2)
+        with pytest.raises(ModelSizeError, match="^n_atoms must be non-negative$"):
+            random_model(1, 3, 1, -1)
+        # up to n_vertices faces, each closed under its 2**k - 1 subsets
+        start = time.perf_counter()
+        with pytest.raises(ModelSizeError, match=r"^n_vertices 40 and max_dim 39 allow over"):
+            random_model(1, 40, 39, 1)  # 40 vertices a face: 2**40 subsets
+        with pytest.raises(ModelSizeError, match=r"^n_vertices 1000000000 and max_dim 0 allow"):
+            random_model(1, 1_000_000_000, 0, 1)  # a billion vertex names
+        assert time.perf_counter() - start < 0.5
