@@ -10,11 +10,12 @@ encoding turns a poset model into an LTS over the labels ``atoms + {tau, c,
 d}`` whose branching bisimilarity gives the same classes; it is kept for
 Aldebaran export and for a linear certificate that a partition *is* its
 branching bisimilarity: one pass, :func:`branching_quotient`, checks that it
-is stable and returns the quotient that minimality and the relation are read
-from.  Every refinement runs through one engine, :func:`refine`, over
-per-label successor tables; :func:`strong_partition` reduces any :class:`Lts`
-to it.  A direct fixpoint computation straight from the model is kept as an
-oracle.
+is stable and returns the quotient, the one projection of the concrete LTS:
+minimality and the relation are read from it, and it is what ``minimize
+--emit-aut`` writes.  Every refinement runs through one engine,
+:func:`refine`, over per-label successor tables; :func:`strong_partition`
+reduces any :class:`Lts` to it.  A direct fixpoint computation straight from
+the model is kept as an oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ __all__ = [
     "Lts", "Partition", "LabelError",
     "encode_concrete", "components_same_valuation", "abstract_tables", "encode_abstract",
     "refine", "strong_partition", "branching_quotient", "is_branching_minimal",
-    "weak_pm_partition", "quotient_lts", "pull_back",
+    "weak_pm_partition", "pull_back",
     "to_aut",
 ]
 
@@ -356,20 +357,7 @@ def _matching_path(
     return False
 
 
-# -- quotients and pull-backs ---------------------------------------------------
-
-def quotient_lts(l: Lts, part: Partition) -> Lts:
-    """Project an LTS onto partition classes (set semantics); the quotient's
-    states are the class numbers.  Every move is kept, ``tau`` self-loops
-    included, for rule-for-rule fidelity."""
-    block = part.block
-    if len(block) != len(l):
-        raise ValueError("the partition does not number the LTS states")
-    moves: list[set[tuple[Label, int]]] = [set() for _ in range(len(part))]
-    for a, ms in zip(block, l.moves):
-        moves[a].update((lab, block[j]) for lab, j in ms)
-    return Lts(moves)
-
+# -- pull-backs -----------------------------------------------------------------
 
 def pull_back(coarse: tuple[int, ...], fine: Partition) -> Partition:
     """Transport a block table over class numbers back to the elements.

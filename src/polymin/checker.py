@@ -87,9 +87,9 @@ def _eval(
     walk's ``done``, so a node shared by several parents or saves is
     evaluated once and no lookup walks a subtree.  Every node evaluated must
     live as long as ``memo``, so that no id in it is reused.  Of the formula
-    code only the parser, ``format_formula`` and the dataclass ``__eq__``,
-    ``__hash__`` and ``__repr__`` recurse, so any depth of ``root`` built
-    with the constructors is evaluated here."""
+    code only the parser and the dataclass ``__eq__``, ``__hash__`` and
+    ``__repr__`` recurse, so any depth of ``root`` built with the
+    constructors is evaluated here."""
     if id(TOP) not in memo:
         memo[id(TOP)] = frozenset(range(len(model)))
     everything = memo[id(TOP)]

@@ -57,13 +57,15 @@ def _write(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _self_check_pipeline(poset: PosetModel, mm: minimize.MinimalModel, lts: bisim.Lts) -> None:
+def _self_check_pipeline(
+    poset: PosetModel, mm: minimize.MinimalModel, quotient: bisim.Lts | None
+) -> None:
     """Assert that the minimal model's partition is the direct fixpoint and is
-    certified as branching bisimilarity on the concrete LTS ``lts``, and that
-    the certified quotient's ``d`` moves give its relation."""
+    certified as branching bisimilarity on the concrete LTS, whose quotient
+    by it is ``quotient`` (None if uncertified), and that this quotient is
+    minimal and its ``d`` moves give the minimal relation."""
     if bisim.weak_pm_partition(poset) != mm.partition:
         raise SelfCheckFailure("equivalence routes disagree")
-    quotient = bisim.branching_quotient(lts, mm.partition)
     if quotient is None:
         raise SelfCheckFailure("the classes are not a branching bisimulation")
     if not bisim.is_branching_minimal(quotient):
@@ -73,11 +75,16 @@ def _self_check_pipeline(poset: PosetModel, mm: minimize.MinimalModel, lts: bisi
 
 
 def cmd_minimize(args) -> int:
+    if args.trim_self_tau and not args.emit_aut:
+        raise InputError("--trim-self-tau only applies with --emit-aut")
     poset = _load_poset(args.model)
     mm = minimize.minimal_model(poset)
-    lts = bisim.encode_concrete(poset) if args.self_check or args.emit_aut else None
+    if args.self_check or args.emit_aut:
+        # one quotient of the concrete LTS serves the certificate and the export
+        lts = bisim.encode_concrete(poset)
+        quotient = bisim.branching_quotient(lts, mm.partition)
     if args.self_check:
-        _self_check_pipeline(poset, mm, lts)
+        _self_check_pipeline(poset, mm, quotient)
     relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
     # Both files open with the classes array at one depth, so it is written
     # once: the minimal model's text continues the classes file's, whose
@@ -89,9 +96,10 @@ def cmd_minimize(args) -> int:
         f"{stem}.minmodel.json": classes[:-3] + "," + json_text({"relation": relation})[1:],
     }
     if args.emit_aut:
-        quotient = bisim.quotient_lts(lts, mm.partition)
-        if args.trim_self_tau:
-            quotient = bisim.Lts(ms - {(bisim.TAU, k)} for k, ms in enumerate(quotient.moves))
+        if quotient is None:  # only reached without --self-check
+            raise AssertionError("the classes are not a branching bisimulation")
+        if not args.trim_self_tau:  # each class gets back its members' tau self-loops
+            quotient = bisim.Lts(ms | {(bisim.TAU, k)} for k, ms in enumerate(quotient.moves))
         files[f"{stem}.concrete.aut"] = bisim.to_aut(lts)
         files[f"{stem}.quotient.aut"] = bisim.to_aut(quotient)
     # every output is serialised, so an input that fails writes nothing
@@ -180,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--outdir", default=".", help="output directory")
     p.add_argument("--emit-aut", action="store_true", help="also write .aut files")
     p.add_argument("--trim-self-tau", action="store_true",
-                   help="drop tau self-loops from the quotient .aut")
+                   help="drop tau self-loops from the quotient .aut (needs --emit-aut)")
     p.add_argument("--self-check", action="store_true",
                    help="verify the pipeline invariants on this input first")
     p.set_defaults(handler=cmd_minimize)

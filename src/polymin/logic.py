@@ -112,12 +112,13 @@ class Diamond(Formula):
 TOP = Top()
 
 
-# Deepest formula the parser accepts.  Three things still recurse once per
-# nesting level: the parser (about four frames), ``_fmt`` and the dataclass
+# Deepest formula the parser accepts.  Two things still recurse once per
+# nesting level: the parser (about four frames) and the dataclass
 # ``__eq__``/``__hash__``/``__repr__`` (two each, also on the twice as deep
-# eta-to-gamma rewriting), so at this depth none of them needs more than
-# about 420 of Python's default 1000 frames.  ``postorder`` and its users
-# (``is_eta_pure``, ``node_count``, the checker) never recurse, at any depth.
+# eta-to-gamma rewriting), so at this depth neither needs more than about
+# 420 of Python's default 1000 frames.  ``postorder`` and its users
+# (``is_eta_pure``, ``node_count``, ``format_formula``, the checker) never
+# recurse, at any depth.
 MAX_DEPTH = 100
 
 
@@ -169,40 +170,42 @@ def node_count(f: Formula) -> int:
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _KEYWORDS = {"true", "eta", "gamma", "diamond", "ap", "let", "save", "load", "model"}
+_LEVEL = {Or: 0, And: 1}  # binding levels; every other node binds at 2
 
 
 def format_formula(f: Formula) -> str:
     """Render a formula; ``parse_formula`` inverts this exactly.  An atom
-    name holding a ``"`` or a line break raises :class:`UnprintableAtomError`."""
-    return _fmt(f, 0)
+    name holding a ``"`` or a line break raises :class:`UnprintableAtomError`.
+    Each distinct node is printed once, from :func:`postorder`."""
+    text: dict[int, str] = {}
 
+    def arg(g: Formula, level: int) -> str:  # bracketed if g binds looser than level
+        return f"({text[id(g)]})" if _LEVEL.get(type(g), 2) < level else text[id(g)]
 
-def _fmt(f: Formula, parent_level: int) -> str:
-    # levels: 0 = or, 1 = and, 2 = unary/primary
-    match f:
-        case Top():
-            return "true"
-        case Atom(name):
-            if _IDENT.match(name) and name not in _KEYWORDS:
-                return name
-            if '"' in name or "\n" in name:
-                raise UnprintableAtomError(f"atom name {name!r} cannot be written as ap(\"...\")")
-            return f'ap("{name}")'
-        case Not(g):
-            return "!" + _fmt(g, 2)
-        case And(a, b):
-            text = f"{_fmt(a, 1)} & {_fmt(b, 2)}"
-            return f"({text})" if parent_level > 1 else text
-        case Or(a, b):
-            text = f"{_fmt(a, 0)} | {_fmt(b, 1)}"
-            return f"({text})" if parent_level > 0 else text
-        case Eta(a, b):
-            return f"eta({_fmt(a, 0)},{_fmt(b, 0)})"
-        case Gamma(a, b):
-            return f"gamma({_fmt(a, 0)},{_fmt(b, 0)})"
-        case Diamond(g):
-            return f"diamond({_fmt(g, 0)})"
-    raise TypeError(f"not a formula: {f!r}")
+    for g in postorder(f):
+        match g:
+            case Top():
+                t = "true"
+            case Atom(name):
+                t = name if _IDENT.match(name) and name not in _KEYWORDS else f'ap("{name}")'
+                if '"' in name or "\n" in name:
+                    raise UnprintableAtomError(
+                        f"atom name {name!r} cannot be written as ap(\"...\")"
+                    )
+            case Not(h):
+                t = "!" + arg(h, 2)
+            case And(a, b):
+                t = f"{arg(a, 1)} & {arg(b, 2)}"
+            case Or(a, b):
+                t = f"{arg(a, 0)} | {arg(b, 1)}"
+            case Eta(a, b):
+                t = f"eta({arg(a, 0)},{arg(b, 0)})"
+            case Gamma(a, b):
+                t = f"gamma({arg(a, 0)},{arg(b, 0)})"
+            case Diamond(h):
+                t = f"diamond({arg(h, 0)})"
+        text[id(g)] = t
+    return text[id(f)]
 
 
 # -- lexer / parser ---------------------------------------------------------

@@ -3,12 +3,11 @@ from pathlib import Path
 import pytest
 
 from polymin import (
-    cell_poset, encode_concrete, load_simplicial_model, quotient_lts, random_model,
-    rmin_via_quotient_d,
+    cell_poset, encode_concrete, load_simplicial_model, random_model, rmin_via_quotient_d,
 )
 from polymin.minimize import class_id
 
-from oracles import as_partition, branching_partition
+from oracles import as_partition, branching_partition, quotient_lts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -1,9 +1,11 @@
 """Test-only model families, as model documents built from parameters or from
 other models."""
 
+import importlib.util
 import json
 import random
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 from polymin.simplicial import SimplicialModel
 
@@ -63,6 +65,16 @@ def grid_document(k: int) -> str:
             for c in cells
         ],
     })
+
+
+def maze_document(n: int) -> str:
+    """The seeded maze on an n x n grid that the benchmark generates
+    (``perfbench/gen.py``, read from that file), as a model document."""
+    path = Path(__file__).parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.grid_document(n, 1)
 
 
 def corridor_document(k: int) -> str:

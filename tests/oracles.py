@@ -228,6 +228,21 @@ def _rounds(n: int, signature) -> Iterator[list[int]]:
         block, n_blocks = new, len(groups)
 
 
+def quotient_lts(l: Lts, part: Partition) -> Lts:
+    """Project an LTS onto partition classes (set semantics); the quotient's
+    states are the class numbers.  Every move is kept, ``tau`` self-loops
+    included, for rule-for-rule fidelity: the reference for the quotient
+    that :func:`polymin.bisim.branching_quotient` certifies and ``minimize
+    --emit-aut`` writes."""
+    block = part.block
+    if len(block) != len(l):
+        raise ValueError("the partition does not number the LTS states")
+    moves: list[set[tuple[Label, int]]] = [set() for _ in range(len(part))]
+    for a, ms in zip(block, l.moves):
+        moves[a].update((lab, block[j]) for lab, j in ms)
+    return Lts(moves)
+
+
 # -- the abstract route read pair by pair, kept as its reference ---------------
 
 def encode_abstract_by_pairs(p: PosetModel) -> Lts:

@@ -1,7 +1,5 @@
-import importlib.util
 from array import array
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +14,6 @@ from polymin import (
     minimal_model,
     random_model,
     parse_formula,
-    quotient_lts,
     sat,
     strong_partition,
     to_aut,
@@ -38,22 +35,17 @@ from polymin.minimize import _RoundLog
 
 from oracles import (
     as_partition, aut_moves, branching_partition, class_names, encode_abstract_by_pairs,
-    is_weak_pm_bisimulation, n_blocks, named_transitions, poset_from_covers,
+    is_weak_pm_bisimulation, n_blocks, named_transitions, poset_from_covers, quotient_lts,
     quotient_succ_by_pairs, random_formula, strong_rounds_by_pairs,
 )
 
 from conftest import load_fixture, random_posets
-from families import corridor_document, kuhn3d_document
+from families import corridor_document, kuhn3d_document, maze_document
 
 
 def maze_grid(n):
-    """The seeded maze on an n x n grid that the benchmark generates
-    (``perfbench/gen.py``, read from that file), as a cell poset."""
-    path = Path(__file__).parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return cell_poset(load_simplicial_model(gen.grid_document(n, 1)))
+    """The benchmark's seeded maze on an n x n grid, as a cell poset."""
+    return cell_poset(load_simplicial_model(maze_document(n)))
 
 
 def class_sets(partition):

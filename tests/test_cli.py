@@ -17,10 +17,21 @@ from polymin import (
 from polymin.checker import SatSet
 from polymin.cli import SelfCheckFailure, main
 from polymin.errors import InputError
+from polymin.simplicial import model_to_document, random_model
 
-from oracles import aut_moves
+from families import corridor_document, kuhn3d_document, maze_document
+from oracles import aut_moves, quotient_lts
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+AUT_FAMILIES = {
+    "fixtures": lambda: [(FIXTURES / f"{stem}.json").read_text(encoding="utf-8")
+                         for stem in ("segment3", "triangle_abc", "strip4")],
+    "random": lambda: [model_to_document(random_model(seed, 7, 3, 2)) for seed in range(60)],
+    "grids": lambda: [maze_document(n) for n in (3, 5, 8, 12, 22)],
+    "corridor": lambda: [corridor_document(30)],
+    "kuhn3d": lambda: [kuhn3d_document(3, 1)],
+}
 
 
 def run(*argv):
@@ -83,6 +94,22 @@ class TestMinimize:
         expected = [f"des (0,{len(kept)},{counts[2]})", *kept]
         assert (trimmed / "strip4.quotient.aut").read_text() == "\n".join(expected) + "\n"
         assert (trimmed / "strip4.concrete.aut").read_bytes() == exported.read_bytes()
+
+    @pytest.mark.parametrize("family", AUT_FAMILIES)
+    def test_quotient_aut_is_the_oracle_projection(self, outdir, family):
+        # the certified quotient that is written, with and without each
+        # class's tau self-loop, is the rule-for-rule projection
+        model = outdir / "model.json"
+        for document in AUT_FAMILIES[family]():
+            model.write_text(document, encoding="utf-8")
+            p = cell_poset(load_simplicial_model(document))
+            lts, part = bisim.encode_concrete(p), minimize.minimal_model(p).partition
+            projection = quotient_lts(lts, part)
+            trimmed = bisim.Lts(ms - {(bisim.TAU, k)} for k, ms in enumerate(projection.moves))
+            for flags, expected in (([], projection), (["--trim-self-tau"], trimmed)):
+                assert run("minimize", str(model), "-o", str(outdir), "--emit-aut", *flags) == 0
+                written = (outdir / "model.quotient.aut").read_text(encoding="utf-8")
+                assert written == bisim.to_aut(expected)
 
     def test_outputs_are_deterministic(self, outdir):
         a, b = outdir / "a", outdir / "b"
@@ -274,16 +301,19 @@ class TestSelfCheckFailures:
             "is_branching_minimal", "minimal_model",
         )
         for module in (bisim, minimize):
-            for name in (*names, "quotient_lts"):
+            for name in names:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
-        # the certificate reads the quotient it builds; only the export projects
+        # one concrete LTS and one quotient serve the certificate and the export
         model = str(FIXTURES / "strip4.json")
-        for extra, projections in (([], 0), (["--emit-aut"], 1)):
+        for extra in ([], ["--emit-aut"]):
             calls.clear()
             assert run("minimize", model, "-o", str(outdir), "--self-check", *extra) == 0
-            assert calls == Counter(dict.fromkeys(names, 1), quotient_lts=projections)
+            assert calls == Counter(dict.fromkeys(names, 1))
+        calls.clear()
+        assert run("minimize", model, "-o", str(outdir), "--emit-aut") == 0
+        assert calls == Counter(encode_concrete=1, branching_quotient=1, minimal_model=1)
 
         calls.clear()
         assert check_on_minimal_with_self_check(outdir) == 0
@@ -476,6 +506,16 @@ class TestInputErrors:
         model = str(FIXTURES / "segment3.json")
         self.expect_input_error(capsys, *(a.format(model=model, outdir=outdir) for a in argv))
 
+    def test_trim_self_tau_without_emit_aut(self, outdir, capsys, monkeypatch):
+        def unread(document):
+            raise AssertionError("the model is loaded")
+
+        monkeypatch.setattr("polymin.cli.load_simplicial_model", unread)
+        model = self.write_model(outdir, "p")
+        self.expect_input_error(capsys, "minimize", model, "-o", str(outdir), "--trim-self-tau",
+                                message="--trim-self-tau only applies with --emit-aut")
+        self.expect_no_output(outdir)
+
     def test_bad_gen_random_arguments(self, capsys):
         self.expect_input_error(capsys, "gen-random", "1", "3", "-1", "2",
                                 message="max_dim must be non-negative")
@@ -518,6 +558,15 @@ class TestInternalError:
         err = capsys.readouterr().err
         assert err.startswith("internal error: RuntimeError('boom') at test_cli.py:")
         assert err.count("\n") == 1
+
+    def test_an_uncertified_quotient_exits_3(self, outdir, capsys, monkeypatch):
+        # without --self-check, a partition the quotient pass rejects is a bug
+        monkeypatch.setattr(bisim, "branching_quotient", lambda lts, part: None)
+        argv = ("minimize", str(FIXTURES / "strip4.json"), "-o", str(outdir), "--emit-aut")
+        assert run(*argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: AssertionError(") and err.count("\n") == 1
+        assert list(outdir.iterdir()) == []
 
     def test_internal_value_error_exits_3(self, outdir, capsys, monkeypatch):
         def broken(poset):

@@ -310,6 +310,16 @@ class TestRoundTrip:
         else:
             assert parse_formula(format_formula(f)) == f
 
+    def test_deep_formulas_print_without_recursion(self):
+        assert format_formula(not_chain(5000, Atom("a"))) == "!" * 5000 + "a"
+        # 18 levels of let bindings that each use the one before twice
+        lets = "".join(f"let a{i + 1} = a{i} & a{i}\n" for i in range(18))
+        f = parse_script(f'let a0 = ap("a")\n{lets}save "x" a18\n').saves["x"]
+        text = "a & a"
+        for _ in range(17):
+            text = f"{text} & ({text})"
+        assert format_formula(f) == text
+
     def test_keyword_shaped_atom_uses_ap(self):
         f = Atom("true")
         text = format_formula(f)
