@@ -78,21 +78,16 @@ def _reach(
 def _eval(
     model: ReflexiveKripkeModel,
     root: Formula,
-    memo: dict[int, frozenset[int]],
+    memo: dict[Formula, frozenset[int]],
     strict_atoms: bool,
 ) -> frozenset[int]:
-    """Extension of ``root`` as element numbers.  Subformulas are evaluated
-    in ``postorder``, so nesting costs no recursion; ``memo`` keeps every
-    extension by node identity, from all elements for ``TOP`` on, and is the
-    walk's ``done``, so a node shared by several parents or saves is
-    evaluated once and no lookup walks a subtree.  Every node evaluated must
-    live as long as ``memo``, so that no id in it is reused.  Of the formula
-    code only the parser and the dataclass ``__eq__``, ``__hash__`` and
-    ``__repr__`` recurse, so any depth of ``root`` built with the
-    constructors is evaluated here."""
-    if id(TOP) not in memo:
-        memo[id(TOP)] = frozenset(range(len(model)))
-    everything = memo[id(TOP)]
+    """Extension of ``root`` as element numbers, evaluated in ``postorder``
+    without recursion, at any depth.  ``memo`` keeps every extension by
+    node, from all elements for ``TOP`` on, and is the walk's ``done``, so a
+    node shared by several parents or saves is evaluated once."""
+    if TOP not in memo:
+        memo[TOP] = frozenset(range(len(model)))
+    everything = memo[TOP]
     for f in postorder(root, memo):
         match f:
             case Top():
@@ -102,19 +97,19 @@ def _eval(
                     raise UnknownAtomError(f"atom {name!r} is not declared by the model")
                 result = frozenset(i for i, v in enumerate(model.valuations) if name in v)
             case Not(g):
-                result = everything - memo[id(g)]
+                result = everything - memo[g]
             case And(a, b):
-                result = memo[id(a)] & memo[id(b)]
+                result = memo[a] & memo[b]
             case Or(a, b):
-                result = memo[id(a)] | memo[id(b)]
+                result = memo[a] | memo[b]
             case Eta(a, b):
-                result = _reach(model, memo[id(a)], memo[id(b)])
+                result = _reach(model, memo[a], memo[b])
             case Gamma(a, b):
-                result = frozenset(_image(model.pred, _reach(model, memo[id(a)], memo[id(b)])))
+                result = frozenset(_image(model.pred, _reach(model, memo[a], memo[b])))
             case Diamond(g):
-                result = frozenset(_image(model.pred, memo[id(g)]))
-        memo[id(f)] = result
-    return memo[id(root)]
+                result = frozenset(_image(model.pred, memo[g]))
+        memo[f] = result
+    return memo[root]
 
 
 def sat(model: ReflexiveKripkeModel, f: Formula, strict_atoms: bool = False) -> SatSet:
@@ -131,7 +126,7 @@ def check_script(
     model: ReflexiveKripkeModel, script: Script, strict_atoms: bool = False
 ) -> dict[str, SatSet]:
     """Evaluate every save directive; shared subformulas are memoised."""
-    memo: dict[int, frozenset[int]] = {}
+    memo: dict[Formula, frozenset[int]] = {}
     return {
         name: SatSet(model, _eval(model, f, memo, strict_atoms), f)
         for name, f in script.saves.items()

@@ -13,11 +13,17 @@ Grammar (``!`` binds tighter than ``&``, which binds tighter than ``|``)::
 In a bare formula, identifiers denote atoms.  In a script, identifiers must
 refer to earlier ``let`` bindings (atoms are written ``ap("name")``) and
 bindings are expanded by substitution at parse time.
+
+The node constructors hash-cons: equal formulas, like a binding used often,
+are one shared object.  Only the parser and ``repr`` recurse per level.
 """
 
 from __future__ import annotations
 
 import re
+import threading
+import weakref
+from collections import Counter
 from dataclasses import dataclass
 from typing import Container, Iterator
 
@@ -28,7 +34,7 @@ __all__ = [
     "TOP", "Script", "FormulaSyntaxError", "UndefinedIdentifierError", "UnprintableAtomError",
     "parse_formula", "parse_script", "format_formula",
     "is_eta_pure", "node_count",
-    "operands", "postorder", "MAX_DEPTH",
+    "postorder", "MAX_DEPTH",
 ]
 
 
@@ -51,106 +57,128 @@ class UnprintableAtomError(InputError):
 
 
 class Formula:
-    """Base class for formula AST nodes.  Nodes are immutable values."""
+    """Base class for formula AST nodes, immutable and hash-consed: the
+    constructors return the live node of the same type and operands if there
+    is one, so equal formulas are one object and ``==`` and ``hash`` are
+    identity.  Each stores ``operands``, ``depth`` (1 at a leaf) and ``size``."""
 
-    __slots__ = ()
+    __slots__ = ("operands", "depth", "size", "__weakref__")
+
+    def __new__(cls, *args):
+        key = (cls, *args)
+        with _LOCK:
+            ref = _NODES.get(key)
+            node = ref and ref()
+            if node is None:
+                if len(args) != len(cls.__match_args__):
+                    raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} arguments")
+                node = object.__new__(cls)
+                for name, value in zip(cls.__match_args__, args):
+                    object.__setattr__(node, name, value)
+                operands = () if cls is Atom else args
+                object.__setattr__(node, "operands", operands)
+                object.__setattr__(node, "depth", 1 + max((g.depth for g in operands), default=0))
+                object.__setattr__(node, "size", 1 + sum(g.size for g in operands))
+                _NODES[key] = ref = _Ref(node, _forget)
+                ref.key = key
+        return node
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: formula nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({args})"
 
 
-@dataclass(frozen=True)
+class _Ref(weakref.ref):
+    __slots__ = ("key",)
+
+
+# The live nodes by key.  A dying node's callback takes the lock guarding
+# get-or-insert (reentrant: unlinking an entry frees its key's operands, whose
+# callbacks run inside) and unlinks the entry only if it still holds that
+# reference, so no two live nodes are equal and none unlinks a newer one.
+_NODES: dict[tuple, _Ref] = {}
+_LOCK = threading.RLock()
+
+
+def _forget(ref: _Ref, nodes=_NODES, lock=_LOCK) -> None:
+    """Bound to the table and lock, which interpreter exit may unset first."""
+    with lock:
+        if nodes.get(ref.key) is ref:
+            del nodes[ref.key]
+
+
 class Top(Formula):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True)
 class Eta(Formula):
     """Conditional reach: holds at a point that satisfies the first argument
     and from which, moving along comparable points that keep satisfying the
     first argument, one final downward step lands on a point satisfying the
     second argument."""
 
-    condition: Formula
-    target: Formula
+    __slots__ = __match_args__ = ("condition", "target")
 
 
-@dataclass(frozen=True)
 class Gamma(Formula):
     """Like :class:`Eta` but the starting point itself is unconstrained."""
 
-    condition: Formula
-    target: Formula
+    __slots__ = __match_args__ = ("condition", "target")
 
 
-@dataclass(frozen=True)
 class Diamond(Formula):
     """Proximity: some accessibility successor satisfies the argument."""
 
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
 
 
 TOP = Top()
 
 
-# Deepest formula the parser accepts.  Two things still recurse once per
-# nesting level: the parser (about four frames) and the dataclass
-# ``__eq__``/``__hash__``/``__repr__`` (two each, also on the twice as deep
-# eta-to-gamma rewriting), so at this depth neither needs more than about
-# 420 of Python's default 1000 frames.  ``postorder`` and its users
-# (``is_eta_pure``, ``node_count``, ``format_formula``, the checker) never
-# recurse, at any depth.
+# Deepest formula the parser accepts: the parser and ``repr`` still recurse,
+# about four frames a level, so neither needs more than about 420 of Python's
+# default 1000 frames here.  Nothing else recurses, at any depth.
 MAX_DEPTH = 100
 
 
-def operands(f: Formula) -> tuple[Formula, ...]:
-    """The direct subformulas of ``f``, left to right."""
-    match f:
-        case Top() | Atom():
-            return ()
-        case Not(g) | Diamond(g):
-            return (g,)
-        case And(a, b) | Or(a, b) | Eta(a, b) | Gamma(a, b):
-            return (a, b)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def postorder(f: Formula, done: Container[int] = ()) -> Iterator[Formula]:
-    """Each distinct node of ``f`` whose id is not in ``done``, once, after its
-    operands, left to right, from an explicit stack.  ``done`` is read at
-    every step, so the caller may add ids to it while iterating; the walk
-    does not enter a node found there."""
-    seen: set[int] = set()
+def postorder(f: Formula, done: Container[Formula] = ()) -> Iterator[Formula]:
+    """Each distinct node of ``f`` not in ``done``, once, after its operands,
+    left to right, from an explicit stack.  ``done`` is read at every step,
+    so the caller may add nodes to it while iterating; the walk does not
+    enter a node found there."""
+    seen: set[Formula] = set()
     stack: list = [f]
     while stack:
         g = stack.pop()
         if g is None:  # the node below it has had its operands walked
             g = stack.pop()
-            seen.add(id(g))
+            seen.add(g)
             yield g
-        elif id(g) not in seen and id(g) not in done:
+        elif g not in seen and g not in done:
             stack.append(g)
             stack.append(None)
-            stack.extend(reversed(operands(g)))
+            stack.extend(reversed(g.operands))
 
 
 def is_eta_pure(f: Formula) -> bool:
@@ -159,11 +187,8 @@ def is_eta_pure(f: Formula) -> bool:
 
 
 def node_count(f: Formula) -> int:
-    """The size of ``f`` written out as a tree, summed over its distinct nodes."""
-    size: dict[int, int] = {}
-    for g in postorder(f):
-        size[id(g)] = 1 + sum(size[id(h)] for h in operands(g))
-    return size[id(f)]
+    """The size of ``f`` written out as a tree."""
+    return f.size
 
 
 # -- pretty printing --------------------------------------------------------
@@ -176,13 +201,20 @@ _LEVEL = {Or: 0, And: 1}  # binding levels; every other node binds at 2
 def format_formula(f: Formula) -> str:
     """Render a formula; ``parse_formula`` inverts this exactly.  An atom
     name holding a ``"`` or a line break raises :class:`UnprintableAtomError`.
-    Each distinct node is printed once, from :func:`postorder`."""
-    text: dict[int, str] = {}
+    Each distinct node is printed once, from :func:`postorder`, and its text
+    is dropped once its last parent has read it."""
+    nodes = list(postorder(f))
+    parents = Counter(h for g in nodes for h in g.operands)
+    text: dict[Formula, str] = {}
 
     def arg(g: Formula, level: int) -> str:  # bracketed if g binds looser than level
-        return f"({text[id(g)]})" if _LEVEL.get(type(g), 2) < level else text[id(g)]
+        t = text[g]
+        parents[g] -= 1
+        if not parents[g]:
+            del text[g]
+        return f"({t})" if _LEVEL.get(type(g), 2) < level else t
 
-    for g in postorder(f):
+    for g in nodes:
         match g:
             case Top():
                 t = "true"
@@ -204,8 +236,8 @@ def format_formula(f: Formula) -> str:
                 t = f"gamma({arg(a, 0)},{arg(b, 0)})"
             case Diamond(h):
                 t = f"diamond({arg(h, 0)})"
-        text[id(g)] = t
-    return text[id(f)]
+        text[g] = t
+    return text[f]
 
 
 # -- lexer / parser ---------------------------------------------------------
@@ -253,11 +285,6 @@ class _Parser:
         self.pos = 0
         self.env = env  # None: bare identifiers are atoms
         self.nesting = 0
-        # Every distinct node of the parse, keyed by its type and its
-        # operands' ids (an atom by its name), and its depth by id: each one
-        # stays alive here while the parse runs.
-        self.nodes: dict[tuple, Formula] = {}
-        self.depth: dict[int, int] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -272,19 +299,9 @@ class _Parser:
         return FormulaSyntaxError(message, line, column)
 
     def node(self, f: Formula) -> Formula:
-        """The one node of this parse equal to ``f``, whose operands are such
-        nodes: ``f`` itself when it is new and its depth, counted through
-        ``let`` references, is at most MAX_DEPTH.  Equal text, repeated or
-        bound once and used often, thus gives one shared object."""
-        key = (Atom, f.name) if isinstance(f, Atom) else (type(f), *map(id, operands(f)))
-        known = self.nodes.get(key)
-        if known is not None:
-            return known
-        depth = 1 + max((self.depth[id(g)] for g in operands(f)), default=0)
-        if depth > MAX_DEPTH:
+        """``f``, whose depth, counted through ``let`` references, is at most MAX_DEPTH."""
+        if f.depth > MAX_DEPTH:
             raise self.error(f"formula nested deeper than {MAX_DEPTH}")
-        self.nodes[key] = f
-        self.depth[id(f)] = depth
         return f
 
     def expect_punct(self, value: str) -> None:

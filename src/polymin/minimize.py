@@ -19,7 +19,7 @@ from .bisim import DOWN, STEP, Lts, Partition
 from .checker import SatSet
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
-from .logic import TOP, And, Atom, Eta, Formula, Not, Or, node_count
+from .logic import TOP, And, Atom, Eta, Formula, Not, Or
 from .simplicial import PosetModel
 
 __all__ = [
@@ -133,7 +133,7 @@ def _differences(own: frozenset, others: list[frozenset]) -> list[tuple[str, int
 class _RoundLog:
     """The rounds of the abstract route's strong refinement (block tables over
     component numbers), with an exact formula (its extension is the block's
-    cells) and its tree size for every block of every round, built on demand."""
+    cells) for every block of every round, built on demand."""
 
     def __init__(self, p: PosetModel):
         self.atoms = p.atoms
@@ -144,7 +144,7 @@ class _RoundLog:
         self.rounds = [[0] * len(split)] if max(split, default=0) > 0 else []
         self.rounds += bisim.refine(split, (self.step, self.down))
         self.reps = [{j: s for s, j in enumerate(block)} for block in self.rounds]
-        self._formulas: dict[tuple[int, int], tuple[Formula, int]] = {}
+        self._formulas: dict[tuple[int, int], Formula] = {}
 
     def signature(self, k: int, s: int) -> frozenset[tuple[str, int]]:
         """Component ``s``'s ``s`` and ``d`` moves by round-``k`` target block;
@@ -154,7 +154,7 @@ class _RoundLog:
             [(STEP, block[t]) for t in self.step[s]] + [(DOWN, block[t]) for t in self.down[s]]
         )
 
-    def formula(self, k: int, j: int) -> tuple[Formula, int]:
+    def formula(self, k: int, j: int) -> Formula:
         """Round 0 is one block and round 1 splits it by valuation, as every
         component has ``s`` and ``d`` self-loops.  A later block adds to its
         parent's formula literals that exclude the parent's other blocks; an
@@ -166,8 +166,9 @@ class _RoundLog:
                 continue
             rep = self.reps[r][b]
             if r <= 1:
-                f = TOP if r == 0 else _valuation_formula(self.atoms, self.valuations[rep])
-                self._formulas[r, b] = (f, node_count(f))
+                self._formulas[r, b] = (
+                    TOP if r == 0 else _valuation_formula(self.atoms, self.valuations[rep])
+                )
             elif siblings is None:
                 parent = self.rounds[r - 1][rep]
                 siblings = [
@@ -179,39 +180,34 @@ class _RoundLog:
                 stack += [(r - 1, t, None) for _, t in _differences(own, siblings)]
             else:
                 out = self._formulas[r - 1, self.rounds[r - 1][rep]]
-                for lit, size in self.separate(r - 1, rep, siblings):
-                    out = (And(out[0], lit), out[1] + 1 + size)
+                for lit in self.separate(r - 1, rep, siblings):
+                    out = And(out, lit)
                 self._formulas[r, b] = out
         return self._formulas[k, j]
 
-    def literal(self, k: int, s: int, entry: tuple[str, int], positive: bool):
+    def literal(self, k: int, s: int, entry: tuple[str, int], positive: bool) -> Formula:
         """On components valued like ``s``: true where the round-``k`` signature
         has ``entry`` (label, block B), or lacks it if not ``positive``.
 
         With V pinning the valuation and F exact for B, ``d`` gives ``eta(V, F)``
         and ``s`` gives ``eta(V | F, F)``: a path inside V stays in its
         component, and a path that steps into F has made an ``s`` move."""
-        v, v_size = self.formula(1, self.rounds[1][s])
+        v = self.formula(1, self.rounds[1][s])
         lab, b = entry
-        target, size = self.formula(k, b)
-        if lab == DOWN:
-            lit, size = Eta(v, target), 1 + v_size + size
-        else:
-            lit, size = Eta(Or(v, target), target), 2 + v_size + 2 * size
-        return (lit, size) if positive else (Not(lit), size + 1)
+        target = self.formula(k, b)
+        lit = Eta(v, target) if lab == DOWN else Eta(Or(v, target), target)
+        return lit if positive else Not(lit)
 
-    def separate(self, k: int, s: int, others: list[frozenset]) -> list[tuple[Formula, int]]:
+    def separate(self, k: int, s: int, others: list[frozenset]) -> list[Formula]:
         """Literals true on ``s``'s round-``k`` signature that together fail
         on each of ``others``: greedily, the smallest still separating one."""
         own = self.signature(k, s)
-        candidates = sorted(
-            (self.literal(k, s, e, e in own)[1], e) for e in _differences(own, others)
-        )
+        literals = {e: self.literal(k, s, e, e in own) for e in _differences(own, others)}
         chosen = []
-        for _, e in candidates:
+        for e in sorted(literals, key=lambda e: (literals[e].size, e)):
             rest = [o for o in others if (e in own) == (e in o)]
             if len(rest) < len(others):
-                chosen.append(self.literal(k, s, e, e in own))
+                chosen.append(literals[e])
                 others = rest
         return chosen
 
@@ -237,6 +233,6 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
     x, y = log.components.block[i], log.components.block[j]
     for k, block in enumerate(log.rounds):
         if block[x] != block[y]:
-            [(witness, _)] = log.separate(k - 1, x, [log.signature(k - 1, y)])
+            [witness] = log.separate(k - 1, x, [log.signature(k - 1, y)])
             return witness
     return None

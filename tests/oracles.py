@@ -12,7 +12,7 @@ from polymin.checker import SatSet, UnknownAtomError
 from polymin.errors import InputError
 from polymin.kripke import ReflexiveKripkeModel
 from polymin.logic import (
-    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure, operands,
+    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure,
 )
 from polymin.minimize import MinimalModel, class_id
 from polymin.simplicial import PosetModel
@@ -105,7 +105,7 @@ def atom_extension(model: ReflexiveKripkeModel, atom: str) -> frozenset[str]:
 def atoms_of(f: Formula) -> frozenset[str]:
     if isinstance(f, Atom):
         return frozenset({f.name})
-    return frozenset().union(*map(atoms_of, operands(f)))
+    return frozenset().union(*map(atoms_of, f.operands))
 
 
 def as_partition(model: ReflexiveKripkeModel, block: Iterable[int]) -> Partition:
@@ -497,9 +497,9 @@ def random_formula(seed: int, max_depth: int, atoms: list[str]) -> Formula:
 
 
 # -- deep formulas --------------------------------------------------------------
-# Built with the constructors, past the parser's MAX_DEPTH.  Never repr, hash
-# or compare them: those recurse once per level, and the shared chain's tree
-# is astronomically large.
+# Built with the constructors, past the parser's MAX_DEPTH.  Compare and hash
+# them freely (both are identity), but never repr them, since that recurses
+# once per level, nor print the shared chain, whose tree is astronomically large.
 
 def not_chain(depth: int, bottom: Formula) -> Formula:
     """``bottom`` under ``depth`` negations: ``depth`` + 1 nested levels."""

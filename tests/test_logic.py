@@ -1,6 +1,10 @@
+import gc
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import pytest
@@ -24,7 +28,6 @@ from polymin.logic import (
     format_formula,
     is_eta_pure,
     node_count,
-    operands,
     parse_formula,
     parse_script,
 )
@@ -143,7 +146,7 @@ class TestDepthLimit:
 
 
 def tree_size(f):
-    return 1 + sum(map(tree_size, operands(f)))
+    return 1 + sum(map(tree_size, f.operands))
 
 
 class TestNodeCount:
@@ -178,6 +181,81 @@ class TestNodeCount:
         counts = node_count(deep), node_count(shared)
         assert counts == (10_003, 2**10_001 - 1)
         assert (is_eta_pure(deep), is_eta_pure(shared)) == (False, True)
+        # equal formulas are one object, so comparing and hashing walk nothing
+        again = not_chain(10_000, Gamma(Atom("a"), Atom("b")))
+        assert deep == again and deep != shared and shared == shared_and_chain(10_000, "a")
+        assert hash(deep) == hash(again) and {deep, shared, again} == {deep, shared}
+
+
+def tree_depth(f):
+    match f:
+        case Not(g) | Diamond(g):
+            return 1 + tree_depth(g)
+        case And(a, b) | Or(a, b) | Eta(a, b) | Gamma(a, b):
+            return 1 + max(tree_depth(a), tree_depth(b))
+    return 1
+
+
+class TestInterning:
+    def test_equal_formulas_are_one_object(self):
+        assert And(Atom("a"), Atom("b")) is And(Atom("a"), Atom("b"))
+        assert Top() is TOP
+        assert parse_formula("a & !b") is And(Atom("a"), Not(Atom("b")))
+        assert Eta(Atom("a"), Atom("b")) is not Gamma(Atom("a"), Atom("b"))
+        assert Not(Atom("a")).operands == (Atom("a"),) and Atom("a").operands == ()
+
+    def test_a_dropped_parse_is_freed_by_reference_counting(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            f = parse_formula("eta(dropped_x, !dropped_y) | dropped_z")
+            refs = weakref.ref(f), weakref.ref(f.left.condition)
+            del f
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_threads_parsing_the_same_texts_get_one_object_per_text(self):
+        texts = [format_formula(random_formula(seed, 4, ["a", "b", "c"])) for seed in range(40)]
+        barrier = threading.Barrier(8)
+        parsed: list[list] = [[] for _ in range(8)]
+
+        def parse_all(out):
+            barrier.wait(timeout=60)
+            for _ in range(30):
+                out.extend(map(parse_formula, texts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as possible
+        try:
+            threads = [threading.Thread(target=parse_all, args=(out,)) for out in parsed]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [len(out) for out in parsed] == [30 * len(texts)] * 8
+        for i, text in enumerate(texts):
+            [f] = {out[j] for out in parsed for j in range(i, len(out), len(texts))}
+            assert format_formula(f) == text
+
+    def test_nodes_are_immutable(self):
+        f = And(Atom("a"), Atom("b"))
+        for name in ("left", "depth", "size", "operands", "other"):
+            with pytest.raises(AttributeError):
+                setattr(f, name, Atom("c"))
+        with pytest.raises(AttributeError):
+            del f.right
+        assert (f.left, f.right, f.depth, f.size) == (Atom("a"), Atom("b"), 2, 3)
+
+    def test_depth_is_the_tree_depth(self):
+        for seed in range(100):
+            f = random_formula(seed, 4, ["a", "b", "c"])
+            assert f.depth == tree_depth(f), seed
+        assert not_chain(3, Atom("a")).depth == 4
 
 
 class TestParseScript:
@@ -319,6 +397,17 @@ class TestRoundTrip:
         for _ in range(17):
             text = f"{text} & ({text})"
         assert format_formula(f) == text
+
+    def test_deep_chain_prints_holding_one_level_of_text(self):
+        f = not_chain(5000, Atom("a"))
+        tracemalloc.start()
+        try:
+            text = format_formula(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert text == "!" * 5000 + "a"
+        assert peak < 2_000_000, peak
 
     def test_keyword_shaped_atom_uses_ap(self):
         f = Atom("true")
