@@ -17,7 +17,7 @@ from typing import Iterator
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
 from .logic import (
-    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, Top, postorder,
+    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, postorder,
 )
 
 __all__ = ["SatSet", "UnknownAtomError", "sat", "check_script"]
@@ -90,8 +90,6 @@ def _eval(
     everything = memo[TOP]
     for f in postorder(root, memo):
         match f:
-            case Top():
-                result = everything
             case Atom(name):
                 if strict_atoms and name not in model.atoms:
                     raise UnknownAtomError(f"atom {name!r} is not declared by the model")

@@ -10,9 +10,11 @@ Grammar (``!`` binds tighter than ``&``, which binds tighter than ``|``)::
                { "let" ident "=" formula }
                { "save" string formula }
 
-In a bare formula, identifiers denote atoms.  In a script, identifiers must
-refer to earlier ``let`` bindings (atoms are written ``ap("name")``) and
-bindings are expanded by substitution at parse time.
+The operators are spelled in one table, ``_INFIX`` and ``_CALLS``, which the
+parser and the printer both read.  In a bare formula, identifiers denote
+atoms.  In a script, identifiers must refer to earlier ``let`` bindings
+(atoms are written ``ap("name")``) and bindings are expanded by
+substitution at parse time.
 
 The node constructors hash-cons: equal formulas, like a binding used often,
 are one shared object.  Only the parser and ``repr`` recurse per level.
@@ -70,8 +72,8 @@ class Formula:
             ref = _NODES.get(key)
             node = ref and ref()
             if node is None:
-                if len(args) != len(cls.__match_args__):
-                    raise TypeError(f"{cls.__name__} takes {len(cls.__match_args__)} arguments")
+                if len(args) != (n := len(cls.__match_args__)):
+                    raise TypeError(f"{cls.__name__} takes {n} argument{'s' * (n != 1)}")
                 node = object.__new__(cls)
                 for name, value in zip(cls.__match_args__, args):
                     object.__setattr__(node, name, value)
@@ -157,8 +159,8 @@ TOP = Top()
 
 
 # Deepest formula the parser accepts: the parser and ``repr`` still recurse,
-# about four frames a level, so neither needs more than about 420 of Python's
-# default 1000 frames here.  Nothing else recurses, at any depth.
+# five and four frames a level, so neither needs more than about 510 of
+# Python's default 1000 frames here.  Nothing else recurses, at any depth.
 MAX_DEPTH = 100
 
 
@@ -191,10 +193,15 @@ def node_count(f: Formula) -> int:
     return f.size
 
 
-# -- pretty printing --------------------------------------------------------
+# -- concrete syntax ---------------------------------------------------------
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_KEYWORDS = {"true", "eta", "gamma", "diamond", "ap", "let", "save", "load", "model"}
+# The spelling of each operator; the parser and the printer both read it.
+# A call's arity is the operand count of its class.
+_INFIX = {"|": Or, "&": And}
+_CALLS = {"eta": Eta, "gamma": Gamma, "diamond": Diamond}
+_SPELLING = {cls: word for word, cls in (_INFIX | _CALLS).items()}
+_KEYWORDS = {*_CALLS, "true", "ap", "let", "save", "load", "model"}
 _LEVEL = {Or: 0, And: 1}  # binding levels; every other node binds at 2
 
 
@@ -226,77 +233,63 @@ def format_formula(f: Formula) -> str:
                     )
             case Not(h):
                 t = "!" + arg(h, 2)
-            case And(a, b):
-                t = f"{arg(a, 1)} & {arg(b, 2)}"
-            case Or(a, b):
-                t = f"{arg(a, 0)} | {arg(b, 1)}"
-            case Eta(a, b):
-                t = f"eta({arg(a, 0)},{arg(b, 0)})"
-            case Gamma(a, b):
-                t = f"gamma({arg(a, 0)},{arg(b, 0)})"
-            case Diamond(h):
-                t = f"diamond({arg(h, 0)})"
+            case And(a, b) | Or(a, b):
+                level = _LEVEL[type(g)]
+                t = f"{arg(a, level)} {_SPELLING[type(g)]} {arg(b, level + 1)}"
+            case _:  # a call
+                t = f"{_SPELLING[type(g)]}({','.join(arg(h, 0) for h in g.operands)})"
         text[g] = t
     return text[f]
 
-
-# -- lexer / parser ---------------------------------------------------------
 
 _TOKEN = re.compile(
     r"""(?P<ws>\s+|//[^\n]*)
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<string>"[^"\n]*")
       | (?P<punct>[()!&|,=])
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-# A token is a tuple (kind, value, line, column); kind is ident, string,
-# punct or end.
-_Token = tuple[str, str, int, int]
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise FormulaSyntaxError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        value = m.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, col))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            col = len(value) - value.rfind("\n")
-        else:
-            col += len(value)
-        pos = m.end()
-    tokens.append(("end", "", line, col))
-    return tokens
+def _line_column(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``offset``; only ``\\n`` starts a line."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
+    """Recursive descent over the tokens of ``text``: (kind, text, offset)
+    triples, kind ident, string, punct or end.  A string keeps its quotes
+    and the end token's text is empty, so a token's text alone tells
+    punctuation, keywords and the end apart."""
+
     def __init__(self, text: str, env: dict[str, Formula] | None):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = []
+        for m in _TOKEN.finditer(text):
+            if m.lastgroup == "bad":
+                raise self.error(f"unexpected character {m.group()!r}", m.start())
+            if m.lastgroup != "ws":
+                self.tokens.append((m.lastgroup, m.group(), m.start()))
+        self.tokens.append(("end", "", len(text)))
         self.pos = 0
         self.env = env  # None: bare identifiers are atoms
         self.nesting = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> tuple[str, str, int]:
+        token = self.tokens[self.pos]
         self.pos += 1
-        return tok
+        return token
 
-    def error(self, message: str) -> FormulaSyntaxError:
-        _, _, line, column = self.peek()
-        return FormulaSyntaxError(message, line, column)
+    def at(self, text: str) -> bool:
+        return self.tokens[self.pos][1] == text
+
+    def error(self, message: str, offset: int | None = None) -> FormulaSyntaxError:
+        """A syntax error at ``offset``, by default the next token's."""
+        if offset is None:
+            offset = self.tokens[self.pos][2]
+        return FormulaSyntaxError(message, *_line_column(self.text, offset))
 
     def node(self, f: Formula) -> Formula:
         """``f``, whose depth, counted through ``let`` references, is at most MAX_DEPTH."""
@@ -304,49 +297,39 @@ class _Parser:
             raise self.error(f"formula nested deeper than {MAX_DEPTH}")
         return f
 
-    def expect_punct(self, value: str) -> None:
-        kind, found, line, column = self.next()
-        if kind != "punct" or found != value:
-            raise FormulaSyntaxError(f"expected {value!r}, found {found!r}", line, column)
+    def expect(self, text: str) -> None:
+        _, found, offset = self.next()
+        if found != text:
+            raise self.error(f"expected {text!r}, found {found!r}", offset)
 
     def string(self, message: str) -> str:
         """The text inside the next token, which must be a quoted string."""
-        kind, value, line, column = self.next()
+        kind, text, offset = self.next()
         if kind != "string":
-            raise FormulaSyntaxError(message, line, column)
-        return value[1:-1]
+            raise self.error(message, offset)
+        return text[1:-1]
 
-    def at_punct(self, value: str) -> bool:
-        kind, found, _, _ = self.peek()
-        return kind == "punct" and found == value
-
-    def at_ident(self, word: str | None = None) -> bool:
-        kind, value, _, _ = self.peek()
-        return kind == "ident" and (word is None or value == word)
-
-    # formula := or-chain
+    # formula := chain(0); chain(0) joins chain(1)s by the operators of
+    # binding level 0 and chain(1) joins unaries by those of level 1
     def formula(self) -> Formula:
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             raise self.error(f"formula nested deeper than {MAX_DEPTH}")
-        node = self.and_chain()
-        while self.at_punct("|"):
-            self.next()
-            node = self.node(Or(node, self.and_chain()))
+        node = self.chain(0)
         self.nesting -= 1
         return node
 
-    def and_chain(self) -> Formula:
-        node = self.unary()
-        while self.at_punct("&"):
-            self.next()
-            node = self.node(And(node, self.unary()))
+    def chain(self, level: int) -> Formula:
+        node = self.unary() if level else self.chain(1)
+        while (op := _INFIX.get(self.tokens[self.pos][1])) and _LEVEL[op] == level:
+            self.pos += 1
+            node = self.node(op(node, self.unary() if level else self.chain(1)))
         return node
 
     def unary(self) -> Formula:
         negations = 0
-        while self.at_punct("!"):
-            self.next()
+        while self.at("!"):
+            self.pos += 1
             negations += 1
         node = self.primary()
         for _ in range(negations):
@@ -354,54 +337,45 @@ class _Parser:
         return node
 
     def primary(self) -> Formula:
-        kind, word, line, column = self.peek()
-        if kind == "punct" and word == "(":
-            self.next()
+        kind, word, offset = self.next()
+        if word == "(":
             node = self.formula()
-            self.expect_punct(")")
+            self.expect(")")
             return node
-        if kind == "ident":
-            if word == "true":
-                self.next()
-                return self.node(TOP)
-            if word == "ap":
-                self.next()
-                self.expect_punct("(")
-                name = self.string("expected quoted atom name")
-                self.expect_punct(")")
-                return self.node(Atom(name))
-            if word in ("eta", "gamma"):
-                self.next()
-                self.expect_punct("(")
-                a = self.formula()
-                self.expect_punct(",")
-                b = self.formula()
-                self.expect_punct(")")
-                return self.node(Eta(a, b) if word == "eta" else Gamma(a, b))
-            if word == "diamond":
-                self.next()
-                self.expect_punct("(")
-                a = self.formula()
-                self.expect_punct(")")
-                return self.node(Diamond(a))
-            self.next()
-            if self.env is None:
-                return self.node(Atom(word))
-            if word not in self.env:
-                raise UndefinedIdentifierError(
-                    f"undefined identifier {word!r} (line {line}, column {column})"
-                )
-            return self.env[word]
-        raise self.error(f"expected a formula, found {word!r}" if word else "unexpected end of input")
+        if word == "true":
+            return self.node(TOP)
+        if word == "ap":
+            self.expect("(")
+            name = self.string("expected quoted atom name")
+            self.expect(")")
+            return self.node(Atom(name))
+        if cls := _CALLS.get(word):
+            self.expect("(")
+            operands = [self.formula()]
+            for _ in cls.__match_args__[1:]:
+                self.expect(",")
+                operands.append(self.formula())
+            self.expect(")")
+            return self.node(cls(*operands))
+        if kind != "ident":
+            message = f"expected a formula, found {word!r}" if word else "unexpected end of input"
+            raise self.error(message, offset)
+        if self.env is None:
+            return self.node(Atom(word))
+        if word not in self.env:
+            line, column = _line_column(self.text, offset)
+            raise UndefinedIdentifierError(
+                f"undefined identifier {word!r} (line {line}, column {column})"
+            )
+        return self.env[word]
 
 
 def parse_formula(text: str) -> Formula:
     """Parse one formula; bare identifiers denote atoms."""
     parser = _Parser(text, env=None)
     node = parser.formula()
-    kind, value, line, column = parser.peek()
-    if kind != "end":
-        raise FormulaSyntaxError(f"unexpected trailing input {value!r}", line, column)
+    if not parser.at(""):
+        raise parser.error(f"unexpected trailing input {parser.tokens[parser.pos][1]!r}")
     return node
 
 
@@ -424,38 +398,37 @@ def parse_script(text: str) -> Script:
     parser = _Parser(text, env={})
     model_ref = None
 
-    if parser.at_ident("load"):
+    if parser.at("load"):
         parser.next()
-        kind, value, line, column = parser.next()
-        if not (kind == "ident" and value == "model"):
-            raise FormulaSyntaxError("expected 'model' after 'load'", line, column)
-        parser.expect_punct("=")
-        _, _, line, column = parser.peek()
+        if not parser.at("model"):
+            raise parser.error("expected 'model' after 'load'")
+        parser.next()
+        parser.expect("=")
+        offset = parser.tokens[parser.pos][2]
         model_ref = parser.string("expected quoted model path")
         if "\0" in model_ref:
-            raise FormulaSyntaxError("model path holds a NUL character", line, column)
+            raise parser.error("model path holds a NUL character", offset)
 
     bindings: dict[str, Formula] = parser.env
-    while parser.at_ident("let"):
+    while parser.at("let"):
         parser.next()
-        kind, name, line, column = parser.next()
+        kind, name, offset = parser.next()
         if kind != "ident" or name in _KEYWORDS:
-            raise FormulaSyntaxError("expected binding name", line, column)
-        parser.expect_punct("=")
+            raise parser.error("expected binding name", offset)
+        parser.expect("=")
         bindings[name] = parser.formula()
 
     saves: dict[str, Formula] = {}
-    while parser.at_ident("save"):
+    while parser.at("save"):
         parser.next()
-        _, _, line, column = parser.peek()
+        offset = parser.tokens[parser.pos][2]
         name = parser.string("expected quoted save name")
         if name in saves:
-            raise FormulaSyntaxError(f"duplicate save name {name!r}", line, column)
+            raise parser.error(f"duplicate save name {name!r}", offset)
         saves[name] = parser.formula()
 
-    kind, value, line, column = parser.peek()
-    if kind != "end":
-        raise FormulaSyntaxError(
-            f"expected 'let', 'save' or end of script, found {value!r}", line, column
+    if not parser.at(""):
+        raise parser.error(
+            f"expected 'let', 'save' or end of script, found {parser.tokens[parser.pos][1]!r}"
         )
     return Script(bindings=bindings, saves=saves, model_ref=model_ref)

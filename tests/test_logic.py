@@ -101,6 +101,36 @@ class TestParseFormula:
             parse_formula("a b")
 
 
+@pytest.mark.parametrize("parse, text, error, message", [
+    (parse_formula, "a &\n  (b | )", FormulaSyntaxError,
+     "expected a formula, found ')' (line 2, column 8)"),
+    (parse_formula, "a\r\n& @", FormulaSyntaxError, "unexpected character '@' (line 2, column 3)"),
+    (parse_formula, "// note\neta(a b)", FormulaSyntaxError,
+     "expected ',', found 'b' (line 2, column 7)"),
+    (parse_formula, "diamond(a, b)", FormulaSyntaxError,
+     "expected ')', found ',' (line 1, column 10)"),
+    (parse_formula, "ap(x)", FormulaSyntaxError, "expected quoted atom name (line 1, column 4)"),
+    (parse_formula, "a\n\tb", FormulaSyntaxError,
+     "unexpected trailing input 'b' (line 2, column 2)"),
+    (parse_formula, '"open', FormulaSyntaxError, "unexpected character '\"' (line 1, column 1)"),
+    (parse_script, 'let a = ap("p")\n\nsave "x" a & zz', UndefinedIdentifierError,
+     "undefined identifier 'zz' (line 3, column 14)"),
+    (parse_script, 'load model = "m\0.json"', FormulaSyntaxError,
+     "model path holds a NUL character (line 1, column 14)"),
+    (parse_script, 'let a = true\nsave "x" a\nsave  "x" a', FormulaSyntaxError,
+     "duplicate save name 'x' (line 3, column 7)"),
+], ids=[
+    "missing-operand", "crlf-is-one-line-break", "comment-line", "diamond-arity", "unquoted-ap",
+    "tab-is-one-column", "unclosed-string", "undefined-identifier", "nul-in-model-path",
+    "duplicate-save",
+])
+def test_error_positions(parse, text, error, message):
+    """Lines and columns count characters; only ``\\n`` starts a line."""
+    with pytest.raises(error) as exc:
+        parse(text)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def nested(shape, depth):
     """Text of a formula of exactly ``depth`` levels, nested by ``shape``."""
     k = depth - 1
@@ -250,6 +280,16 @@ class TestInterning:
         with pytest.raises(AttributeError):
             del f.right
         assert (f.left, f.right, f.depth, f.size) == (Atom("a"), Atom("b"), 2, 3)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Atom(), "Atom takes 1 argument"),
+        (lambda: And(Atom("a")), "And takes 2 arguments"),
+        (lambda: Top(TOP), "Top takes 0 arguments"),
+    ], ids=["atom", "and", "top"])
+    def test_wrong_operand_count(self, make, message):
+        with pytest.raises(TypeError) as exc:
+            make()
+        assert str(exc.value) == message
 
     def test_depth_is_the_tree_depth(self):
         for seed in range(100):

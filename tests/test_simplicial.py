@@ -227,6 +227,19 @@ class TestLoad:
         m = load_simplicial_model(payload)
         assert m.geometry == {"A": (0.0, 1.5)}
 
+    def test_geometry_is_written_back(self):
+        geometry = {"D": [0.0, 1], "E": [2.5, -1e300]}
+        m = load_simplicial_model(json.dumps({
+            "atoms": ["p"],
+            "cells": [{"vertices": ["D"], "atoms": ["p"]}, {"vertices": ["E"], "atoms": []}],
+            "geometry": geometry,
+        }))
+        text = model_to_document(m)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+        assert json.loads(text)["geometry"] == geometry
+        assert m.geometry == {"D": (0.0, 1), "E": (2.5, -1e300)}
+        assert load_simplicial_model(text).geometry == m.geometry
+
 
 class TestCellPoset:
     def test_segment3_poset(self, segment3):
