@@ -6,17 +6,16 @@ cells, is logical equivalence of the reach logic on the poset, and it is the
 route minimisation uses.  Its numbered tables (:func:`abstract_tables`: each
 component's valuation and its ``s`` and ``d`` successors) are built from
 component down-unions, and minimisation refines them directly.  The concrete
-encoding turns a poset model into an LTS over the labels ``atoms + {tau, c,
-d}`` whose branching bisimilarity gives the same classes; it is kept for
-Aldebaran export and for a linear certificate that a partition *is* its
-branching bisimilarity: one pass, :func:`branching_quotient`, checks that it
-is stable and returns the quotient, the one projection of the concrete LTS:
-minimality and the relation are read from it, and it is what ``minimize
---emit-aut`` writes.  Every refinement runs through one engine,
-:func:`refine`, over per-label successor tables; :func:`strong_partition`
-reduces any :class:`Lts` to it.  A direct fixpoint computation straight from
-the model is kept as an oracle.
-"""
+encoding, over the labels ``atoms + {tau, c, d}``, has branching bisimilarity
+for the same classes.  It is stated once, by :func:`branching_quotient`: one
+pass over the poset tables projects it on a partition and checks that the
+partition is stable, a linear certificate that the partition *is* branching
+bisimilarity.  Minimality and the relation are read from that quotient,
+which ``minimize --emit-aut`` writes; the concrete LTS itself, for Aldebaran
+export, is the same pass on the discrete partition.  Every refinement runs
+through one engine, :func:`refine`, over per-label successor tables;
+:func:`strong_partition` reduces any :class:`Lts` to it.  A direct fixpoint
+computation straight from the model is kept as an oracle."""
 
 from __future__ import annotations
 
@@ -101,25 +100,9 @@ class Partition:
 # -- encodings ---------------------------------------------------------------
 
 def encode_concrete(p: PosetModel) -> Lts:
-    """Encode a poset model as an LTS over ``atoms + {tau, c, d}``.
-
-    Per element: one self-loop per satisfied atom; a ``tau`` transition to
-    every comparable element with the same valuation (including itself); a
-    ``c`` transition to every comparable element with a different valuation;
-    a ``d`` transition to everything below it in the full order (including
-    itself).
-    """
-    clash = {TAU, CHANGE, DOWN}.intersection(p.atoms)
-    if clash:
-        raise LabelError(f"atom names collide with reserved labels: {sorted(clash)}")
-    vals = p.valuations
-    moves = []
-    for i, vi in enumerate(vals):
-        m = {(atom, i) for atom in vi}
-        m.update((TAU if vals[j] == vi else CHANGE, j) for j in chain(p.succ[i], p.pred[i]))
-        m.update((DOWN, j) for j in p.pred[i])
-        moves.append(m)
-    return Lts(moves)
+    """Encode a poset model as an LTS over ``atoms + {tau, c, d}``: the
+    :func:`branching_quotient` pass on the discrete partition."""
+    return branching_quotient(p, tuple(range(len(p))))
 
 
 def components_same_valuation(p: PosetModel) -> Partition:
@@ -241,45 +224,56 @@ def strong_partition(l: Lts) -> tuple[int, ...]:
 
 # -- certificate of branching bisimilarity ----------------------------------------
 
-def branching_quotient(l: Lts, part: Partition) -> Lts | None:
-    """The quotient of ``l`` by ``part`` without inert ``tau`` moves, or None
-    if ``part``, a partition of ``l``'s states, is no branching bisimulation.
+def branching_quotient(p: PosetModel, block: Sequence[int]) -> Lts | None:
+    """The concrete encoding of ``p`` projected on the blocks of the table
+    ``block``, or None if they are no branching bisimulation.
 
-    Inside each block, ``tau`` moves link states into components, whose
-    signatures (their members' non-inert moves by label and target block)
-    must all be equal: they are the block's moves in the quotient.  An
-    inert ``tau`` move must have its converse, as in :func:`encode_concrete`,
-    so that a component's states reach each other.
+    Per element, the encoding has one self-loop per satisfied atom; a
+    ``tau`` move to every comparable element with the same valuation
+    (including itself); a ``c`` move to every comparable element with a
+    different valuation; a ``d`` move to everything below it in the full
+    order (including itself).  Inside each block, ``tau`` moves link states
+    into components, whose signatures (their members' moves by label and
+    target block) must all be equal: they are the block's moves in the
+    quotient.  Comparability is symmetric, so a component's states reach
+    each other by inert ``tau`` moves.
     """
-    block = part.block
-    seen = [False] * len(l)
+    clash = {TAU, CHANGE, DOWN}.intersection(p.atoms)
+    if clash:
+        raise LabelError(f"atom names collide with reserved labels: {sorted(clash)}")
+    vals, succ, pred = p.valuations, p.succ, p.pred
+    seen = [False] * len(block)
     signatures: dict[int, frozenset[tuple[Label, int]]] = {}
-    for s in range(len(l)):
+    for s, k in enumerate(block):
         if seen[s]:
             continue
         seen[s] = True
-        component, signature = [s], set()
+        vs = vals[s]  # every member of s's component has this valuation
+        component, signature = [s], {(TAU, k), *zip(vs, repeat(k))}  # tau and atom loops
         for v in component:
-            for lab, t in l.moves[v]:
-                if lab != TAU or block[t] != block[s]:
-                    signature.add((lab, block[t]))
-                elif (TAU, v) not in l.moves[t]:
-                    return None
+            for t in chain(succ[v], pred[v]):
+                if vals[t] != vs:
+                    signature.add((CHANGE, block[t]))
+                elif block[t] != k:
+                    signature.add((TAU, block[t]))
                 elif not seen[t]:
                     seen[t] = True
                     component.append(t)
-        if signatures.setdefault(block[s], frozenset(signature)) != signature:
+            signature.update(zip(repeat(DOWN), map(block.__getitem__, pred[v])))
+        if k not in signatures:
+            signatures[k] = frozenset(signature)
+        elif signatures[k] != signature:
             return None
-    return Lts(signatures.get(k, ()) for k in range(len(part)))
+    return Lts(signatures.get(k, ()) for k in range(max(block, default=-1) + 1))
 
 
 def is_branching_minimal(quotient: Lts) -> bool:
     """Are the blocks of a branching bisimulation pairwise inequivalent?
     ``quotient`` is the one :func:`branching_quotient` returns, where each
-    state is branching bisimilar to its block; with no ``tau`` move left
-    there, strong bisimilarity on it must separate every block."""
-    tau_free = all(lab != TAU for ms in quotient.moves for lab, _ in ms)
-    return tau_free and len(set(strong_partition(quotient))) == len(quotient)
+    state is branching bisimilar to its block; with every ``tau`` move
+    there a self-loop, strong bisimilarity on it must separate every block."""
+    tau_loops = all(lab != TAU or j == k for k, ms in enumerate(quotient.moves) for lab, j in ms)
+    return tau_loops and len(set(strong_partition(quotient))) == len(quotient)
 
 
 # -- direct fixpoint on the poset model ----------------------------------------

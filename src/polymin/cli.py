@@ -61,9 +61,9 @@ def _self_check_pipeline(
     poset: PosetModel, mm: minimize.MinimalModel, quotient: bisim.Lts | None
 ) -> None:
     """Assert that the minimal model's partition is the direct fixpoint and is
-    certified as branching bisimilarity on the concrete LTS, whose quotient
-    by it is ``quotient`` (None if uncertified), and that this quotient is
-    minimal and its ``d`` moves give the minimal relation."""
+    certified as branching bisimilarity on the concrete encoding, whose
+    projection on it is ``quotient`` (None if uncertified), and that this
+    quotient is minimal and its ``d`` moves give the minimal relation."""
     if bisim.weak_pm_partition(poset) != mm.partition:
         raise SelfCheckFailure("equivalence routes disagree")
     if quotient is None:
@@ -80,9 +80,8 @@ def cmd_minimize(args) -> int:
     poset = _load_poset(args.model)
     mm = minimize.minimal_model(poset)
     if args.self_check or args.emit_aut:
-        # one quotient of the concrete LTS serves the certificate and the export
-        lts = bisim.encode_concrete(poset)
-        quotient = bisim.branching_quotient(lts, mm.partition)
+        # one pass over the poset tables serves the certificate and the export
+        quotient = bisim.branching_quotient(poset, mm.partition.block)
     if args.self_check:
         _self_check_pipeline(poset, mm, quotient)
     relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
@@ -98,9 +97,9 @@ def cmd_minimize(args) -> int:
     if args.emit_aut:
         if quotient is None:  # only reached without --self-check
             raise AssertionError("the classes are not a branching bisimulation")
-        if not args.trim_self_tau:  # each class gets back its members' tau self-loops
-            quotient = bisim.Lts(ms | {(bisim.TAU, k)} for k, ms in enumerate(quotient.moves))
-        files[f"{stem}.concrete.aut"] = bisim.to_aut(lts)
+        if args.trim_self_tau:  # each class drops its members' tau self-loops
+            quotient = bisim.Lts(ms - {(bisim.TAU, k)} for k, ms in enumerate(quotient.moves))
+        files[f"{stem}.concrete.aut"] = bisim.to_aut(bisim.encode_concrete(poset))
         files[f"{stem}.quotient.aut"] = bisim.to_aut(quotient)
     # every output is serialised, so an input that fails writes nothing
     outdir = Path(args.outdir)

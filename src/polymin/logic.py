@@ -291,10 +291,11 @@ class _Parser:
             offset = self.tokens[self.pos][2]
         return FormulaSyntaxError(message, *_line_column(self.text, offset))
 
-    def node(self, f: Formula) -> Formula:
-        """``f``, whose depth, counted through ``let`` references, is at most MAX_DEPTH."""
+    def node(self, f: Formula, offset: int) -> Formula:
+        """``f``, built by the operator at ``offset``, whose depth, counted
+        through ``let`` references, is at most MAX_DEPTH."""
         if f.depth > MAX_DEPTH:
-            raise self.error(f"formula nested deeper than {MAX_DEPTH}")
+            raise self.error(f"formula nested deeper than {MAX_DEPTH}", offset)
         return f
 
     def expect(self, text: str) -> None:
@@ -322,18 +323,17 @@ class _Parser:
     def chain(self, level: int) -> Formula:
         node = self.unary() if level else self.chain(1)
         while (op := _INFIX.get(self.tokens[self.pos][1])) and _LEVEL[op] == level:
-            self.pos += 1
-            node = self.node(op(node, self.unary() if level else self.chain(1)))
+            offset = self.next()[2]
+            node = self.node(op(node, self.unary() if level else self.chain(1)), offset)
         return node
 
     def unary(self) -> Formula:
-        negations = 0
+        offsets = []  # of each "!" in the run
         while self.at("!"):
-            self.pos += 1
-            negations += 1
+            offsets.append(self.next()[2])
         node = self.primary()
-        for _ in range(negations):
-            node = self.node(Not(node))
+        for offset in reversed(offsets):
+            node = self.node(Not(node), offset)
         return node
 
     def primary(self) -> Formula:
@@ -343,12 +343,12 @@ class _Parser:
             self.expect(")")
             return node
         if word == "true":
-            return self.node(TOP)
+            return TOP
         if word == "ap":
             self.expect("(")
             name = self.string("expected quoted atom name")
             self.expect(")")
-            return self.node(Atom(name))
+            return Atom(name)
         if cls := _CALLS.get(word):
             self.expect("(")
             operands = [self.formula()]
@@ -356,12 +356,12 @@ class _Parser:
                 self.expect(",")
                 operands.append(self.formula())
             self.expect(")")
-            return self.node(cls(*operands))
+            return self.node(cls(*operands), offset)
         if kind != "ident":
             message = f"expected a formula, found {word!r}" if word else "unexpected end of input"
             raise self.error(message, offset)
         if self.env is None:
-            return self.node(Atom(word))
+            return Atom(word)
         if word not in self.env:
             line, column = _line_column(self.text, offset)
             raise UndefinedIdentifierError(

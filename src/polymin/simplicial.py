@@ -341,6 +341,9 @@ def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> Simp
     top = min(max_dim + 1, n_vertices)  # up to n_vertices faces of 2**top - 1 cells each
     if top > 20 or n_vertices * (2**top - 1) > 10**6:  # top first: no huge power is computed
         raise ModelSizeError(f"n_vertices {n_vertices} and max_dim {max_dim} allow over 10**6 cells")
+    if n_atoms * n_vertices * (2**top - 1) > 10**7:  # one draw per atom and cell
+        raise ModelSizeError(f"n_atoms {n_atoms} with n_vertices {n_vertices} and max_dim "
+                             f"{max_dim} allow over 10**7 atom draws")
     rng = random.Random(seed)
     vertices = [f"v{i}" for i in range(n_vertices)]
     atoms = [f"p{i}" for i in range(n_atoms)]

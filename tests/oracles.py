@@ -7,7 +7,7 @@ from collections import deque
 from itertools import chain
 from typing import Iterable, Iterator
 
-from polymin.bisim import DOWN, STEP, TAU, Label, Lts, Partition, components_same_valuation
+from polymin.bisim import CHANGE, DOWN, STEP, TAU, Label, Lts, Partition, components_same_valuation
 from polymin.checker import SatSet, UnknownAtomError
 from polymin.errors import InputError
 from polymin.kripke import ReflexiveKripkeModel
@@ -226,6 +226,20 @@ def _rounds(n: int, signature) -> Iterator[list[int]]:
         if len(groups) == n_blocks:
             return
         block, n_blocks = new, len(groups)
+
+
+def encode_concrete_by_rule(p: PosetModel) -> Lts:
+    """The concrete encoding built element by element, each by the rule that
+    :func:`polymin.bisim.branching_quotient` states: the reference for
+    :func:`polymin.encode_concrete`'s moves."""
+    vals = p.valuations
+    moves = []
+    for i, vi in enumerate(vals):
+        m = {(atom, i) for atom in vi}
+        m.update((TAU if vals[j] == vi else CHANGE, j) for j in chain(p.succ[i], p.pred[i]))
+        m.update((DOWN, j) for j in p.pred[i])
+        moves.append(m)
+    return Lts(moves)
 
 
 def quotient_lts(l: Lts, part: Partition) -> Lts:

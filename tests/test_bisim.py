@@ -35,8 +35,9 @@ from polymin.minimize import _RoundLog
 
 from oracles import (
     as_partition, aut_moves, branching_partition, class_names, encode_abstract_by_pairs,
-    is_weak_pm_bisimulation, n_blocks, named_transitions, poset_from_covers, quotient_lts,
-    quotient_succ_by_pairs, random_formula, strong_rounds_by_pairs,
+    encode_concrete_by_rule, is_weak_pm_bisimulation, n_blocks, named_transitions,
+    poset_from_covers, quotient_lts, quotient_succ_by_pairs, random_formula,
+    strong_rounds_by_pairs,
 )
 
 from conftest import load_fixture, random_posets
@@ -68,14 +69,9 @@ def renumbered(universe, block):
     return Partition(universe, tuple(first.setdefault(k, len(first)) for k in block))
 
 
-def certified(lts, part):
-    quotient = branching_quotient(lts, part)
+def certified(p, part):
+    quotient = branching_quotient(p, part.block)
     return quotient is not None and is_branching_minimal(quotient)
-
-
-def trimmed_quotient(lts, part):
-    """The projection of ``lts`` onto ``part`` without ``tau`` self-loops."""
-    return Lts(ms - {(TAU, k)} for k, ms in enumerate(quotient_lts(lts, part).moves))
 
 
 def one_point_poset(atom="p"):
@@ -228,28 +224,26 @@ class TestCertificate:
     def test_accepts_exactly_the_minimal_partition(self):
         splits = merges = 0
         for seed, p in random_posets(300, max_cells=30, n_vertices=5):
-            lts = encode_concrete(p)
             part = minimal_model(p).partition
-            assert certified(lts, part), seed
+            assert certified(p, part), seed
             for w, k in enumerate(part.block):
                 if len(part.classes[k]) > 1:
                     split = part.block[:w] + (len(part),) + part.block[w + 1:]
-                    assert not certified(lts, renumbered(p.elements, split)), (seed, w)
+                    assert not certified(p, renumbered(p.elements, split)), (seed, w)
                     splits += 1
             for a, b in combinations(range(len(part)), 2):
                 if p.valuations[part.block.index(a)] == p.valuations[part.block.index(b)]:
                     merged = tuple(a if k == b else k for k in part.block)
-                    assert not certified(lts, renumbered(p.elements, merged)), (seed, a, b)
+                    assert not certified(p, renumbered(p.elements, merged)), (seed, a, b)
                     merges += 1
         assert splits > 1000 and merges > 500
 
     def test_stability_rejects_a_merge(self, strip4):
-        lts = encode_concrete(strip4)
         part = minimal_model(strip4).partition
         a, b = (part.block[strip4.index_of(w)] for w in ("A", "B"))
         merged = renumbered(strip4.elements, [a if k == b else k for k in part.block])
-        assert branching_quotient(lts, part) is not None
-        assert branching_quotient(lts, merged) is None
+        assert branching_quotient(strip4, part.block) is not None
+        assert branching_quotient(strip4, merged.block) is None
 
     @pytest.mark.parametrize("p", [
         poset_from_covers(["A", "B"], array("i"), [{"p"}] * 2, ["p"]),
@@ -258,23 +252,17 @@ class TestCertificate:
         ),
     ], ids=["strong-split", "tau-between-classes"])
     def test_minimality_rejects_a_stable_split(self, p):
-        lts = encode_concrete(p)
-        discrete = branching_quotient(lts, Partition(p.elements, tuple(range(len(p)))))
+        discrete = branching_quotient(p, tuple(range(len(p))))
         assert discrete is not None
         assert not is_branching_minimal(discrete)
-        assert is_branching_minimal(branching_quotient(lts, minimal_model(p).partition))
+        assert is_branching_minimal(branching_quotient(p, minimal_model(p).partition.block))
 
     def test_quotient_states_are_block_numbers(self):
         # blocks numbered against the order of their first states
-        lts = Lts([{("p", 0), (CHANGE, 1)}, {("q", 1)}])
-        part = Partition(("a", "b"), (1, 0))
-        assert branching_quotient(lts, part).moves == quotient_lts(lts, part).moves
-
-    def test_a_one_way_inert_tau_move_is_rejected(self):
-        # 0 moves to 1 by tau inside their block, but 1 cannot move back
-        lts = Lts([{(TAU, 1), ("p", 0)}, {("p", 1)}])
-        assert branching_quotient(lts, Partition(("a", "b"), (0, 0))) is None
-        assert branching_quotient(lts, Partition(("a", "b"), (0, 1))) is not None
+        p = poset_from_covers(["a", "b"], array("i", [0, 1]), [{"p"}, {"q"}], ["p", "q"])
+        part = Partition(p.elements, (1, 0))
+        quotient = branching_quotient(p, part.block)
+        assert quotient.moves == quotient_lts(encode_concrete(p), part).moves
 
 
 class TestStrong:
@@ -407,12 +395,11 @@ class TestQuotient:
         assert {lab for _, lab, _ in q.transitions} == {"red", "blue", TAU, CHANGE, DOWN}
 
     def test_trim_tau_self_loops(self, segment3):
-        lts = encode_concrete(segment3)
-        part = as_partition(segment3, branching_partition(lts))
-        q = branching_quotient(lts, part)
-        assert not any(
-            lab == TAU and s == t for s, lab, t in q.transitions
-        )
+        # the quotient's only tau moves are one self-loop per class: they
+        # are what --trim-self-tau drops
+        part = as_partition(segment3, branching_partition(encode_concrete(segment3)))
+        q = branching_quotient(segment3, part.block)
+        assert {(s, t) for s, lab, t in q.transitions if lab == TAU} == {(0, 0), (1, 1)}
 
     def test_partition_mismatch_rejected(self, segment3, triangle):
         lts = encode_concrete(segment3)
@@ -476,6 +463,11 @@ class TestNumberedTables:
             assert mm.partition == pull_back(tuple(rounds[-1]), components)
             assert mm.kripke.succ == quotient_succ_by_pairs(p, mm.partition)
 
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_concrete_encoding_matches_the_rule(self, family):
+        for p in ORACLE_FAMILIES[family]():
+            assert encode_concrete(p).moves == encode_concrete_by_rule(p).moves
+
     @pytest.mark.parametrize("family", ["random", "grids"])
     def test_quotient_strong_partition_matches_the_oracle(self, family):
         for p in ORACLE_FAMILIES[family]()[::10]:
@@ -489,13 +481,13 @@ class TestNumberedTables:
         for p in ORACLE_FAMILIES[family]():
             lts = encode_concrete(p)
             part = minimal_model(p).partition
-            assert branching_quotient(lts, part).moves == trimmed_quotient(lts, part).moves
+            assert branching_quotient(p, part.block).moves == quotient_lts(lts, part).moves
             # merging two classes of one valuation breaks stability
             valuation = dict(zip(part.block, p.valuations))
             for a, b in combinations(range(len(part)), 2):
                 if valuation[a] == valuation[b]:
                     merged = renumbered(p.elements, [a if k == b else k for k in part.block])
-                    assert branching_quotient(lts, merged) is None
+                    assert branching_quotient(p, merged.block) is None
                     break
 
 

@@ -305,15 +305,20 @@ class TestSelfCheckFailures:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
-        # one concrete LTS and one quotient serve the certificate and the export
+        # one quotient pass serves the certificate and the export; the
+        # concrete LTS, built only for --emit-aut, is that pass on the
+        # discrete partition
         model = str(FIXTURES / "strip4.json")
-        for extra in ([], ["--emit-aut"]):
+        for extra, concrete in (([], 0), (["--emit-aut"], 1)):
             calls.clear()
             assert run("minimize", model, "-o", str(outdir), "--self-check", *extra) == 0
-            assert calls == Counter(dict.fromkeys(names, 1))
+            assert calls == Counter(
+                weak_pm_partition=1, encode_concrete=concrete, branching_quotient=1 + concrete,
+                is_branching_minimal=1, minimal_model=1,
+            )
         calls.clear()
         assert run("minimize", model, "-o", str(outdir), "--emit-aut") == 0
-        assert calls == Counter(encode_concrete=1, branching_quotient=1, minimal_model=1)
+        assert calls == Counter(encode_concrete=1, branching_quotient=2, minimal_model=1)
 
         calls.clear()
         assert check_on_minimal_with_self_check(outdir) == 0
@@ -521,12 +526,14 @@ class TestInputErrors:
                                 message="max_dim must be non-negative")
         self.expect_input_error(capsys, "gen-random", "1", "3", "1", "-1",
                                 message="n_atoms must be non-negative")
-        # faces of 40 vertices, or a billion vertex names, are refused before
-        # anything is built
+        # faces of 40 vertices, or a billion vertex or atom names, are refused
+        # before anything is built
         for argv, message in [
             (("1", "40", "39", "1"), "n_vertices 40 and max_dim 39 allow over 10**6 cells"),
             (("1", "1000000000", "0", "1"),
              "n_vertices 1000000000 and max_dim 0 allow over 10**6 cells"),
+            (("1", "1", "0", "1000000000"),
+             "n_atoms 1000000000 with n_vertices 1 and max_dim 0 allow over 10**7 atom draws"),
         ]:
             start = time.perf_counter()
             self.expect_input_error(capsys, "gen-random", *argv, message=message)
@@ -650,6 +657,23 @@ class TestPoset:
         payload = json.loads(out.read_text())
         assert [e["name"] for e in payload["elements"]] == ["D", "E", "F", "D-E", "E-F"]
         assert ["D", "D-E"] in payload["covers"]
+
+
+class TestStdout:
+    @pytest.mark.parametrize("argv", [
+        ("check", "{script}", "--model", "{model}"),
+        ("poset", "{model}"),
+        ("export-aut", "{model}"),
+        ("gen-random", "7", "5", "2", "3"),
+    ], ids=["check", "poset", "export-aut", "gen-random"])
+    def test_prints_the_bytes_it_writes_to_a_file(self, outdir, capsysbinary, argv):
+        script = outdir / "script.txt"
+        script.write_text('save "reach" eta(ap("green") | ap("grey"), ap("green"))\n')
+        argv = [arg.format(script=script, model=FIXTURES / "strip4.json") for arg in argv]
+        out = outdir / "out"
+        assert run(*argv, "-o", str(out)) == 0
+        assert run(*argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 class TestCollectorPause:

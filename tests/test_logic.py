@@ -174,6 +174,25 @@ class TestDepthLimit:
         with pytest.raises(FormulaSyntaxError, match="nested deeper than"):
             parse_script(script + f'save "x" !a{MAX_DEPTH - 1}\n')
 
+    LETS = 'let a0 = ap("p")\n' + "".join(f"let a{i + 1} = !a{i}\n" for i in range(MAX_DEPTH - 1))
+
+    @pytest.mark.parametrize("parse, text, position", [
+        (parse_formula, " & ".join(["a"] * 101), "line 1, column 399"),
+        (parse_formula, "!" * 100 + "a", "line 1, column 1"),
+        (parse_formula, "b | " + " | ".join(["a"] * 100) + " & c", "line 1, column 399"),
+        (parse_script, 'let a = ap("p")\nsave "deep" ' + "!" * 3000 + "a\n", "line 2, column 2913"),
+        (parse_script, LETS + 'save "x" !a99\n', "line 101, column 10"),
+        (parse_script, LETS + 'save "x" ap("q") & a99 | true\n', "line 101, column 18"),
+        (parse_script, LETS + 'save "x" true |\n  eta(a99, true)\n', "line 102, column 3"),
+        # nesting through call arguments is counted where the argument starts
+        (parse_formula, "eta(b, " * 100 + "a" + ")" * 100, "line 1, column 698"),
+    ], ids=["and-chain", "not-run", "or-chain", "long-not-run", "let-not", "let-infix",
+            "let-call", "call-arguments"])
+    def test_error_names_the_operator(self, parse, text, position):
+        with pytest.raises(FormulaSyntaxError) as exc:
+            parse(text)
+        assert str(exc.value) == f"formula nested deeper than {MAX_DEPTH} ({position})"
+
 
 def tree_size(f):
     return 1 + sum(map(tree_size, f.operands))

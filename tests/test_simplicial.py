@@ -429,4 +429,6 @@ class TestRandomModel:
             random_model(1, 40, 39, 1)  # 40 vertices a face: 2**40 subsets
         with pytest.raises(ModelSizeError, match=r"^n_vertices 1000000000 and max_dim 0 allow"):
             random_model(1, 1_000_000_000, 0, 1)  # a billion vertex names
+        with pytest.raises(ModelSizeError, match=r"^n_atoms 1000000000 with n_vertices 1 and"):
+            random_model(1, 1, 0, 1_000_000_000)  # a billion atom names
         assert time.perf_counter() - start < 0.5
