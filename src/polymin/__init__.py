@@ -7,8 +7,8 @@ components) and map the answers back to the original cells.
 """
 
 from .bisim import (
-    Lts, Partition, components_same_valuation, encode_abstract, encode_concrete,
-    strong_partition, to_aut, weak_pm_partition,
+    Partition, components_same_valuation, encode_abstract, encode_concrete, strong_partition,
+    to_aut, weak_pm_partition,
 )
 from .checker import SatSet, check_script, sat
 from .errors import InputError
@@ -32,7 +32,7 @@ __all__ = [
     "Formula", "Top", "TOP", "Atom", "Not", "And", "Or", "Eta", "Gamma", "Diamond",
     "Script", "parse_formula", "parse_script", "format_formula",
     "SatSet", "sat", "check_script",
-    "Lts", "Partition", "encode_concrete", "encode_abstract",
+    "Partition", "encode_concrete", "encode_abstract",
     "components_same_valuation", "strong_partition", "weak_pm_partition", "to_aut",
     "MinimalModel", "minimal_model", "rmin_via_quotient_d", "map_back",
     "distinguishing_formula",

@@ -12,10 +12,11 @@ pass over the poset tables projects it on a partition and checks that the
 partition is stable, a linear certificate that the partition *is* branching
 bisimilarity.  Minimality and the relation are read from that quotient,
 which ``minimize --emit-aut`` writes; the concrete LTS itself, for Aldebaran
-export, is the same pass on the discrete partition.  Every refinement runs
-through one engine, :func:`refine`, over per-label successor tables;
-:func:`strong_partition` reduces any :class:`Lts` to it.  A direct fixpoint
-computation straight from the model is kept as an oracle."""
+export, is the same pass on the discrete partition.  An LTS is the tuple of
+its moves by state number.  Every refinement runs through one engine,
+:func:`refine`, over per-label successor tables; :func:`strong_partition`
+reduces any LTS to it.  A direct fixpoint computation straight from the
+model is kept as an oracle."""
 
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from .simplicial import PosetModel
 
 __all__ = [
     "TAU", "CHANGE", "DOWN", "STEP",
-    "Lts", "Partition", "LabelError",
+    "Moves", "Partition", "LabelError",
     "encode_concrete", "components_same_valuation", "abstract_tables", "encode_abstract",
     "refine", "strong_partition", "branching_quotient", "is_branching_minimal",
     "weak_pm_partition", "pull_back",
@@ -42,34 +43,13 @@ DOWN = "d"
 STEP = "s"
 
 Label = object  # str for concrete labels, frozenset[str] for valuation sets
+Moves = tuple[frozenset[tuple[Label, int]], ...]  # an LTS: (label, target) pairs by state
 
 
 class LabelError(InputError):
     """An atom name that cannot serve as a transition label: a reserved
     label of the concrete encoding, or one that Aldebaran output cannot
     spell."""
-
-
-class Lts:
-    """A finite labelled transition system with set-semantics transitions.
-
-    States are numbers, as in Aldebaran files: element, component or class
-    numbers.  Each transition is stored once, in ``moves[i]``: the distinct
-    (label, target) pairs of state i.
-    """
-
-    __slots__ = ("moves",)
-
-    def __init__(self, moves: Iterable[Iterable[tuple[Label, int]]]):
-        self.moves = tuple(map(frozenset, moves))
-
-    @property
-    def transitions(self) -> frozenset[tuple[int, Label, int]]:
-        """Every transition as a (source, label, target) triple of numbers."""
-        return frozenset((i, lab, j) for i, ms in enumerate(self.moves) for lab, j in ms)
-
-    def __len__(self) -> int:
-        return len(self.moves)
 
 
 @dataclass(frozen=True)
@@ -99,7 +79,7 @@ class Partition:
 
 # -- encodings ---------------------------------------------------------------
 
-def encode_concrete(p: PosetModel) -> Lts:
+def encode_concrete(p: PosetModel) -> Moves:
     """Encode a poset model as an LTS over ``atoms + {tau, c, d}``: the
     :func:`branching_quotient` pass on the discrete partition."""
     return branching_quotient(p, tuple(range(len(p))))
@@ -155,7 +135,7 @@ def abstract_tables(
     return part, valuations, step, down
 
 
-def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
+def encode_abstract(p: PosetModel) -> tuple[Moves, Partition]:
     """Encode a poset model as an LTS over its same-valuation components.
 
     Each component self-loops on its valuation *set*; an ``s`` transition
@@ -165,8 +145,8 @@ def encode_abstract(p: PosetModel) -> tuple[Lts, Partition]:
     the moves are read off :func:`abstract_tables`.
     """
     part, valuations, step, down = abstract_tables(p)
-    return Lts(
-        chain([(v, c)], zip(repeat(STEP), s), zip(repeat(DOWN), d))
+    return tuple(
+        frozenset(chain([(v, c)], zip(repeat(STEP), s), zip(repeat(DOWN), d)))
         for c, (v, s, d) in enumerate(zip(valuations, step, down))
     ), part
 
@@ -198,18 +178,18 @@ def refine(
         block, n_blocks = new, len(groups)
 
 
-def strong_partition(l: Lts) -> tuple[int, ...]:
+def strong_partition(moves: Moves) -> tuple[int, ...]:
     """Block table of the coarsest partition stable under strong transfer.
 
     A label that only ever loops (a valuation set, an atom) is read once:
     states start apart by their sets of such labels.  Every other label
     becomes a successor table for :func:`refine`.
     """
-    moving = {lab for i, ms in enumerate(l.moves) for lab, j in ms if j != i}
-    tables: dict[Label, list[list[int]]] = {lab: [[] for _ in l.moves] for lab in moving}
+    moving = {lab for i, ms in enumerate(moves) for lab, j in ms if j != i}
+    tables: dict[Label, list[list[int]]] = {lab: [[] for _ in moves] for lab in moving}
     first: dict[frozenset[Label], int] = {}
     block = []
-    for i, ms in enumerate(l.moves):
+    for i, ms in enumerate(moves):
         loops = []
         for lab, j in ms:
             if lab in moving:
@@ -224,7 +204,7 @@ def strong_partition(l: Lts) -> tuple[int, ...]:
 
 # -- certificate of branching bisimilarity ----------------------------------------
 
-def branching_quotient(p: PosetModel, block: Sequence[int]) -> Lts | None:
+def branching_quotient(p: PosetModel, block: Sequence[int]) -> Moves | None:
     """The concrete encoding of ``p`` projected on the blocks of the table
     ``block``, or None if they are no branching bisimulation.
 
@@ -264,15 +244,15 @@ def branching_quotient(p: PosetModel, block: Sequence[int]) -> Lts | None:
             signatures[k] = frozenset(signature)
         elif signatures[k] != signature:
             return None
-    return Lts(signatures.get(k, ()) for k in range(max(block, default=-1) + 1))
+    return tuple(signatures.get(k, frozenset()) for k in range(max(block, default=-1) + 1))
 
 
-def is_branching_minimal(quotient: Lts) -> bool:
+def is_branching_minimal(quotient: Moves) -> bool:
     """Are the blocks of a branching bisimulation pairwise inequivalent?
     ``quotient`` is the one :func:`branching_quotient` returns, where each
     state is branching bisimilar to its block; with every ``tau`` move
     there a self-loop, strong bisimilarity on it must separate every block."""
-    tau_loops = all(lab != TAU or j == k for k, ms in enumerate(quotient.moves) for lab, j in ms)
+    tau_loops = all(lab != TAU or j == k for k, ms in enumerate(quotient) for lab, j in ms)
     return tau_loops and len(set(strong_partition(quotient))) == len(quotient)
 
 
@@ -367,23 +347,27 @@ def pull_back(coarse: tuple[int, ...], fine: Partition) -> Partition:
 
 # -- Aldebaran format -------------------------------------------------------------
 
-def to_aut(l: Lts) -> str:
-    """Serialise to Aldebaran format: state numbers as they are, string labels.
+def to_aut(moves: Moves) -> str:
+    """Serialise to Aldebaran format: state numbers as they are, string
+    labels, written state by state, each state's moves sorted by label and
+    target.
 
-    A label must not hold a ``"`` or a line boundary (any that
+    A label must be a string without a ``"`` or a line boundary (any that
     :meth:`str.splitlines` splits at): the format has no escapes for them.
-    """
-    triples = sorted((i, lab, j) for i, ms in enumerate(l.moves) for lab, j in ms)
-    for lab in dict.fromkeys(lab for _, lab, _ in triples):
+    Each distinct label is checked once, in the order it first appears."""
+    first = {lab: i for i in reversed(range(len(moves))) for lab, _ in moves[i]}
+    odd = sorted((i, type(lab).__name__) for lab, i in first.items() if not isinstance(lab, str))
+    if odd:
+        raise LabelError("state {} has a label of type {}, not a string".format(*odd[0]))
+    labels = sorted(first, key=lambda lab: (first[lab], lab))  # in order of first appearance
+    for lab in labels:
         if '"' in lab or "".join(lab.splitlines()) != lab:
             raise LabelError(f"label {lab!r} cannot be written in Aldebaran format")
-    lines = [f"des (0,{len(triples)},{len(l)})"]
-    lines += [f'({src},"{lab}",{dst})' for src, lab, dst in triples]
-    text = "\n".join(lines) + "\n"
     try:
-        text.encode("utf-8")
+        "".join(labels).encode("utf-8")
     except UnicodeEncodeError as exc:  # a lone surrogate, read from a JSON escape
-        raise LabelError(
-            f"a label holds {text[exc.start]!r}, which UTF-8 cannot encode"
-        ) from None
-    return text
+        bad = exc.object[exc.start]
+        raise LabelError(f"a label holds {bad!r}, which UTF-8 cannot encode") from None
+    lines = [f"des (0,{sum(map(len, moves))},{len(moves)})"]
+    lines += [f'({i},"{lab}",{j})' for i, ms in enumerate(moves) for lab, j in sorted(ms)]
+    return "\n".join(lines) + "\n"

@@ -58,7 +58,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _self_check_pipeline(
-    poset: PosetModel, mm: minimize.MinimalModel, quotient: bisim.Lts | None
+    poset: PosetModel, mm: minimize.MinimalModel, quotient: bisim.Moves | None
 ) -> None:
     """Assert that the minimal model's partition is the direct fixpoint and is
     certified as branching bisimilarity on the concrete encoding, whose
@@ -98,7 +98,7 @@ def cmd_minimize(args) -> int:
         if quotient is None:  # only reached without --self-check
             raise AssertionError("the classes are not a branching bisimulation")
         if args.trim_self_tau:  # each class drops its members' tau self-loops
-            quotient = bisim.Lts(ms - {(bisim.TAU, k)} for k, ms in enumerate(quotient.moves))
+            quotient = tuple(ms - {(bisim.TAU, k)} for k, ms in enumerate(quotient))
         files[f"{stem}.concrete.aut"] = bisim.to_aut(bisim.encode_concrete(poset))
         files[f"{stem}.quotient.aut"] = bisim.to_aut(quotient)
     # every output is serialised, so an input that fails writes nothing

@@ -17,7 +17,7 @@ atoms.  In a script, identifiers must refer to earlier ``let`` bindings
 substitution at parse time.
 
 The node constructors hash-cons: equal formulas, like a binding used often,
-are one shared object.  Only the parser and ``repr`` recurse per level.
+are one shared object.  Only the parser recurses per level.
 """
 
 from __future__ import annotations
@@ -91,8 +91,21 @@ class Formula:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({args})"
+        # text pieces and nodes still to spell, from an explicit stack, so
+        # any depth prints; the pieces are joined once
+        pieces, stack = [], [self]
+        while stack:
+            g = stack.pop()
+            if not isinstance(g, Formula):
+                pieces.append(g)
+                continue
+            pieces.append(f"{type(g).__name__}(")
+            stack.append(")")
+            for k, name in reversed(tuple(enumerate(g.__match_args__))):
+                value = getattr(g, name)
+                stack.append(value if isinstance(value, Formula) else repr(value))
+                stack.append(f"{', ' if k else ''}{name}=")
+        return "".join(pieces)
 
 
 class _Ref(weakref.ref):
@@ -158,9 +171,9 @@ class Diamond(Formula):
 TOP = Top()
 
 
-# Deepest formula the parser accepts: the parser and ``repr`` still recurse,
-# five and four frames a level, so neither needs more than about 510 of
-# Python's default 1000 frames here.  Nothing else recurses, at any depth.
+# Deepest formula the parser accepts: the parser still recurses, five frames
+# a level, so it needs no more than about 510 of Python's default 1000
+# frames here.  Nothing else recurses, at any depth.
 MAX_DEPTH = 100
 
 

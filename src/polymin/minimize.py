@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bisim
-from .bisim import DOWN, STEP, Lts, Partition
+from .bisim import DOWN, STEP, Moves, Partition
 from .checker import SatSet
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
@@ -87,12 +87,12 @@ def _valuation_split(valuations: list[frozenset[str]]) -> list[int]:
     return [first.setdefault(v, len(first)) for v in valuations]
 
 
-def rmin_via_quotient_d(quotient: Lts) -> tuple[tuple[int, ...], ...]:
+def rmin_via_quotient_d(quotient: Moves) -> tuple[tuple[int, ...], ...]:
     """The reversed ``d`` moves of the concrete LTS's branching quotient, as
     sorted successor tables by class number; must equal the ``succ`` of
     :func:`minimal_model`'s relation."""
-    succ: list[list[int]] = [[] for _ in quotient.moves]
-    for i, ms in enumerate(quotient.moves):
+    succ: list[list[int]] = [[] for _ in quotient]
+    for i, ms in enumerate(quotient):
         for lab, j in ms:
             if lab == DOWN:
                 succ[j].append(i)

@@ -7,7 +7,9 @@ from collections import deque
 from itertools import chain
 from typing import Iterable, Iterator
 
-from polymin.bisim import CHANGE, DOWN, STEP, TAU, Label, Lts, Partition, components_same_valuation
+from polymin.bisim import (
+    CHANGE, DOWN, STEP, TAU, Label, LabelError, Moves, Partition, components_same_valuation,
+)
 from polymin.checker import SatSet, UnknownAtomError
 from polymin.errors import InputError
 from polymin.kripke import ReflexiveKripkeModel
@@ -123,9 +125,39 @@ def class_names(part: Partition) -> tuple[str, ...]:
     return tuple(map(min, part.classes))
 
 
-def named_transitions(lts: Lts, names: tuple[str, ...]) -> frozenset[tuple[str, Label, str]]:
+def as_moves(states: Iterable[Iterable[tuple[Label, int]]]) -> Moves:
+    """An LTS from each state's (label, target) pairs."""
+    return tuple(map(frozenset, states))
+
+
+def transitions(moves: Moves) -> frozenset[tuple[int, Label, int]]:
+    """An LTS's transitions as (source, label, target) triples of numbers."""
+    return frozenset((i, lab, j) for i, ms in enumerate(moves) for lab, j in ms)
+
+
+def named_transitions(moves: Moves, names: tuple[str, ...]) -> frozenset[tuple[str, Label, str]]:
     """An LTS's transitions as (source, label, target) triples of ``names``."""
-    return frozenset((names[i], lab, names[j]) for i, lab, j in lts.transitions)
+    return frozenset((names[i], lab, names[j]) for i, lab, j in transitions(moves))
+
+
+def aut_by_sorted_triples(moves: Moves) -> str:
+    """Aldebaran text from one sort of every (state, label, target) triple,
+    labels checked in the order of that sort: the reference for
+    :func:`polymin.to_aut`, which writes state by state."""
+    triples = sorted((i, lab, j) for i, ms in enumerate(moves) for lab, j in ms)
+    for lab in dict.fromkeys(lab for _, lab, _ in triples):
+        if '"' in lab or "".join(lab.splitlines()) != lab:
+            raise LabelError(f"label {lab!r} cannot be written in Aldebaran format")
+    lines = [f"des (0,{len(triples)},{len(moves)})"]
+    lines += [f'({src},"{lab}",{dst})' for src, lab, dst in triples]
+    text = "\n".join(lines) + "\n"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise LabelError(
+            f"a label holds {text[exc.start]!r}, which UTF-8 cannot encode"
+        ) from None
+    return text
 
 
 def aut_moves(text: str) -> list[set[tuple[str, int]]]:
@@ -177,7 +209,7 @@ def _matching_path(
 
 # -- the concrete route: round-based branching bisimilarity -------------------
 
-def branching_partition(l: Lts, tau: Label = TAU) -> tuple[int, ...]:
+def branching_partition(l: Moves, tau: Label = TAU) -> tuple[int, ...]:
     """Block table of the coarsest branching bisimulation of an LTS.
 
     Signature-based refinement: a state's signature collects the visible
@@ -188,7 +220,7 @@ def branching_partition(l: Lts, tau: Label = TAU) -> tuple[int, ...]:
     def signature(i: int, block: list[int]) -> frozenset[tuple[Label, int]]:
         sig = set()
         for v in _inert_closure(l, i, block, tau):
-            for lab, t in l.moves[v]:
+            for lab, t in l[v]:
                 if lab != tau or block[t] != block[i]:
                     sig.add((lab, block[t]))
         return frozenset(sig)
@@ -198,14 +230,14 @@ def branching_partition(l: Lts, tau: Label = TAU) -> tuple[int, ...]:
     return tuple(block)
 
 
-def _inert_closure(l: Lts, i: int, block: list[int], tau: Label) -> list[int]:
+def _inert_closure(l: Moves, i: int, block: list[int], tau: Label) -> list[int]:
     """States reachable from state ``i`` via tau steps that never leave its
     block."""
     home = block[i]
     seen = {i}
     queue = [i]
     for v in queue:
-        for lab, t in l.moves[v]:
+        for lab, t in l[v]:
             if lab == tau and block[t] == home and t not in seen:
                 seen.add(t)
                 queue.append(t)
@@ -228,7 +260,7 @@ def _rounds(n: int, signature) -> Iterator[list[int]]:
         block, n_blocks = new, len(groups)
 
 
-def encode_concrete_by_rule(p: PosetModel) -> Lts:
+def encode_concrete_by_rule(p: PosetModel) -> Moves:
     """The concrete encoding built element by element, each by the rule that
     :func:`polymin.bisim.branching_quotient` states: the reference for
     :func:`polymin.encode_concrete`'s moves."""
@@ -239,10 +271,10 @@ def encode_concrete_by_rule(p: PosetModel) -> Lts:
         m.update((TAU if vals[j] == vi else CHANGE, j) for j in chain(p.succ[i], p.pred[i]))
         m.update((DOWN, j) for j in p.pred[i])
         moves.append(m)
-    return Lts(moves)
+    return as_moves(moves)
 
 
-def quotient_lts(l: Lts, part: Partition) -> Lts:
+def quotient_lts(l: Moves, part: Partition) -> Moves:
     """Project an LTS onto partition classes (set semantics); the quotient's
     states are the class numbers.  Every move is kept, ``tau`` self-loops
     included, for rule-for-rule fidelity: the reference for the quotient
@@ -252,14 +284,14 @@ def quotient_lts(l: Lts, part: Partition) -> Lts:
     if len(block) != len(l):
         raise ValueError("the partition does not number the LTS states")
     moves: list[set[tuple[Label, int]]] = [set() for _ in range(len(part))]
-    for a, ms in zip(block, l.moves):
+    for a, ms in zip(block, l):
         moves[a].update((lab, block[j]) for lab, j in ms)
-    return Lts(moves)
+    return as_moves(moves)
 
 
 # -- the abstract route read pair by pair, kept as its reference ---------------
 
-def encode_abstract_by_pairs(p: PosetModel) -> Lts:
+def encode_abstract_by_pairs(p: PosetModel) -> Moves:
     """The abstract encoding built pair by pair: every order pair adds its
     ``s`` moves in both directions and its ``d`` move, and every cell its
     component's valuation loop.  The reference for
@@ -270,15 +302,15 @@ def encode_abstract_by_pairs(p: PosetModel) -> Lts:
         moves[c].add((p.valuations[w], c))
         moves[c].update((STEP, comp[u]) for u in chain(p.succ[w], p.pred[w]))
         moves[c].update((DOWN, comp[u]) for u in p.pred[w])
-    return Lts(moves)
+    return as_moves(moves)
 
 
-def strong_rounds_by_pairs(l: Lts) -> Iterator[list[int]]:
+def strong_rounds_by_pairs(l: Moves) -> Iterator[list[int]]:
     """Signature-based refinement from a single block, round by round: each
     round splits every block by its states' sets of moves (label, target
     block), with block numbers in order of first state.  The last table
     yielded is stable: it is :func:`polymin.strong_partition`'s."""
-    return _rounds(len(l), lambda i, block: frozenset((lab, block[t]) for lab, t in l.moves[i]))
+    return _rounds(len(l), lambda i, block: frozenset((lab, block[t]) for lab, t in l[i]))
 
 
 def quotient_succ_by_pairs(p: PosetModel, part: Partition) -> tuple[tuple[int, ...], ...]:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from array import array
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+import polymin
 from polymin import (
     cell_poset,
     components_same_valuation,
@@ -23,7 +28,6 @@ from polymin.bisim import (
     CHANGE,
     DOWN,
     LabelError,
-    Lts,
     Partition,
     STEP,
     TAU,
@@ -34,10 +38,10 @@ from polymin.bisim import (
 from polymin.minimize import _RoundLog
 
 from oracles import (
-    as_partition, aut_moves, branching_partition, class_names, encode_abstract_by_pairs,
-    encode_concrete_by_rule, is_weak_pm_bisimulation, n_blocks, named_transitions,
-    poset_from_covers, quotient_lts, quotient_succ_by_pairs, random_formula,
-    strong_rounds_by_pairs,
+    as_moves, as_partition, aut_by_sorted_triples, aut_moves, branching_partition, class_names,
+    encode_abstract_by_pairs, encode_concrete_by_rule, is_weak_pm_bisimulation, n_blocks,
+    named_transitions, poset_from_covers, quotient_lts, quotient_succ_by_pairs, random_formula,
+    strong_rounds_by_pairs, transitions,
 )
 
 from conftest import load_fixture, random_posets
@@ -54,7 +58,7 @@ def class_sets(partition):
 
 
 def count_label(lts, label):
-    return sum(lab == label for ms in lts.moves for lab, _ in ms)
+    return sum(lab == label for ms in lts for lab, _ in ms)
 
 
 def refines(fine, coarse):
@@ -113,9 +117,9 @@ class TestEncodeConcrete:
     def test_segment3_transition_counts(self, segment3):
         lts = encode_concrete(segment3)
         assert len(lts) == 5
-        assert len(lts.transitions) == 27
+        assert len(transitions(lts)) == 27
         atom_loops = sum(
-            1 for _, lab, _ in lts.transitions if lab not in (TAU, CHANGE, DOWN)
+            1 for _, lab, _ in transitions(lts) if lab not in (TAU, CHANGE, DOWN)
         )
         assert atom_loops == 5
         assert count_label(lts, TAU) == 11
@@ -175,20 +179,20 @@ class TestEncodeAbstract:
     def test_segment3(self, segment3):
         lts, part = encode_abstract(segment3)
         assert len(lts) == 2
-        assert len(lts.transitions) == 9
+        assert len(transitions(lts)) == 9
         assert count_label(lts, STEP) == 4
         assert count_label(lts, DOWN) == 3
         assert class_sets(part) == {SEG_RED, SEG_BLUE}
         red = part.block[segment3.index_of("D")]
         blue = part.block[segment3.index_of("E")]
-        assert (red, frozenset({"red"}), red) in lts.transitions
-        assert (red, DOWN, blue) in lts.transitions
-        assert (blue, DOWN, red) not in lts.transitions
+        assert (red, frozenset({"red"}), red) in transitions(lts)
+        assert (red, DOWN, blue) in transitions(lts)
+        assert (blue, DOWN, red) not in transitions(lts)
 
     def test_one_element_poset(self):
         lts, _ = encode_abstract(one_point_poset())
         assert len(lts) == 1
-        assert len(lts.transitions) == 3
+        assert len(transitions(lts)) == 3
 
     def test_strip4_state_count(self, strip4):
         lts, _ = encode_abstract(strip4)
@@ -211,11 +215,11 @@ class TestBranching:
         assert class_sets(part) == STRIP_CLASSES
 
     def test_two_states_same_loops_collapse(self):
-        lts = Lts([{("p", 0)}, {("p", 1)}])
+        lts = as_moves([{("p", 0)}, {("p", 1)}])
         assert n_blocks(branching_partition(lts)) == 1
 
     def test_tau_cycle_is_handled(self):
-        lts = Lts([{(TAU, 1), ("p", 2)}, {(TAU, 0), ("p", 2)}, set()])
+        lts = as_moves([{(TAU, 1), ("p", 2)}, {(TAU, 0), ("p", 2)}, set()])
         block = branching_partition(lts)
         assert block[0] == block[1]
 
@@ -262,7 +266,7 @@ class TestCertificate:
         p = poset_from_covers(["a", "b"], array("i", [0, 1]), [{"p"}, {"q"}], ["p", "q"])
         part = Partition(p.elements, (1, 0))
         quotient = branching_quotient(p, part.block)
-        assert quotient.moves == quotient_lts(encode_concrete(p), part).moves
+        assert quotient == quotient_lts(encode_concrete(p), part)
 
 
 class TestStrong:
@@ -282,7 +286,7 @@ class TestStrong:
             pull_back(strong_partition(lts) + (0,), comp)
 
     def test_no_transitions_one_class(self):
-        lts = Lts([set()] * 3)
+        lts = as_moves([set()] * 3)
         assert n_blocks(strong_partition(lts)) == 1
 
     @pytest.mark.parametrize("moves", [
@@ -295,7 +299,7 @@ class TestStrong:
         [{("p", 0)}, {("q", 1)}, {("p", 2)}, {("p", 3), ("q", 3)}, set()],
     ], ids=["no-states", "one-state", "loop-or-move", "loop-then-split", "only-loops"])
     def test_edge_cases_match_the_oracle(self, moves):
-        lts = Lts(moves)
+        lts = as_moves(moves)
         *_, stable = strong_rounds_by_pairs(lts)
         assert strong_partition(lts) == tuple(stable)
 
@@ -377,7 +381,7 @@ class TestQuotient:
         q = quotient_lts(lts, part)
         red = part.block[segment3.index_of("D")]
         blue = part.block[segment3.index_of("E")]
-        d_edges = {(s, t) for s, lab, t in q.transitions if lab == DOWN}
+        d_edges = {(s, t) for s, lab, t in transitions(q) if lab == DOWN}
         assert d_edges == {(red, red), (blue, blue), (red, blue)}
 
     def test_identity_partition_is_isomorphic(self, segment3):
@@ -385,21 +389,21 @@ class TestQuotient:
         part = Partition(segment3.elements, tuple(range(len(lts))))
         q = quotient_lts(lts, part)
         assert len(q) == len(lts)
-        assert len(q.transitions) == len(lts.transitions)
+        assert len(transitions(q)) == len(transitions(lts))
 
     def test_all_in_one_partition(self, segment3):
         lts = encode_concrete(segment3)
         part = Partition(segment3.elements, (0,) * len(lts))
         q = quotient_lts(lts, part)
         assert len(q) == 1
-        assert {lab for _, lab, _ in q.transitions} == {"red", "blue", TAU, CHANGE, DOWN}
+        assert {lab for _, lab, _ in transitions(q)} == {"red", "blue", TAU, CHANGE, DOWN}
 
     def test_trim_tau_self_loops(self, segment3):
         # the quotient's only tau moves are one self-loop per class: they
         # are what --trim-self-tau drops
         part = as_partition(segment3, branching_partition(encode_concrete(segment3)))
         q = branching_quotient(segment3, part.block)
-        assert {(s, t) for s, lab, t in q.transitions if lab == TAU} == {(0, 0), (1, 1)}
+        assert {(s, t) for s, lab, t in transitions(q) if lab == TAU} == {(0, 0), (1, 1)}
 
     def test_partition_mismatch_rejected(self, segment3, triangle):
         lts = encode_concrete(segment3)
@@ -432,7 +436,53 @@ class TestAut:
 
     def test_round_trip_is_isomorphic(self, segment3):
         lts = encode_concrete(segment3)
-        assert aut_moves(to_aut(lts)) == list(map(set, lts.moves))
+        assert aut_moves(to_aut(lts)) == list(map(set, lts))
+
+    def test_a_label_that_is_no_string_is_named(self, strip4):
+        # the abstract encoding loops on valuation sets, which .aut cannot spell
+        with pytest.raises(LabelError) as exc:
+            to_aut(encode_abstract(strip4)[0])
+        assert str(exc.value) == "state 0 has a label of type frozenset, not a string"
+
+    def test_the_label_error_does_not_depend_on_the_hash_seed(self):
+        code = (
+            "from polymin import to_aut\n"
+            "try:\n"
+            "    to_aut((frozenset({('p', 0)}), frozenset({(frozenset({'a', 'b'}), 1), (2, 0)})))\n"
+            "except Exception as exc:\n"
+            "    print(type(exc).__name__, exc)\n"
+        )
+        src = str(Path(polymin.__file__).parent.parent)
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in ("1", "2", "3")
+        }
+        assert outputs == {"LabelError state 1 has a label of type frozenset, not a string\n"}
+
+    @pytest.mark.parametrize("states", [
+        [{('a"b', 0)}],
+        [{("a\nb", 0)}],
+        [{("a\u2028b", 0)}],
+        [{("a\ud800b", 0)}],
+        # two bad labels in one state: the first in output order is named
+        [{("q", 0), ('b"', 0), ('a"', 0)}],
+        [{("q", 0), ("b\ud800", 0), ("a\udfff", 0)}],
+        # every quote or line break is reported before any lone surrogate
+        [{("a\ud800", 0)}, {('z"', 0)}],
+        [{("p", 1)}, {("p", 0), ("a\ud800", 1), ("b\n", 0)}],
+    ], ids=["quote", "line-feed", "line-separator", "lone-surrogate", "two-quotes",
+            "two-surrogates", "surrogate-then-quote", "surrogate-then-line-feed"])
+    def test_label_errors_match_the_reference(self, states):
+        moves = as_moves(states)
+        with pytest.raises(LabelError) as expected:
+            aut_by_sorted_triples(moves)
+        with pytest.raises(LabelError) as exc:
+            to_aut(moves)
+        assert str(exc.value) == str(expected.value)
 
 
 ORACLE_FAMILIES = {
@@ -455,7 +505,7 @@ class TestNumberedTables:
         for p in ORACLE_FAMILIES[family]():
             lts, components = encode_abstract(p)
             reference = encode_abstract_by_pairs(p)
-            assert lts.moves == reference.moves
+            assert lts == reference
             rounds = [list(block) for block in strong_rounds_by_pairs(reference)]
             assert [list(block) for block in _RoundLog(p).rounds] == rounds
             assert strong_partition(lts) == tuple(rounds[-1])
@@ -466,7 +516,17 @@ class TestNumberedTables:
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
     def test_concrete_encoding_matches_the_rule(self, family):
         for p in ORACLE_FAMILIES[family]():
-            assert encode_concrete(p).moves == encode_concrete_by_rule(p).moves
+            assert encode_concrete(p) == encode_concrete_by_rule(p)
+
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_aut_text_matches_one_sort_of_every_triple(self, family):
+        # the concrete encoding, the certified quotient and the quotient
+        # without its tau self-loops, as minimize --emit-aut writes them
+        for p in ORACLE_FAMILIES[family]():
+            quotient = branching_quotient(p, minimal_model(p).partition.block)
+            trimmed = tuple(ms - {(TAU, k)} for k, ms in enumerate(quotient))
+            for lts in (encode_concrete(p), quotient, trimmed):
+                assert to_aut(lts) == aut_by_sorted_triples(lts)
 
     @pytest.mark.parametrize("family", ["random", "grids"])
     def test_quotient_strong_partition_matches_the_oracle(self, family):
@@ -481,7 +541,7 @@ class TestNumberedTables:
         for p in ORACLE_FAMILIES[family]():
             lts = encode_concrete(p)
             part = minimal_model(p).partition
-            assert branching_quotient(p, part.block).moves == quotient_lts(lts, part).moves
+            assert branching_quotient(p, part.block) == quotient_lts(lts, part)
             # merging two classes of one valuation breaks stability
             valuation = dict(zip(part.block, p.valuations))
             for a, b in combinations(range(len(part)), 2):

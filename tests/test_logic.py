@@ -17,6 +17,7 @@ from polymin.logic import (
     Atom,
     Diamond,
     Eta,
+    Formula,
     FormulaSyntaxError,
     Gamma,
     MAX_DEPTH,
@@ -315,6 +316,47 @@ class TestInterning:
             f = random_formula(seed, 4, ["a", "b", "c"])
             assert f.depth == tree_depth(f), seed
         assert not_chain(3, Atom("a")).depth == 4
+
+
+def recursive_repr(f):
+    """The dataclass-style spelling, one call per level: the reference for
+    ``Formula.__repr__``."""
+    args = (getattr(f, name) for name in f.__match_args__)
+    spelled = (recursive_repr(a) if isinstance(a, Formula) else repr(a) for a in args)
+    return f"{type(f).__name__}({', '.join(f'{n}={a}' for n, a in zip(f.__match_args__, spelled))})"
+
+
+class TestRepr:
+    def test_spelling(self):
+        assert repr(Not(Atom("a"))) == "Not(operand=Atom(name='a'))"
+        assert repr(TOP) == "Top()"
+        f = parse_formula('eta(a & !b, gamma(c | true, diamond(ap("x\'y"))))')
+        assert repr(f) == (
+            "Eta(condition=And(left=Atom(name='a'), right=Not(operand=Atom(name='b'))), "
+            "target=Gamma(condition=Or(left=Atom(name='c'), right=Top()), "
+            "target=Diamond(operand=Atom(name=\"x'y\"))))"
+        )
+        assert repr(f) == recursive_repr(f)
+
+    def test_random_formulas_match_the_recursive_spelling(self):
+        for seed in range(200):
+            f = random_formula(seed, 6, ["a", "b", "c"])
+            assert repr(f) == recursive_repr(f), seed
+
+    @pytest.mark.parametrize("deep, head, tail", [
+        (lambda: not_chain(10_000, Atom("a")), "Not(operand=", ")"),
+        (lambda: left_and_chain(10_000), "And(left=", ", right=Atom(name='b'))"),
+    ], ids=["not", "left-and"])
+    def test_deep_formulas_print(self, deep, head, tail):
+        # far past the recursion limit: 10,000 levels over Atom("a")
+        assert repr(deep()) == head * 10_000 + "Atom(name='a')" + tail * 10_000
+
+
+def left_and_chain(length):
+    f = Atom("a")
+    for _ in range(length):
+        f = And(f, Atom("b"))
+    return f
 
 
 class TestParseScript:
