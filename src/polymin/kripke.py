@@ -7,7 +7,8 @@ tables here are the up-sets and down-sets of the order, read from faces the
 loader has checked, and a poset stores them as built.  Quotients produced by
 minimisation are generally not posets but are always reflexive Kripke models,
 so the checker is written against this class, whose constructor derives
-``pred`` from ``succ`` and checks reflexivity.
+``pred`` from ``succ`` and checks reflexivity and that each table has one
+row per element, with successors in range.
 
 Elements are numbered 0..n-1 in construction order.  The relation is stored
 once, as tables of sorted element numbers (``succ``, ``pred``) that the checker
@@ -37,7 +38,7 @@ class ReflexiveKripkeModel:
     atoms the model declares.
     """
 
-    __slots__ = ("elements", "atoms", "_index", "valuations", "succ", "pred")
+    __slots__ = ("elements", "atoms", "_index", "valuations", "succ", "pred", "__weakref__")
 
     def __init__(
         self,
@@ -50,13 +51,18 @@ class ReflexiveKripkeModel:
         self._index = {w: i for i, w in enumerate(self.elements)}
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate element names")
+        n = len(self.elements)
         succ = tuple(map(tuple, succ))
+        if len(succ) != n:
+            raise ValueError(f"succ has {len(succ)} rows for {n} elements")
         # Sources in number order leave every predecessor list sorted.
         pred: list[list[int]] = [[] for _ in succ]
         for i, targets in enumerate(succ):
+            w = self.elements[i]
             if i not in targets:
-                w = self.elements[i]
                 raise ValueError(f"accessibility relation must be reflexive; missing ({w!r}, {w!r})")
+            if min(targets) < 0 or max(targets) >= n:
+                raise ValueError(f"successors of {w!r} leave 0..{n - 1}: {list(targets)}")
             for j in targets:
                 pred[j].append(i)
         self.succ: tuple[tuple[int, ...], ...] = succ
@@ -64,6 +70,8 @@ class ReflexiveKripkeModel:
         # Equal atom sets share one object.
         canonical: dict[frozenset[str], frozenset[str]] = {}
         self.valuations = tuple(canonical.setdefault(v, v) for v in map(frozenset, valuations))
+        if len(self.valuations) != n:
+            raise ValueError(f"valuations has {len(self.valuations)} rows for {n} elements")
         self.atoms = tuple(atoms)
 
     # -- basic queries -----------------------------------------------------

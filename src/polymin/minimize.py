@@ -7,12 +7,15 @@ back to the cells; its accessibility relation holds between two classes when
 some member pair is ordered, and is read from the components' down-sets.  The
 result is a reflexive Kripke model but in general not a poset (transitivity
 can fail), so it is never re-interpreted as one.  Distinguishing formulas are
-read off the rounds of that same refinement.
+read off the rounds of that same refinement, logged once per model.
 """
 
 from __future__ import annotations
 
+import weakref
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 from . import bisim
 from .bisim import DOWN, STEP, Moves, Partition
@@ -133,17 +136,42 @@ def _differences(own: frozenset, others: list[frozenset]) -> list[tuple[str, int
 class _RoundLog:
     """The rounds of the abstract route's strong refinement (block tables over
     component numbers), with an exact formula (its extension is the block's
-    cells) for every block of every round, built on demand."""
+    cells) for every block of every round, built on demand.
+
+    A log is kept with its model (see :func:`distinguishing_formula`), so it
+    is stored compactly: each round's block table, and its representatives
+    (each block's last component) by block number, as ``array('i')``; and by
+    round, each block that split in it, with its children."""
 
     def __init__(self, p: PosetModel):
         self.atoms = p.atoms
         self.components, self.valuations, self.step, self.down = bisim.abstract_tables(p)
         split = _valuation_split(self.valuations)
+        rounds = bisim.refine(split, (self.step, self.down))
         # round 0 is one block; refinement starts at round 1, the valuation
         # split, which is round 0 itself when there is one valuation
-        self.rounds = [[0] * len(split)] if max(split, default=0) > 0 else []
-        self.rounds += bisim.refine(split, (self.step, self.down))
-        self.reps = [{j: s for s, j in enumerate(block)} for block in self.rounds]
+        if max(split, default=0) > 0:
+            rounds = chain([[0] * len(split)], rounds)
+        self.rounds: list[array] = []
+        self.reps: list[array] = []
+        self.kids: list[dict[int, list[int]]] = []
+        for block in rounds:
+            # blocks are numbered in order of first component, so the dict's
+            # keys arrive in block order; a later component overwrites its value
+            lasts = dict(zip(block, range(len(block)))).values()
+            current = set(lasts)
+            kids: dict[int, list[int]] = {}
+            if self.rounds:
+                # a parent's last component is still the last of one child;
+                # a child whose last component is new has split off, so only
+                # parents with such a child are listed
+                prev, last = self.rounds[-1], self.reps[-1]
+                for s in current - previous:
+                    kids.setdefault(prev[s], [block[last[prev[s]]]]).append(block[s])
+            previous = current
+            self.rounds.append(array("i", block))
+            self.reps.append(array("i", lasts))
+            self.kids.append(kids)
         self._formulas: dict[tuple[int, int], Formula] = {}
 
     def signature(self, k: int, s: int) -> frozenset[tuple[str, int]]:
@@ -172,8 +200,8 @@ class _RoundLog:
             elif siblings is None:
                 parent = self.rounds[r - 1][rep]
                 siblings = [
-                    self.signature(r - 1, s) for i, s in self.reps[r].items()
-                    if i != b and self.rounds[r - 1][s] == parent
+                    self.signature(r - 1, self.reps[r][i])
+                    for i in self.kids[r].get(parent, ()) if i != b
                 ]
                 own = self.signature(r - 1, rep)
                 stack += [(r, b, siblings), (1, self.rounds[1][rep], None), (r - 1, parent, None)]
@@ -212,6 +240,10 @@ class _RoundLog:
         return chosen
 
 
+# each poset's round log, freed with the poset
+_LOGS: weakref.WeakKeyDictionary[PosetModel, _RoundLog] = weakref.WeakKeyDictionary()
+
+
 def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
     """An eta-pure formula separating two cells, or None when none exists.
 
@@ -219,6 +251,10 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
     formula is returned it holds at ``a`` and fails at ``b``: either an atom
     literal (different valuations) or one signature entry that differs
     between their components in the first refinement round that splits them.
+
+    The first call on a model that needs the refinement builds its round log;
+    later calls on that model reuse it, with every block formula built so
+    far.  The log is kept only as long as the model is.
     """
     i, j = p.index_of(a), p.index_of(b)
     if a == b:
@@ -229,7 +265,10 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
         if gained:
             return Atom(gained[0])
         return Not(Atom(sorted(vb - va)[0]))
-    log = _RoundLog(p)
+    log = _LOGS.get(p)
+    if log is None:
+        # threads that miss at once may each build one; the first stored wins
+        log = _LOGS.setdefault(p, _RoundLog(p))
     x, y = log.components.block[i], log.components.block[j]
     for k, block in enumerate(log.rounds):
         if block[x] != block[y]:

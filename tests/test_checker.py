@@ -155,6 +155,27 @@ class TestKripkeInputs:
             ReflexiveKripkeModel(["a", "a"], [[0], [1]], [(), ()], [])
         assert type(exc.value) is ValueError and str(exc.value) == "duplicate element names"
 
+    def test_successor_out_of_range_rejected(self):
+        # -1 would wrap to the last element, and 2 has no element at all
+        with pytest.raises(ValueError) as exc:
+            ReflexiveKripkeModel(["a", "b"], [[0, -1], [1]], [(), ()], [])
+        assert str(exc.value) == "successors of 'a' leave 0..1: [0, -1]"
+        with pytest.raises(ValueError) as exc:
+            ReflexiveKripkeModel(["a", "b"], [[0], [1, 2]], [(), ()], [])
+        assert str(exc.value) == "successors of 'b' leave 0..1: [1, 2]"
+
+    def test_short_successor_table_rejected(self):
+        # the missing element would go without a reflexivity check
+        with pytest.raises(ValueError) as exc:
+            ReflexiveKripkeModel(["a", "b"], [[0]], [(), ()], [])
+        assert str(exc.value) == "succ has 1 rows for 2 elements"
+
+    def test_short_valuation_table_rejected(self):
+        # the checker would never see the missing element
+        with pytest.raises(ValueError) as exc:
+            ReflexiveKripkeModel(["a", "b"], [[0], [1]], [()], [])
+        assert str(exc.value) == "valuations has 1 rows for 2 elements"
+
     def test_sat_on_plain_kripke_model(self):
         # a 2-cycle plus reflexive loops: not a poset, still checkable
         m = ReflexiveKripkeModel(["a", "b"], [[0, 1], [0, 1]], [["p"], ["q"]], ["p", "q"])

@@ -1,7 +1,10 @@
 import os
 import subprocess
 import sys
+import threading
+import weakref
 from array import array
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from polymin import (
     load_simplicial_model,
     map_back,
     minimal_model,
+    minimize,
     random_model,
     sat,
     weak_pm_partition,
@@ -27,7 +31,7 @@ from polymin.logic import TOP, is_eta_pure
 from polymin.minimize import UnknownClassError, _RoundLog
 
 from conftest import FIXTURES, concrete_d_relation, random_posets
-from families import corridor_document
+from families import corridor_document, maze_document
 from oracles import (
     class_of_element, members_of, poset_from_covers, random_formula, relation_pairs,
 )
@@ -277,6 +281,73 @@ class TestDistinguishingFormula:
         witness = distinguishing_formula(p, "x0y0", "x2y0")
         assert distinguishing_formula(p, "x0y0", "x2y0") is witness
         assert witness.depth == 799
+
+
+def same_valuation_pairs(p, k):
+    """About ``k`` same-valuation pairs, evenly spread; some may share a class."""
+    pairs = [
+        (a, b) for a, b in combinations(p.elements, 2) if p.valuation_of(a) == p.valuation_of(b)
+    ]
+    return pairs[:: max(1, len(pairs) // k)]
+
+
+class TestSharedLog:
+    """One refinement log per model, kept as long as the model is."""
+
+    def test_many_pairs_refine_once(self, monkeypatch):
+        calls = []
+        for name in ("abstract_tables", "refine"):
+            def counted(*args, real=getattr(bisim, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(bisim, name, counted)
+        p = cell_poset(load_simplicial_model(maze_document(5)))
+        witnesses = [distinguishing_formula(p, a, b) for a, b in same_valuation_pairs(p, 20)]
+        assert sum(f is not None for f in witnesses) >= 5
+        assert calls == ["abstract_tables", "refine"]
+
+    def test_witnesses_match_a_fresh_model(self):
+        makers = [lambda s=seed: cell_poset(random_model(s, 6, 3, 2)) for seed in range(12)]
+        for doc in (maze_document(3), maze_document(5), corridor_document(60)):
+            makers.append(lambda doc=doc: cell_poset(load_simplicial_model(doc)))
+        for make in makers:
+            p = make()
+            for a, b in same_valuation_pairs(p, 12):
+                # equal formulas are one object, so equal text; corridor
+                # witnesses are too large as trees to print
+                assert distinguishing_formula(p, a, b) is distinguishing_formula(make(), a, b)
+
+    def test_log_is_freed_with_its_model(self):
+        p = cell_poset(load_simplicial_model(corridor_document(5)))
+        assert distinguishing_formula(p, "x0y0", "x2y0") is not None
+        logs = len(minimize._LOGS)
+        model = weakref.ref(p)
+        del p
+        assert model() is None
+        assert len(minimize._LOGS) == logs - 1
+
+    def test_threads_get_the_serial_witnesses(self):
+        doc = maze_document(5)
+        p = cell_poset(load_simplicial_model(doc))
+        pairs = same_valuation_pairs(p, 30)
+        serial = [distinguishing_formula(p, a, b) for a, b in pairs]
+        shared = cell_poset(load_simplicial_model(doc))
+        start = threading.Barrier(4)
+
+        def explain():
+            start.wait(timeout=60)  # every thread misses the log at once
+            return [distinguishing_formula(shared, a, b) for a, b in pairs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                runs = [pool.submit(explain) for _ in range(4)]
+                results = [run.result(timeout=60) for run in runs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [serial] * 4
 
 
 class TestIdempotence:
