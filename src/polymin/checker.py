@@ -11,13 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from typing import Iterator
+from itertools import chain, compress
+from typing import Iterable, Iterator
 
 from .errors import InputError
 from .kripke import ReflexiveKripkeModel
 from .logic import (
-    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, postorder,
+    And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, Top, postorder,
 )
 
 __all__ = ["SatSet", "UnknownAtomError", "sat", "check_script"]
@@ -75,25 +75,35 @@ def _reach(
     return cond - rest
 
 
-def _eval(
-    model: ReflexiveKripkeModel,
-    root: Formula,
-    memo: dict[Formula, frozenset[int]],
-    strict_atoms: bool,
-) -> frozenset[int]:
-    """Extension of ``root`` as element numbers, evaluated in ``postorder``
-    without recursion, at any depth.  ``memo`` keeps every extension by
-    node, from all elements for ``TOP`` on, and is the walk's ``done``, so a
-    node shared by several parents or saves is evaluated once."""
-    if TOP not in memo:
-        memo[TOP] = frozenset(range(len(model)))
-    everything = memo[TOP]
-    for f in postorder(root, memo):
+def _extensions(
+    model: ReflexiveKripkeModel, roots: Iterable[Formula], strict_atoms: bool
+) -> list[frozenset[int]]:
+    """The extension of each root as element numbers, in root order.
+
+    One walk lists every distinct node of the roots after its operands, from
+    :func:`postorder`, and notes each node's last reader: the last node in
+    that list with it as an operand, where its count of uses to come falls
+    to zero.  The nodes are then evaluated in that order, without
+    recursion, at any depth, each once, and each extension but a root's is
+    dropped once its last reader has read it.  ``TOP`` and atom extensions
+    hold the model's own number objects."""
+    roots = tuple(roots)
+    nodes: dict[Formula, None] = {}
+    for f in roots:
+        nodes.update(dict.fromkeys(postorder(f, nodes)))
+    last = {h: f for f in nodes for h in f.operands}
+    last.update(dict.fromkeys(roots))  # a root is kept to the end
+    numbers = model._index.values()
+    everything = frozenset(numbers)
+    memo: dict[Formula, frozenset[int]] = {}
+    for f in nodes:
         match f:
+            case Top():
+                result = everything
             case Atom(name):
                 if strict_atoms and name not in model.atoms:
                     raise UnknownAtomError(f"atom {name!r} is not declared by the model")
-                result = frozenset(i for i, v in enumerate(model.valuations) if name in v)
+                result = frozenset(compress(numbers, [name in v for v in model.valuations]))
             case Not(g):
                 result = everything - memo[g]
             case And(a, b):
@@ -107,7 +117,10 @@ def _eval(
             case Diamond(g):
                 result = frozenset(_image(model.pred, memo[g]))
         memo[f] = result
-    return memo[root]
+        for g in f.operands:
+            if last[g] is f:
+                memo.pop(g, None)  # None: both operands of f are g
+    return [memo[f] for f in roots]
 
 
 def sat(model: ReflexiveKripkeModel, f: Formula, strict_atoms: bool = False) -> SatSet:
@@ -117,15 +130,16 @@ def sat(model: ReflexiveKripkeModel, f: Formula, strict_atoms: bool = False) -> 
     in which case they raise :class:`UnknownAtomError`.  Runs in
     O(subformulas * (elements + relation)).
     """
-    return SatSet(model, _eval(model, f, {}, strict_atoms), f)
+    return SatSet(model, _extensions(model, (f,), strict_atoms)[0], f)
 
 
 def check_script(
     model: ReflexiveKripkeModel, script: Script, strict_atoms: bool = False
 ) -> dict[str, SatSet]:
-    """Evaluate every save directive; shared subformulas are memoised."""
-    memo: dict[Formula, frozenset[int]] = {}
+    """Evaluate every save directive; a subformula shared by saves or
+    parents is evaluated once, and its extension kept until its last use."""
+    extensions = _extensions(model, script.saves.values(), strict_atoms)
     return {
-        name: SatSet(model, _eval(model, f, memo, strict_atoms), f)
-        for name, f in script.saves.items()
+        name: SatSet(model, numbers, f)
+        for (name, f), numbers in zip(script.saves.items(), extensions)
     }

@@ -98,6 +98,9 @@ def _read_cells(
     cell numbers: face, cell, face, cell, ...  The model's atoms are
     ``atoms`` (checked strings) followed by the undeclared ones in order of
     first use.
+
+    ``entries`` is consumed: each entry is dropped from the list once it has
+    been read, so the document shrinks as the model grows.
     """
     if declared is None:
         order: list[str] = []
@@ -112,7 +115,8 @@ def _read_cells(
     cells: list[tuple[str, ...]] = []
     valuations: list[frozenset[str]] = []
     shared: dict[tuple, frozenset[str]] = {}
-    for entry in entries:
+    for i, entry in enumerate(entries):
+        entries[i] = None
         if not isinstance(entry, dict) or "vertices" not in entry:
             raise ModelFormatError(f"malformed cell entry: {entry!r}")
         vs = entry["vertices"]
@@ -198,7 +202,8 @@ def _check_vertex_name(v: str) -> None:
 
 
 def load_simplicial_model(document: bytes | str) -> SimplicialModel:
-    """Parse and validate a JSON model document.
+    """Parse and validate a JSON model document, given as text or as any
+    bytes-like value, which is decoded as UTF-8.
 
     Schema::
 
@@ -213,9 +218,9 @@ def load_simplicial_model(document: bytes | str) -> SimplicialModel:
     :func:`_read_cells` and are not checked again.  The first fault found is
     raised.
     """
-    if isinstance(document, bytes):
+    if isinstance(document, (bytes, bytearray, memoryview)):
         try:
-            document = document.decode("utf-8")
+            document = str(document, "utf-8")
         except UnicodeDecodeError as exc:
             raise EncodingError(f"model document is not valid UTF-8: {exc}") from None
     try:
@@ -300,14 +305,16 @@ def cell_poset(m: SimplicialModel) -> PosetModel:
     faces: the cell, its covers (the loader's, k in a row for a cell of
     k >= 2 vertices), its vertices and, from four vertices on, its faces of
     2 to k - 2 vertices.  Inverting the down-sets in cell order leaves every
-    up-set sorted.  The poset shares the model's index, valuations and covers.
+    up-set sorted.  The poset shares the model's index, valuations and covers,
+    and every number in its ``succ`` and ``pred`` is the index's own object.
     """
     number = m._index.__getitem__
-    faces = m._covers[::2].tolist()
+    nums = list(m._index.values())  # one int object per element, shared by every table
+    faces = [nums[i] for i in m._covers[::2]]
     succ: list = [[] for _ in m.cells]
     pred: list[tuple[int, ...]] = []
     at = 0
-    for high, cell in enumerate(m.cells):
+    for high, cell in zip(nums, m.cells):
         k = len(cell)
         down = [high]
         if k > 1:

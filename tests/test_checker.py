@@ -291,6 +291,55 @@ class TestAgainstSetOracle:
             self.check_model(minimal_model(p).kripke, seed)
 
 
+class TestUseCounts:
+    """Each extension leaves the memo at its last use; the saves' extensions
+    still equal the name-based evaluator's, whatever the sharing."""
+
+    @pytest.mark.parametrize("saves", [
+        lambda x, y: {"a": Eta(y, x), "b": Eta(y, x)},  # one node saved twice
+        lambda x, y: {"inner": Or(y, x), "outer": Eta(Or(y, x), x)},  # a root read later
+        lambda x, y: {"outer": Eta(Or(y, x), x), "inner": Or(y, x)},  # a root read before
+        lambda x, y: {"top": TOP, "atom": x, "both": And(TOP, x)},
+        lambda x, y: {"twice": And(Or(y, x), Or(y, x)), "not": Not(And(x, x))},
+        lambda x, y: {},
+    ], ids=["saved-twice", "root-then-operand", "operand-then-root", "true-and-atom",
+            "one-node-both-slots", "empty"])
+    def test_agrees_with_the_name_evaluator(self, strip4, saves):
+        script = Script(bindings={}, saves=saves(Atom("green"), Atom("grey")))
+        for model in (strip4, minimal_model(strip4).kripke):
+            got = check_script(model, script)
+            assert list(got) == list(script.saves)
+            expected = check_script_by_names(model, script, False)
+            assert {k: v.members for k, v in got.items()} == expected
+            assert all(got[k].formula is f for k, f in script.saves.items())
+
+    def test_top_and_atoms_hold_the_model_numbers(self):
+        p = cell_poset(load_simplicial_model(grid_document(16)))
+        numbers = list(p._index.values())
+        script = Script(bindings={}, saves={"top": TOP, "wall": Atom("wall")})
+        for s in check_script(p, script).values():
+            assert s.numbers and all(i is numbers[i] for i in s.numbers)
+
+
+def test_peak_does_not_grow_with_a_nested_eta_chain():
+    """Each level of the chain is read once, by the next, so at most a few
+    levels' extensions are alive at once, however deep the chain."""
+    p = cell_poset(load_simplicial_model(grid_document(16)))
+    peaks = []
+    for levels in (5, 40):
+        f = Atom("goal")
+        for _ in range(levels):
+            f = Eta(Or(Atom("floor"), f), f)
+        script = Script(bindings={}, saves={"deep": f})
+        tracemalloc.start()
+        try:
+            check_script(p, script)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
 def test_memory_grows_linearly_with_the_grid():
     """Cells grow about 4x from k=16 to k=32; a table per cell that spans
     all cells, such as an int bitset per up-set, would grow the peak about

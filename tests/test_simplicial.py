@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from array import array
 from itertools import combinations
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import polymin
 from polymin import InputError, cell_poset, load_simplicial_model, random_model
 from polymin.cli import main
+from polymin.errors import EncodingError
 from polymin.kripke import UnknownElementError
 from polymin.simplicial import (
     MissingFaceError,
@@ -19,6 +21,7 @@ from polymin.simplicial import (
     ModelFormatError,
     ModelSizeError,
     UnknownVertexError,
+    _read_cells,
     model_to_document,
 )
 
@@ -195,6 +198,23 @@ class TestLoad:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+    def test_bytes_like_documents_are_read_as_utf8(self, kind):
+        text = doc(["p"], [(["a"], ["p"]), (["b"], []), (["a", "b"], ["p"])])
+        with pytest.raises(EncodingError, match="model document is not valid UTF-8"):
+            load_simplicial_model(kind(text.encode("utf-16")))
+        assert load_simplicial_model(kind(text.encode("utf-8"))) == load_simplicial_model(text)
+
+    def test_read_cells_consumes_its_entries(self):
+        class Entry(dict):  # a dict that takes weak references
+            pass
+
+        m = random_model(4, 6, 3, 2)
+        entries = [Entry(vertices=list(c), atoms=sorted(v)) for c, v in zip(m.cells, m.valuations)]
+        refs = [weakref.ref(e) for e in entries]
+        assert _read_cells(entries, list(m.vertices), list(m.atoms), None) == m
+        assert entries == [None] * len(refs) and all(r() is None for r in refs)
+
     @pytest.mark.parametrize("seed", range(60))
     def test_document_round_trip(self, seed):
         m = random_model(seed, 2 + seed % 12, seed % 4, seed % 3)
@@ -335,6 +355,9 @@ class TestFaceBuiltTables:
         assert p.succ == ref.succ and p.pred == ref.pred
         assert p.covers == ref.covers
         assert p.valuations == ref.valuations and p.atoms == ref.atoms
+        # every table entry is the index's own number object
+        numbers = list(p._index.values())
+        assert all(i is numbers[i] for rows in (p.succ, p.pred) for row in rows for i in row)
         return p
 
     @pytest.mark.parametrize("name", ["segment3.json", "triangle_abc.json", "strip4.json"])
