@@ -7,15 +7,14 @@ back to the cells; its accessibility relation holds between two classes when
 some member pair is ordered, and is read from the components' down-sets.  The
 result is a reflexive Kripke model but in general not a poset (transitivity
 can fail), so it is never re-interpreted as one.  Distinguishing formulas are
-read off the rounds of that same refinement, logged once per model.
+read off a split tree of that same refinement, kept once per model: each
+block is stored once, in the round where it splits off its parent.
 """
 
 from __future__ import annotations
 
 import weakref
-from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 from . import bisim
 from .bisim import DOWN, STEP, Moves, Partition
@@ -128,109 +127,85 @@ def _valuation_formula(atoms: tuple[str, ...], held: frozenset[str]) -> Formula:
     return f if f is not None else TOP
 
 
-def _differences(own: frozenset, others: list[frozenset]) -> list[tuple[str, int]]:
+def _differences(own: frozenset, others: list[frozenset]) -> list[tuple]:
     """The signature entries on which ``own`` disagrees with some of ``others``."""
     return [e for e in own.union(*others) if any((e in own) != (e in o) for o in others)]
 
 
-class _RoundLog:
-    """The rounds of the abstract route's strong refinement (block tables over
-    component numbers), with an exact formula (its extension is the block's
-    cells) for every block of every round, built on demand.
+class _SplitTree:
+    """The splits of the abstract route's strong refinement, with an exact
+    formula (its extension is the node's cells) for every node, on demand.
 
-    A log is kept with its model (see :func:`distinguishing_formula`), so it
-    is stored compactly: each round's block table, and its representatives
-    (each block's last component) by block number, as ``array('i')``; and by
-    round, each block that split in it, with its children."""
+    Node 0 holds every component; round 1 splits it by valuation, when there
+    are several, and each child keeps its valuation.  Every later node is a
+    block of components, stored once, in the round where it split off its
+    parent, with its members' signature from the round before: their ``s``
+    and ``d`` moves as (label, target block in that round, that block's
+    node) entries.  A node's children are numbered consecutively, after
+    every node of an earlier round.  ``leaf`` holds each cell's leaf."""
 
     def __init__(self, p: PosetModel):
         self.atoms = p.atoms
-        self.components, self.valuations, self.step, self.down = bisim.abstract_tables(p)
-        split = _valuation_split(self.valuations)
-        rounds = bisim.refine(split, (self.step, self.down))
-        # round 0 is one block; refinement starts at round 1, the valuation
-        # split, which is round 0 itself when there is one valuation
-        if max(split, default=0) > 0:
-            rounds = chain([[0] * len(split)], rounds)
-        self.rounds: list[array] = []
-        self.reps: list[array] = []
-        self.kids: list[dict[int, list[int]]] = []
-        for block in rounds:
+        components, valuations, step, down = bisim.abstract_tables(p)
+        self.parent, self.signature = [-1], [frozenset()]
+        self.children: dict[int, range] = {}
+        # the previous round's block table, each block's last component and
+        # each block's node; round 0 is one block
+        prev, last, node = [0] * len(valuations), [len(valuations) - 1], [0]
+        for block in bisim.refine(_valuation_split(valuations), (step, down)):
             # blocks are numbered in order of first component, so the dict's
             # keys arrive in block order; a later component overwrites its value
-            lasts = dict(zip(block, range(len(block)))).values()
-            current = set(lasts)
+            lasts = list(dict(zip(block, range(len(block)))).values())
+            # a parent's last component is still the last of one child; a
+            # child whose last component is new has split off
             kids: dict[int, list[int]] = {}
-            if self.rounds:
-                # a parent's last component is still the last of one child;
-                # a child whose last component is new has split off, so only
-                # parents with such a child are listed
-                prev, last = self.rounds[-1], self.reps[-1]
-                for s in current - previous:
-                    kids.setdefault(prev[s], [block[last[prev[s]]]]).append(block[s])
-            previous = current
-            self.rounds.append(array("i", block))
-            self.reps.append(array("i", lasts))
-            self.kids.append(kids)
-        self._formulas: dict[tuple[int, int], Formula] = {}
+            for s in sorted(set(lasts).difference(last)):
+                kids.setdefault(prev[s], [last[prev[s]]]).append(s)
+            nodes = list(map(node.__getitem__, map(prev.__getitem__, lasts)))
+            for b, reps in kids.items():
+                self.children[node[b]] = range(len(self.parent), len(self.parent) + len(reps))
+                for s in reps:
+                    nodes[block[s]] = len(self.parent)
+                    self.parent.append(node[b])
+                    self.signature.append(valuations[s] if node[b] == 0 else frozenset(
+                        (lab, prev[t], node[prev[t]])
+                        for lab, ts in ((STEP, step[s]), (DOWN, down[s])) for t in ts
+                    ))
+            prev, last, node = block, lasts, nodes
+        self.leaf = list(map(node.__getitem__, map(prev.__getitem__, components.block)))
+        self._formulas: dict[int, tuple[Formula, Formula]] = {}
 
-    def signature(self, k: int, s: int) -> frozenset[tuple[str, int]]:
-        """Component ``s``'s ``s`` and ``d`` moves by round-``k`` target block;
-        past round 1 nothing else differs inside a block."""
-        block = self.rounds[k]
-        return frozenset(
-            [(STEP, block[t]) for t in self.step[s]] + [(DOWN, block[t]) for t in self.down[s]]
-        )
-
-    def formula(self, k: int, j: int) -> Formula:
-        """Round 0 is one block and round 1 splits it by valuation, as every
-        component has ``s`` and ``d`` self-loops.  A later block adds to its
-        parent's formula literals that exclude the parent's other blocks; an
-        explicit stack builds it after every block those formulas read."""
-        stack: list = [(k, j, None)]
-        while stack:
-            r, b, siblings = stack.pop()
-            if (r, b) in self._formulas:
-                continue
-            rep = self.reps[r][b]
-            if r <= 1:
-                self._formulas[r, b] = (
-                    TOP if r == 0 else _valuation_formula(self.atoms, self.valuations[rep])
-                )
-            elif siblings is None:
-                parent = self.rounds[r - 1][rep]
-                siblings = [
-                    self.signature(r - 1, self.reps[r][i])
-                    for i in self.kids[r].get(parent, ()) if i != b
-                ]
-                own = self.signature(r - 1, rep)
-                stack += [(r, b, siblings), (1, self.rounds[1][rep], None), (r - 1, parent, None)]
-                stack += [(r - 1, t, None) for _, t in _differences(own, siblings)]
+    def build(self, n: int) -> None:
+        """Memoise every node's valuation formula and exact formula up to
+        node ``n``, in node order, so the memo holds the nodes below some
+        number.  A child of node 0 is pinned by its valuation; a later node
+        adds to its parent's formula literals that exclude its siblings.
+        Threads that build at once store equal pairs of the same objects."""
+        memo = self._formulas
+        for m in range(len(memo), n + 1):
+            up, own = self.parent[m], self.signature[m]
+            if up <= 0:
+                v = out = TOP if up < 0 else _valuation_formula(self.atoms, own)
             else:
-                out = self._formulas[r - 1, self.rounds[r - 1][rep]]
-                for lit in self.separate(r - 1, rep, siblings):
+                v, out = memo[up]
+                siblings = [self.signature[k] for k in self.children[up] if k != m]
+                for lit in self.separate(v, own, siblings):
                     out = And(out, lit)
-                self._formulas[r, b] = out
-        return self._formulas[k, j]
+            memo[m] = (v, out)
 
-    def literal(self, k: int, s: int, entry: tuple[str, int], positive: bool) -> Formula:
-        """On components valued like ``s``: true where the round-``k`` signature
-        has ``entry`` (label, block B), or lacks it if not ``positive``.
+    def separate(self, v: Formula, own: frozenset, others: list[frozenset]) -> list[Formula]:
+        """Literals true on the signature ``own`` of components valued ``v``
+        that together fail on each of ``others``: greedily, the smallest still
+        separating one.
 
-        With V pinning the valuation and F exact for B, ``d`` gives ``eta(V, F)``
-        and ``s`` gives ``eta(V | F, F)``: a path inside V stays in its
-        component, and a path that steps into F has made an ``s`` move."""
-        v = self.formula(1, self.rounds[1][s])
-        lab, b = entry
-        target = self.formula(k, b)
-        lit = Eta(v, target) if lab == DOWN else Eta(Or(v, target), target)
-        return lit if positive else Not(lit)
-
-    def separate(self, k: int, s: int, others: list[frozenset]) -> list[Formula]:
-        """Literals true on ``s``'s round-``k`` signature that together fail
-        on each of ``others``: greedily, the smallest still separating one."""
-        own = self.signature(k, s)
-        literals = {e: self.literal(k, s, e, e in own) for e in _differences(own, others)}
+        With F exact for an entry's node, ``d`` gives ``eta(v, F)`` and ``s``
+        gives ``eta(v | F, F)``: a path inside v stays in its component, and
+        a path that steps into F has made an ``s`` move."""
+        literals = {}
+        for e in _differences(own, others):
+            target = self._formulas[e[2]][1]
+            lit = Eta(v, target) if e[0] == DOWN else Eta(Or(v, target), target)
+            literals[e] = lit if e in own else Not(lit)
         chosen = []
         for e in sorted(literals, key=lambda e: (literals[e].size, e)):
             rest = [o for o in others if (e in own) == (e in o)]
@@ -239,9 +214,25 @@ class _RoundLog:
                 others = rest
         return chosen
 
+    def witness(self, i: int, j: int) -> Formula | None:
+        """The separating literal of two same-valuation cells at their
+        lowest common ancestor, or None if they share a leaf.  A higher
+        node is never an ancestor of a lower one."""
+        a, b, parent = self.leaf[i], self.leaf[j], self.parent
+        while parent[a] != parent[b]:
+            a, b = (parent[a], b) if a > b else (a, parent[b])
+        if a == b:
+            return None
+        own, other = self.signature[a], self.signature[b]
+        # every entry's node, the parent's among them (each component has a
+        # d move to itself), is older than a and b
+        self.build(max(n for _, _, n in own | other))
+        [witness] = self.separate(self._formulas[parent[a]][0], own, [other])
+        return witness
 
-# each poset's round log, freed with the poset
-_LOGS: weakref.WeakKeyDictionary[PosetModel, _RoundLog] = weakref.WeakKeyDictionary()
+
+# each poset's split tree, freed with the poset
+_LOGS: weakref.WeakKeyDictionary[PosetModel, _SplitTree] = weakref.WeakKeyDictionary()
 
 
 def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
@@ -252,9 +243,9 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
     literal (different valuations) or one signature entry that differs
     between their components in the first refinement round that splits them.
 
-    The first call on a model that needs the refinement builds its round log;
-    later calls on that model reuse it, with every block formula built so
-    far.  The log is kept only as long as the model is.
+    The first call on a model that needs the refinement builds its split
+    tree; later calls on that model reuse it, with every node formula built
+    so far.  The tree is kept only as long as the model is.
     """
     i, j = p.index_of(a), p.index_of(b)
     if a == b:
@@ -265,13 +256,5 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
         if gained:
             return Atom(gained[0])
         return Not(Atom(sorted(vb - va)[0]))
-    log = _LOGS.get(p)
-    if log is None:
-        # threads that miss at once may each build one; the first stored wins
-        log = _LOGS.setdefault(p, _RoundLog(p))
-    x, y = log.components.block[i], log.components.block[j]
-    for k, block in enumerate(log.rounds):
-        if block[x] != block[y]:
-            [witness] = log.separate(k - 1, x, [log.signature(k - 1, y)])
-            return witness
-    return None
+    # threads that miss at once may each build one; the first stored wins
+    return (_LOGS.get(p) or _LOGS.setdefault(p, _SplitTree(p))).witness(i, j)

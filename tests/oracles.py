@@ -7,6 +7,7 @@ from collections import deque
 from itertools import chain
 from typing import Iterable, Iterator
 
+from polymin import bisim
 from polymin.bisim import (
     CHANGE, DOWN, STEP, TAU, Label, LabelError, Moves, Partition, components_same_valuation,
 )
@@ -16,7 +17,9 @@ from polymin.kripke import ReflexiveKripkeModel
 from polymin.logic import (
     TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure,
 )
-from polymin.minimize import MinimalModel, class_id
+from polymin.minimize import (
+    MinimalModel, _differences, _valuation_formula, _valuation_split, class_id,
+)
 from polymin.simplicial import PosetModel
 
 
@@ -321,6 +324,127 @@ def quotient_succ_by_pairs(p: PosetModel, part: Partition) -> tuple[tuple[int, .
     for w, targets in enumerate(p.succ):
         succ[cls[w]].update(map(cls.__getitem__, targets))
     return tuple(tuple(sorted(s)) for s in succ)
+
+
+# -- the round log, kept as the reference for the split tree's witnesses --------
+
+class _RoundLog:
+    """The rounds of the abstract route's strong refinement (block tables over
+    component numbers), with an exact formula (its extension is the block's
+    cells) for every block of every round, built on demand.
+
+    A log is kept with its model (see :func:`distinguishing_formula`), so it
+    is stored compactly: each round's block table, and its representatives
+    (each block's last component) by block number, as ``array('i')``; and by
+    round, each block that split in it, with its children."""
+
+    def __init__(self, p: PosetModel):
+        self.atoms = p.atoms
+        self.components, self.valuations, self.step, self.down = bisim.abstract_tables(p)
+        split = _valuation_split(self.valuations)
+        rounds = bisim.refine(split, (self.step, self.down))
+        # round 0 is one block; refinement starts at round 1, the valuation
+        # split, which is round 0 itself when there is one valuation
+        if max(split, default=0) > 0:
+            rounds = chain([[0] * len(split)], rounds)
+        self.rounds: list[array] = []
+        self.reps: list[array] = []
+        self.kids: list[dict[int, list[int]]] = []
+        for block in rounds:
+            # blocks are numbered in order of first component, so the dict's
+            # keys arrive in block order; a later component overwrites its value
+            lasts = dict(zip(block, range(len(block)))).values()
+            current = set(lasts)
+            kids: dict[int, list[int]] = {}
+            if self.rounds:
+                # a parent's last component is still the last of one child;
+                # a child whose last component is new has split off, so only
+                # parents with such a child are listed
+                prev, last = self.rounds[-1], self.reps[-1]
+                for s in current - previous:
+                    kids.setdefault(prev[s], [block[last[prev[s]]]]).append(block[s])
+            previous = current
+            self.rounds.append(array("i", block))
+            self.reps.append(array("i", lasts))
+            self.kids.append(kids)
+        self._formulas: dict[tuple[int, int], Formula] = {}
+
+    def signature(self, k: int, s: int) -> frozenset[tuple[str, int]]:
+        """Component ``s``'s ``s`` and ``d`` moves by round-``k`` target block;
+        past round 1 nothing else differs inside a block."""
+        block = self.rounds[k]
+        return frozenset(
+            [(STEP, block[t]) for t in self.step[s]] + [(DOWN, block[t]) for t in self.down[s]]
+        )
+
+    def formula(self, k: int, j: int) -> Formula:
+        """Round 0 is one block and round 1 splits it by valuation, as every
+        component has ``s`` and ``d`` self-loops.  A later block adds to its
+        parent's formula literals that exclude the parent's other blocks; an
+        explicit stack builds it after every block those formulas read."""
+        stack: list = [(k, j, None)]
+        while stack:
+            r, b, siblings = stack.pop()
+            if (r, b) in self._formulas:
+                continue
+            rep = self.reps[r][b]
+            if r <= 1:
+                self._formulas[r, b] = (
+                    TOP if r == 0 else _valuation_formula(self.atoms, self.valuations[rep])
+                )
+            elif siblings is None:
+                parent = self.rounds[r - 1][rep]
+                siblings = [
+                    self.signature(r - 1, self.reps[r][i])
+                    for i in self.kids[r].get(parent, ()) if i != b
+                ]
+                own = self.signature(r - 1, rep)
+                stack += [(r, b, siblings), (1, self.rounds[1][rep], None), (r - 1, parent, None)]
+                stack += [(r - 1, t, None) for _, t in _differences(own, siblings)]
+            else:
+                out = self._formulas[r - 1, self.rounds[r - 1][rep]]
+                for lit in self.separate(r - 1, rep, siblings):
+                    out = And(out, lit)
+                self._formulas[r, b] = out
+        return self._formulas[k, j]
+
+    def literal(self, k: int, s: int, entry: tuple[str, int], positive: bool) -> Formula:
+        """On components valued like ``s``: true where the round-``k`` signature
+        has ``entry`` (label, block B), or lacks it if not ``positive``.
+
+        With V pinning the valuation and F exact for B, ``d`` gives ``eta(V, F)``
+        and ``s`` gives ``eta(V | F, F)``: a path inside V stays in its
+        component, and a path that steps into F has made an ``s`` move."""
+        v = self.formula(1, self.rounds[1][s])
+        lab, b = entry
+        target = self.formula(k, b)
+        lit = Eta(v, target) if lab == DOWN else Eta(Or(v, target), target)
+        return lit if positive else Not(lit)
+
+    def separate(self, k: int, s: int, others: list[frozenset]) -> list[Formula]:
+        """Literals true on ``s``'s round-``k`` signature that together fail
+        on each of ``others``: greedily, the smallest still separating one."""
+        own = self.signature(k, s)
+        literals = {e: self.literal(k, s, e, e in own) for e in _differences(own, others)}
+        chosen = []
+        for e in sorted(literals, key=lambda e: (literals[e].size, e)):
+            rest = [o for o in others if (e in own) == (e in o)]
+            if len(rest) < len(others):
+                chosen.append(literals[e])
+                others = rest
+        return chosen
+
+
+def round_log_witness(log: _RoundLog, p: PosetModel, a: str, b: str) -> Formula | None:
+    """:func:`polymin.distinguishing_formula` of two same-valuation cells,
+    read from the round log: one signature entry that differs between their
+    components in the first round that splits them."""
+    x, y = log.components.block[p.index_of(a)], log.components.block[p.index_of(b)]
+    for k, block in enumerate(log.rounds):
+        if block[x] != block[y]:
+            [witness] = log.separate(k - 1, x, [log.signature(k - 1, y)])
+            return witness
+    return None
 
 
 # -- the checker's name-based set evaluator, kept as its reference ------------

@@ -31,11 +31,13 @@ from polymin.bisim import (
     Partition,
     STEP,
     TAU,
+    abstract_tables,
     branching_quotient,
     is_branching_minimal,
     pull_back,
+    refine,
 )
-from polymin.minimize import _RoundLog
+from polymin.minimize import _SplitTree, _valuation_split
 
 from oracles import (
     as_moves, as_partition, aut_by_sorted_triples, aut_moves, branching_partition, class_names,
@@ -507,11 +509,36 @@ class TestNumberedTables:
             reference = encode_abstract_by_pairs(p)
             assert lts == reference
             rounds = [list(block) for block in strong_rounds_by_pairs(reference)]
-            assert [list(block) for block in _RoundLog(p).rounds] == rounds
+            # the oracle starts from one block, refine from the valuation split
+            _, valuations, step, down = abstract_tables(p)
+            split = _valuation_split(valuations)
+            refined = [list(block) for block in refine(split, (step, down))]
+            if max(split, default=0) > 0:
+                refined.insert(0, [0] * len(split))
+            assert refined == rounds
             assert strong_partition(lts) == tuple(rounds[-1])
             mm = minimal_model(p)
             assert mm.partition == pull_back(tuple(rounds[-1]), components)
             assert mm.kripke.succ == quotient_succ_by_pairs(p, mm.partition)
+
+    @pytest.mark.parametrize("family", [*ORACLE_FAMILIES, "one-valuation", "discrete"])
+    def test_split_tree_leaves_are_the_minimal_classes(self, family):
+        # leaves numbered in order of first cell, which is the order of
+        # first component, as the classes are
+        models = {
+            **ORACLE_FAMILIES,
+            "one-valuation": lambda: [cell_poset(random_model(3, 5, 2, 0))],
+            "discrete": lambda: [cell_poset(random_model(223, 6, 3, 3))],
+        }
+        for p in models[family]():
+            tree = _SplitTree(p)
+            first: dict[int, int] = {}
+            leaves = tuple(first.setdefault(n, len(first)) for n in tree.leaf)
+            assert leaves == minimal_model(p).partition.block
+            if family == "one-valuation":
+                assert len(p) > 1 and tree.parent == [-1]
+            if family == "discrete":  # split past the valuations
+                assert len(first) == len(p) > len(set(p.valuations)) > 1
 
     @pytest.mark.parametrize("family", ORACLE_FAMILIES)
     def test_concrete_encoding_matches_the_rule(self, family):

@@ -28,12 +28,13 @@ from polymin.checker import SatSet
 from polymin.cli import main
 from polymin.kripke import UnknownElementError
 from polymin.logic import TOP, is_eta_pure
-from polymin.minimize import UnknownClassError, _RoundLog
+from polymin.minimize import UnknownClassError, _SplitTree
 
-from conftest import FIXTURES, concrete_d_relation, random_posets
+from conftest import FIXTURES, concrete_d_relation, load_fixture, random_posets
 from families import corridor_document, maze_document
 from oracles import (
-    class_of_element, members_of, poset_from_covers, random_formula, relation_pairs,
+    _RoundLog, class_of_element, members_of, poset_from_covers, random_formula, relation_pairs,
+    round_log_witness,
 )
 
 
@@ -222,14 +223,18 @@ class TestDistinguishingFormula:
 
     def test_refinement_agrees_with_direct_fixpoint(self):
         for seed, p in random_posets(20):
-            log = _RoundLog(p)
-            for k, block in enumerate(log.rounds):
-                cells: dict[int, set[str]] = {}
-                for w, component in zip(p.elements, log.components.block):
-                    cells.setdefault(block[component], set()).add(w)
-                for j, extension in cells.items():
-                    assert sat(p, log.formula(k, j)).members == extension, (seed, k, j)
-            assert set(map(frozenset, cells.values())) == set(weak_pm_partition(p).classes), seed
+            tree = _SplitTree(p)
+            # a cell is under its leaf and under every ancestor of it
+            cells: list[set[str]] = [set() for _ in tree.parent]
+            for w, n in zip(p.elements, tree.leaf):
+                while n >= 0:
+                    cells[n].add(w)
+                    n = tree.parent[n]
+            tree.build(len(tree.parent) - 1)
+            for n, extension in enumerate(cells):
+                assert sat(p, tree._formulas[n][1]).members == extension, (seed, n)
+            leaves = {frozenset(cells[n]) for n in tree.leaf}
+            assert leaves == set(weak_pm_partition(p).classes), seed
 
     def test_witness_text_is_independent_of_hash_seed(self):
         program = (
@@ -348,6 +353,26 @@ class TestSharedLog:
         finally:
             sys.setswitchinterval(interval)
         assert results == [serial] * 4
+
+
+class TestSplitTree:
+    def test_witnesses_are_the_round_logs(self):
+        # the round log keeps every round's block table; the split tree
+        # must pick the same literal, one hash-consed object, for each pair
+        models = [cell_poset(load_fixture(f"{stem}.json"))
+                  for stem in ("segment3", "triangle_abc", "strip4")]
+        models += [cell_poset(random_model(seed, 6, 3, 2)) for seed in range(40)]
+        models += [cell_poset(load_simplicial_model(maze_document(n))) for n in range(3, 9)]
+        models.append(cell_poset(load_simplicial_model(corridor_document(60))))
+        separated = 0
+        for k, p in enumerate(models):
+            log = _RoundLog(p)
+            for a, b in same_valuation_pairs(p, 80):
+                for x, y in ((a, b), (b, a)):
+                    witness = distinguishing_formula(p, x, y)
+                    assert witness is round_log_witness(log, p, x, y), (k, x, y)
+                    separated += witness is not None
+        assert separated > 1500, separated
 
 
 class TestIdempotence:
