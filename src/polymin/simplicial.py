@@ -6,15 +6,26 @@ the *cell poset*: one node per cell, ordered by face inclusion.  The loader's
 face pass, which checks that every face is listed, is the one validation of
 that order; the poset is read from the faces and trusts them.  Vertex
 coordinates, when present in the input, are carried along untouched.
+
+Both the loader and :func:`cell_poset` work column by column: each check,
+and each face size of each cell size, is one pass over a column of cells,
+so the interpreter's loop runs per column rather than per cell.  Cells are
+grouped by size; when the document lists them by size, as meshes are
+written, each group is a slice.  A model whose order would exceed
+:data:`ORDER_PAIR_BUDGET` pairs is refused before any face is looked up.
 """
 
 from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cache
 from array import array
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import itemgetter, lt
 
 from .errors import EncodingError, InputError
 from .jsontext import json_text
@@ -53,7 +64,8 @@ class MissingValuationError(InputError):
 
 
 class ModelSizeError(InputError):
-    """Arguments to :func:`random_model` that describe no model."""
+    """A model whose cell poset would exceed :data:`ORDER_PAIR_BUDGET`, or
+    arguments to :func:`random_model` that describe no model."""
 
 
 @dataclass(frozen=True)
@@ -65,7 +77,8 @@ class SimplicialModel:
     ``cells[i]`` is a sorted tuple of vertex names and ``valuations[i]`` its
     atom set.  ``_index`` maps each canonical cell name to its number, in
     cell order, and ``_covers`` keeps the covering pairs (face, cell) that
-    the face pass found; :func:`cell_poset` reads both.
+    the face pass found, in the order :func:`_read_cells` states;
+    :func:`cell_poset` reads both.
 
     :func:`_read_cells`, the one validation routine, builds every model.
     """
@@ -81,6 +94,10 @@ class SimplicialModel:
 
 _NO_ATOMS = object()
 _VERTEX_TYPE = "cell vertices must be a list of strings"
+_VERTICES = itemgetter("vertices")
+# The cell poset's order pairs a model may have: sum(2**len(c) - 1) over its
+# cells, counted before any is built.  See README "Bounded work".
+ORDER_PAIR_BUDGET = 4_000_000
 
 
 def _read_cells(
@@ -91,103 +108,212 @@ def _read_cells(
 
     Each entry is ``{"vertices": [...], "atoms": [...]}``; ``declared`` is
     the vertex list, or ``None`` to take the vertices from the cells in
-    order of first appearance.  One pass over the entries type-checks,
-    sorts (in place), names and numbers each cell, checks each vertex name
-    once and gives equal atom lists one shared frozenset.  A second pass
-    over the numbered cells looks up their faces, kept as a flat array of
-    cell numbers: face, cell, face, cell, ...  The model's atoms are
+    order of first appearance.  The entries' ``vertices`` and ``atoms`` are
+    read into two columns and ``entries`` is emptied, which frees the cell
+    dicts before any table is built.  Each check is then one pass over a
+    column: list types, vertex names, repeated vertices, duplicate cells,
+    atom lists (equal ones share one frozenset) and, size group by size
+    group, the faces.  Only when a pass fails are the cells scanned one by
+    one, in file order, for the first fault, so errors are those of a
+    cell-by-cell check.  Faces are kept as a flat array of cell numbers,
+    face, cell, face, cell, ...: for each cell size k >= 2 in ascending
+    order and each (k - 1)-vertex face position in ``combinations`` order,
+    that face of every k-vertex cell, in cell order.  The model's atoms are
     ``atoms`` (checked strings) followed by the undeclared ones in order of
     first use.
 
-    ``entries`` is consumed: each entry is dropped from the list once it has
-    been read, so the document shrinks as the model grows.
+    A model whose order would have over :data:`ORDER_PAIR_BUDGET` pairs is
+    refused with :class:`ModelSizeError` once its cells have passed their
+    own checks, before its faces are looked up.
     """
-    if declared is None:
-        order: list[str] = []
-    else:
+    if declared is not None:
         if not isinstance(declared, list) or not all(isinstance(v, str) for v in declared):
             raise ModelFormatError("vertices must be a list of strings")
-        order = list(dict.fromkeys(declared))
-        for v in order:
+        declared = list(dict.fromkeys(declared))
+        for v in declared:
             _check_vertex_name(v)
-    known = set(order)
-    number: dict[str, int] = {}
-    cells: list[tuple[str, ...]] = []
-    valuations: list[frozenset[str]] = []
-    shared: dict[tuple, frozenset[str]] = {}
-    for i, entry in enumerate(entries):
-        entries[i] = None
-        if not isinstance(entry, dict) or "vertices" not in entry:
-            raise ModelFormatError(f"malformed cell entry: {entry!r}")
-        vs = entry["vertices"]
-        if not isinstance(vs, list):
-            raise ModelFormatError(_VERTEX_TYPE)
-        if not vs:
-            raise ModelFormatError("cells must have at least one vertex")
-        # Known vertices are checked strings; only a cell with a vertex not
-        # seen before needs its names looked at.
+    try:
+        vertex_lists = list(map(_VERTICES, entries))
+    except (KeyError, TypeError):  # an entry that is no object with vertices
+        bad = next(i for i, e in enumerate(entries)
+                   if not isinstance(e, dict) or "vertices" not in e)
+        head = entries[:bad]
+        _first_fault(list(map(_VERTICES, head)), _atom_column(head), declared)
+        raise ModelFormatError(f"malformed cell entry: {entries[bad]!r}") from None
+    atom_lists = _atom_column(entries)
+    entries.clear()
+
+    seen = None
+    if set(map(type, vertex_lists)) == {list} and all(vertex_lists):
         try:
-            fresh = not known.issuperset(vs)
-        except TypeError:  # an unhashable entry
-            raise ModelFormatError(_VERTEX_TYPE) from None
-        if fresh:
-            if not all(isinstance(v, str) for v in vs):
-                raise ModelFormatError(_VERTEX_TYPE)
-            if declared is not None:
-                cell = sorted(vs)
-                v = next(v for v in cell if v not in known)
-                raise UnknownVertexError(f"cell {'-'.join(cell)!r} uses undeclared vertex {v!r}")
-            for v in vs:
-                if v not in known:
-                    _check_vertex_name(v)
-                    known.add(v)
-                    order.append(v)
-        vs.sort()
-        cell = tuple(vs)
-        name = "-".join(cell)
-        if len(cell) > 1 and len(set(cell)) < len(cell):
-            raise ModelFormatError(f"cell {name!r} lists a vertex twice")
-        if number.setdefault(name, len(cells)) != len(cells):
-            raise ModelFormatError(f"duplicate cell {name!r}")
-        listed = entry.get("atoms", _NO_ATOMS)
-        if listed is _NO_ATOMS:
-            raise MissingValuationError(f"cell {name!r} has no atom list")
-        if not isinstance(listed, list):
-            raise _atoms_type(name)
-        # As with vertices, only an atom list not seen before is looked at.
-        key = tuple(listed)
-        try:
-            atom_set = shared[key]
-        except (KeyError, TypeError):  # new, or holding something unhashable
-            if not all(isinstance(a, str) for a in listed):
-                raise _atoms_type(name) from None
-            atom_set = shared[key] = frozenset(key)
-        cells.append(cell)
-        valuations.append(atom_set)
+            seen = dict.fromkeys(chain.from_iterable(vertex_lists))
+        except TypeError:  # an unhashable vertex
+            pass
+    if seen is None or set(map(type, seen)) != {str}:
+        raise _first_fault(vertex_lists, atom_lists, declared)
+    if declared is None:
+        if "" in seen or "-" in "".join(seen):
+            raise _first_fault(vertex_lists, atom_lists, declared)
+    elif not seen.keys() <= set(declared):
+        raise _first_fault(vertex_lists, atom_lists, declared)
+
+    if set(map(type, atom_lists)) != {list}:
+        raise _first_fault(vertex_lists, atom_lists, declared)
+    atom_lists = list(map(tuple, atom_lists))
+    shared = None
+    try:
+        shared = dict.fromkeys(atom_lists)
+    except TypeError:  # an unhashable atom
+        pass
+    if shared is None or not set(map(type, chain.from_iterable(shared))) <= {str}:
+        raise _first_fault(vertex_lists, map(list, atom_lists), declared)
+    for key in shared:
+        shared[key] = frozenset(key)
+    valuations = tuple(map(shared.__getitem__, atom_lists))
+    del atom_lists
+
+    n = len(vertex_lists)
+    deque(map(list.sort, vertex_lists), 0)
+    cells = list(map(tuple, vertex_lists))
+    # Each column goes once it has passed its checks: the scan then reads the
+    # sorted cells, and atom lists with no fault, in place of the two.
+    del vertex_lists
+    sizes = list(map(len, cells))
+    groups = [(k, members, _take(cells, members)) for k, members in _size_runs(sizes)]
+    for k, _, group in groups:
+        if k > 3:  # one set a cell costs less than k - 1 passes
+            repeats = sum(map(len, map(set, group))) < k * len(group)
+        else:  # a sorted cell lists no vertex twice iff it ascends
+            repeats = not all(all(map(lt, map(itemgetter(j), group), map(itemgetter(j + 1), group)))
+                              for j in range(k - 1))
+        if repeats:
+            raise _first_fault(map(list, cells), repeat([]), declared)
+    number = dict(zip(map("-".join, cells), range(n)))
+    if len(number) < n:
+        raise _first_fault(map(list, cells), repeat([]), declared)
+
+    order_pairs = sum((2**k - 1) * len(members) for k, members, _ in groups)
+    if order_pairs > ORDER_PAIR_BUDGET:
+        raise ModelSizeError(f"the cell poset would have {order_pairs:,} order pairs, "
+                             f"over the budget of {ORDER_PAIR_BUDGET:,}")
 
     # Face closure: checking the one-vertex-removed faces of every cell covers
     # all smaller faces by induction.  Those faces are exactly its covers.
     covers: list[int] = []
-    for high, cell in enumerate(cells):
-        k = len(cell)
+    for k, highs, group in groups:
         if k == 1:
             continue
-        # an edge's faces are its vertices, which are named as themselves
-        for face in cell if k == 2 else map("-".join, combinations(cell, k - 1)):
-            low = number.get(face)
-            if low is None:
-                raise MissingFaceError(
-                    f"cell {'-'.join(cell)!r} requires face {face!r}, which is not listed"
-                )
-            covers.append(low)
-            covers.append(high)
+        flat = [None] * (2 * len(group))  # face, cell, face, cell, ...
+        flat[1::2] = highs
+        for face in _faces(k, k - 1):
+            try:
+                flat[::2] = map(number.__getitem__, _names(face, k - 1, group))
+            except KeyError:
+                raise _missing_face(cells, number) from None
+            covers += flat
 
     # A repeated valuation adds no atoms.
     used = dict.fromkeys(atoms)
     for atom_set in dict.fromkeys(shared.values()):
         used.update(dict.fromkeys(sorted(atom_set)))
-    return SimplicialModel(tuple(order), tuple(cells), tuple(valuations), tuple(used), geometry,
-                           number, array("i", covers))
+    return SimplicialModel(tuple(seen if declared is None else declared), tuple(cells), valuations,
+                           tuple(used), geometry, number, array("i", covers))
+
+
+def _size_runs(sizes: list[int]) -> list[tuple[int, range | list[int]]]:
+    """Each cell size k, ascending, with the numbers of the k-vertex cells in
+    file order: a range when the cells are listed by size, else a list."""
+    ordered = sorted(sizes)
+    order = range(len(sizes))
+    if ordered != sizes:
+        order = sorted(order, key=sizes.__getitem__)
+    runs = []
+    start = 0
+    while start < len(ordered):
+        stop = bisect_right(ordered, ordered[start], start)
+        runs.append((ordered[start], order[start:stop]))
+        start = stop
+    return runs
+
+
+@cache
+def _faces(k: int, size: int) -> list[itemgetter]:
+    """Getters of the ``size``-vertex faces of a k-vertex cell's vertex tuple,
+    in ``combinations`` order."""
+    return [itemgetter(*face) for face in combinations(range(k), size)]
+
+
+def _names(face: itemgetter, size: int, group: list[tuple[str, ...]]):
+    """The names of one face, of ``size`` vertices, of each cell of ``group``;
+    a vertex is named as itself."""
+    return map(face, group) if size == 1 else map("-".join, map(face, group))
+
+
+def _take(column, members: range | list[int]) -> list:
+    """The entries of ``column`` at the cell numbers ``members``."""
+    if type(members) is range:
+        return column[members.start:members.stop]
+    return list(map(column.__getitem__, members))
+
+
+def _put(column: list, members: range | list[int], values) -> None:
+    """Store ``values`` in ``column`` at the cell numbers ``members``."""
+    if type(members) is range:
+        column[members.start:members.stop] = values
+    else:
+        deque(map(column.__setitem__, members, values), 0)
+
+
+def _atom_column(entries: list[dict]) -> list:
+    return list(map(dict.get, entries, repeat("atoms"), repeat(_NO_ATOMS)))
+
+
+def _first_fault(vertex_lists, atom_lists, declared: list | None) -> AssertionError:
+    """Check the cells one by one, in file order, for what ``_read_cells``
+    checks column by column, and raise the first fault of the first faulty
+    cell.  After a failed column pass there is one; the error returned is
+    for a pass that disagrees with this scan."""
+    known = set() if declared is None else set(declared)
+    names = set()
+    for vs, listed in zip(vertex_lists, atom_lists):
+        if not isinstance(vs, list):
+            raise ModelFormatError(_VERTEX_TYPE)
+        if not vs:
+            raise ModelFormatError("cells must have at least one vertex")
+        if not all(isinstance(v, str) for v in vs):
+            raise ModelFormatError(_VERTEX_TYPE)
+        cell = sorted(vs)
+        name = "-".join(cell)
+        for v in vs if declared is None else cell:
+            if v not in known:
+                if declared is not None:
+                    raise UnknownVertexError(f"cell {name!r} uses undeclared vertex {v!r}")
+                _check_vertex_name(v)
+                known.add(v)
+        if len(set(cell)) < len(cell):
+            raise ModelFormatError(f"cell {name!r} lists a vertex twice")
+        if name in names:
+            raise ModelFormatError(f"duplicate cell {name!r}")
+        names.add(name)
+        if listed is _NO_ATOMS:
+            raise MissingValuationError(f"cell {name!r} has no atom list")
+        if not isinstance(listed, list) or not all(isinstance(a, str) for a in listed):
+            raise _atoms_type(name)
+    return AssertionError("a column pass failed, but no cell is faulty")
+
+
+def _missing_face(cells: list[tuple[str, ...]], number: dict[str, int]) -> MissingFaceError:
+    """The first missing face of the first cell that has one, in file order
+    and then in ``combinations`` order."""
+    for cell in cells:
+        if len(cell) == 1:
+            continue
+        for face in map("-".join, combinations(cell, len(cell) - 1)):
+            if face not in number:
+                return MissingFaceError(
+                    f"cell {'-'.join(cell)!r} requires face {face!r}, which is not listed"
+                )
+    raise AssertionError("no face is missing")
 
 
 def _atoms_type(name: str) -> ModelFormatError:
@@ -302,32 +428,36 @@ def cell_poset(m: SimplicialModel) -> PosetModel:
     One element per cell, named canonically, in input cell order so results
     map back to cells by position; the order is face inclusion.  The loader
     has checked that every face is listed, so each down-set is read from the
-    faces: the cell, its covers (the loader's, k in a row for a cell of
-    k >= 2 vertices), its vertices and, from four vertices on, its faces of
-    2 to k - 2 vertices.  Inverting the down-sets in cell order leaves every
-    up-set sorted.  The poset shares the model's index, valuations and covers,
-    and every number in its ``succ`` and ``pred`` is the index's own object.
+    faces, size group by size group and one face position at a time: the
+    cell, its covers (the loader's), its vertices and, from four vertices
+    on, its faces of 2 to k - 2 vertices.  Inverting the down-sets in cell
+    order leaves every up-set sorted.  The poset shares the model's index,
+    valuations and covers, and every number in its ``succ`` and ``pred`` is
+    the index's own object.
     """
     number = m._index.__getitem__
     nums = list(m._index.values())  # one int object per element, shared by every table
-    faces = [nums[i] for i in m._covers[::2]]
-    succ: list = [[] for _ in m.cells]
-    pred: list[tuple[int, ...]] = []
+    n = len(nums)
+    pred: list = [None] * n
     at = 0
-    for high, cell in zip(nums, m.cells):
-        k = len(cell)
-        down = [high]
-        if k > 1:
-            down += faces[at:at + k]
-            at += k
-        if k > 2:  # an edge's covers are its vertices
-            down += map(number, cell)  # a vertex is named as itself
-            for size in range(2, k - 1):
-                down += map(number, map("-".join, combinations(cell, size)))
-        down.sort()
+    for k, members in _size_runs(list(map(len, m.cells))):
+        highs = _take(nums, members)
+        if k == 1:
+            _put(pred, members, zip(highs))
+            continue
+        group = _take(m.cells, members)
+        columns = [highs]
+        for _ in range(k):  # the loader's covers: by size, then face, then cell
+            columns.append(list(map(nums.__getitem__, m._covers[at:at + 2 * len(group):2])))
+            at += 2 * len(group)
+        for size in range(1, k - 1):  # an edge's covers are its vertices
+            for face in _faces(k, size):
+                columns.append(list(map(number, _names(face, size, group))))
+        _put(pred, members, map(tuple, map(sorted, zip(*columns))))
+    succ: list = list(map(list, repeat((), n)))
+    for high, down in zip(nums, pred):
         for low in down:
             succ[low].append(high)
-        pred.append(tuple(down))
     for i, up in enumerate(succ):
         succ[i] = tuple(up)  # each list is freed as its tuple is made
     return PosetModel(m._index, tuple(succ), tuple(pred), m.valuations, m.atoms, m._covers)

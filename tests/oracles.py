@@ -4,7 +4,7 @@ import random
 import re
 from array import array
 from collections import deque
-from itertools import chain
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 from polymin import bisim
@@ -20,7 +20,10 @@ from polymin.logic import (
 from polymin.minimize import (
     MinimalModel, _differences, _valuation_formula, _valuation_split, class_id,
 )
-from polymin.simplicial import PosetModel
+from polymin.simplicial import (
+    MissingFaceError, MissingValuationError, ModelFormatError, PosetModel, SimplicialModel,
+    UnknownVertexError, _atoms_type, _check_vertex_name,
+)
 
 
 class EtaPurityError(InputError):
@@ -76,6 +79,131 @@ def poset_from_covers(
 
     k = ReflexiveKripkeModel(elements, up, valuations, atoms)
     return PosetModel(k._index, k.succ, k.pred, k.valuations, k.atoms, covers)
+
+
+_NO_ATOMS = object()
+_VERTEX_TYPE = "cell vertices must be a list of strings"
+
+
+def read_cells_by_cell(
+    entries: list, declared: list | None, atoms: list[str], geometry: dict | None
+) -> SimplicialModel:
+    """The cell-by-cell loader: the reference for
+    :func:`polymin.simplicial._read_cells`' column passes, with the same
+    errors and the same model.  Its covers run cell by cell, each cell's
+    faces in ``combinations`` order, so compare them as sorted pairs, and
+    build its posets with :func:`cell_poset_by_cell`, which does not read
+    them.
+
+    One pass over the entries type-checks, sorts (in place), names and
+    numbers each cell, checks each vertex name once and gives equal atom
+    lists one shared frozenset.  A second pass over the numbered cells looks
+    up their faces.  ``entries`` is consumed as it is read.
+    """
+    if declared is None:
+        order: list[str] = []
+    else:
+        if not isinstance(declared, list) or not all(isinstance(v, str) for v in declared):
+            raise ModelFormatError("vertices must be a list of strings")
+        order = list(dict.fromkeys(declared))
+        for v in order:
+            _check_vertex_name(v)
+    known = set(order)
+    number: dict[str, int] = {}
+    cells: list[tuple[str, ...]] = []
+    valuations: list[frozenset[str]] = []
+    shared: dict[tuple, frozenset[str]] = {}
+    for i, entry in enumerate(entries):
+        entries[i] = None
+        if not isinstance(entry, dict) or "vertices" not in entry:
+            raise ModelFormatError(f"malformed cell entry: {entry!r}")
+        vs = entry["vertices"]
+        if not isinstance(vs, list):
+            raise ModelFormatError(_VERTEX_TYPE)
+        if not vs:
+            raise ModelFormatError("cells must have at least one vertex")
+        # Known vertices are checked strings; only a cell with a vertex not
+        # seen before needs its names looked at.
+        try:
+            fresh = not known.issuperset(vs)
+        except TypeError:  # an unhashable entry
+            raise ModelFormatError(_VERTEX_TYPE) from None
+        if fresh:
+            if not all(isinstance(v, str) for v in vs):
+                raise ModelFormatError(_VERTEX_TYPE)
+            if declared is not None:
+                cell = sorted(vs)
+                v = next(v for v in cell if v not in known)
+                raise UnknownVertexError(f"cell {'-'.join(cell)!r} uses undeclared vertex {v!r}")
+            for v in vs:
+                if v not in known:
+                    _check_vertex_name(v)
+                    known.add(v)
+                    order.append(v)
+        vs.sort()
+        cell = tuple(vs)
+        name = "-".join(cell)
+        if len(cell) > 1 and len(set(cell)) < len(cell):
+            raise ModelFormatError(f"cell {name!r} lists a vertex twice")
+        if number.setdefault(name, len(cells)) != len(cells):
+            raise ModelFormatError(f"duplicate cell {name!r}")
+        listed = entry.get("atoms", _NO_ATOMS)
+        if listed is _NO_ATOMS:
+            raise MissingValuationError(f"cell {name!r} has no atom list")
+        if not isinstance(listed, list):
+            raise _atoms_type(name)
+        key = tuple(listed)
+        try:
+            atom_set = shared[key]
+        except (KeyError, TypeError):  # new, or holding something unhashable
+            if not all(isinstance(a, str) for a in listed):
+                raise _atoms_type(name) from None
+            atom_set = shared[key] = frozenset(key)
+        cells.append(cell)
+        valuations.append(atom_set)
+
+    covers: list[int] = []
+    for high, cell in enumerate(cells):
+        k = len(cell)
+        if k == 1:
+            continue
+        for face in cell if k == 2 else map("-".join, combinations(cell, k - 1)):
+            low = number.get(face)
+            if low is None:
+                raise MissingFaceError(
+                    f"cell {'-'.join(cell)!r} requires face {face!r}, which is not listed"
+                )
+            covers.append(low)
+            covers.append(high)
+
+    used = dict.fromkeys(atoms)
+    for atom_set in dict.fromkeys(shared.values()):
+        used.update(dict.fromkeys(sorted(atom_set)))
+    return SimplicialModel(tuple(order), tuple(cells), tuple(valuations), tuple(used), geometry,
+                           number, array("i", covers))
+
+
+def cell_poset_by_cell(m: SimplicialModel) -> PosetModel:
+    """The cell-by-cell cell poset: the reference for
+    :func:`polymin.cell_poset`'s size-group passes.  Each cell's down-set is
+    the cell, its faces of one vertex fewer, its vertices and its faces of 2
+    to k - 2 vertices, looked up by name; inverting the down-sets in cell
+    order leaves every up-set sorted."""
+    number = m._index.__getitem__
+    nums = list(m._index.values())
+    succ: list = [[] for _ in m.cells]
+    pred: list[tuple[int, ...]] = []
+    for high, cell in zip(nums, m.cells):
+        k = len(cell)
+        down = [high]
+        for size in range(1, k):
+            down += map(number, map("-".join, combinations(cell, size)))
+        down.sort()
+        for low in down:
+            succ[low].append(high)
+        pred.append(tuple(down))
+    return PosetModel(m._index, tuple(map(tuple, succ)), tuple(pred), m.valuations, m.atoms,
+                      m._covers)
 
 
 def relation_pairs(model: ReflexiveKripkeModel) -> frozenset[tuple[str, str]]:

@@ -42,21 +42,26 @@ INDEX = st.integers(0, 3)
 
 @st.composite
 def cases(draw):
-    """A model document closed under faces and a script over its atoms.
+    """A model document, closed under faces unless one is left out, with
+    cells of up to six vertices, and a script over its atoms.
 
     A cell holds all drawn atom names, the same names joined with ``,`` into
     one declared name (which prints like the whole set), no atom, or the
     first name.  A vertex name with ``-`` or an atom name with ``"`` makes
     the document, or the script, invalid input."""
     names = draw(st.lists(NAMES, min_size=2, max_size=3, unique=True))
-    vertices = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
-    tops = draw(st.lists(st.lists(INDEX, min_size=1, max_size=3), min_size=2, max_size=3))
+    width = draw(st.integers(1, 6))  # the first top's vertices: cell sizes up to six
+    vertices = draw(st.lists(NAMES, min_size=width, max_size=width, unique=True))
+    tops = [range(width), *draw(st.lists(st.lists(INDEX, min_size=1, max_size=3),
+                                         min_size=1, max_size=2))]
     faces = sorted(
         {face for top in tops
          for face_size in range(1, len(top) + 1)
          for face in combinations(sorted({vertices[i % len(vertices)] for i in top}), face_size)},
         key=lambda face: (len(face), face),
     )
+    if draw(st.integers(0, 3)) == 3:  # one face left out: a missing face, or a smaller top
+        del faces[draw(st.integers(0, len(faces) - 1))]
     held = [names, [",".join(sorted(names))], [], names[:1]]
     cells = [{"vertices": list(face), "atoms": held[draw(INDEX)]} for face in faces]
     atoms = names + held[1]

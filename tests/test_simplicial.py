@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -7,15 +8,17 @@ import weakref
 from array import array
 from itertools import combinations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 import polymin
-from polymin import InputError, cell_poset, load_simplicial_model, random_model
+from polymin import InputError, cell_poset, load_simplicial_model, random_model, simplicial
 from polymin.cli import main
 from polymin.errors import EncodingError
 from polymin.kripke import UnknownElementError
 from polymin.simplicial import (
+    ORDER_PAIR_BUDGET,
     MissingFaceError,
     MissingValuationError,
     ModelFormatError,
@@ -26,8 +29,10 @@ from polymin.simplicial import (
 )
 
 from conftest import load_fixture, random_posets
-from families import barycentric_subdivision, corridor_document, grid_document, kuhn3d_document
-from oracles import cell_name, poset_from_covers
+from families import (
+    barycentric_subdivision, corridor_document, grid_document, kuhn3d_document, maze_document,
+)
+from oracles import cell_name, cell_poset_by_cell, poset_from_covers, read_cells_by_cell
 
 
 JOINS = "is empty or contains '-', which joins cell names"
@@ -44,6 +49,128 @@ def doc(atoms, cells):
             "cells": [{"vertices": list(v), "atoms": list(a)} for v, a in cells],
         }
     )
+
+
+ILL_TYPED = [
+    ({"atoms": 5, "cells": [{"vertices": ["a"], "atoms": []}]},
+     ModelFormatError, "atoms must be a list of strings"),
+    ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": 3}]},
+     ModelFormatError, "atoms of cell 'a' must be a list of strings"),
+    ({"atoms": [], "cells": [{"vertices": 3, "atoms": []}]},
+     ModelFormatError, "cell vertices must be a list of strings"),
+    ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": [1]},
+     ModelFormatError, "geometry must be an object of number lists"),
+    ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": {"a": 1}},
+     ModelFormatError, "geometry must be an object of number lists"),
+    ({"atoms": ["red"], "cells": [{"vertices": ["a"], "atoms": "red"}]},
+     ModelFormatError, "atoms of cell 'a' must be a list of strings"),
+    ({"atoms": [], "cells": [
+        {"vertices": ["A"], "atoms": []},
+        {"vertices": ["B"], "atoms": []},
+        {"vertices": "AB", "atoms": []},
+    ]}, ModelFormatError, "cell vertices must be a list of strings"),
+    ({"atoms": [], "cells": [{"vertices": ["a-b"], "atoms": []}]},
+     ModelFormatError, f"vertex name 'a-b' {JOINS}"),
+    ({"atoms": [], "cells": [
+        {"vertices": ["A"], "atoms": []}, {"vertices": ["A", "A"], "atoms": []},
+    ]}, ModelFormatError, "cell 'A-A' lists a vertex twice"),
+    ({"atoms": [], "cells": [
+        {"vertices": [""], "atoms": []},
+        {"vertices": ["A"], "atoms": []},
+        {"vertices": ["", "A"], "atoms": []},
+    ]}, ModelFormatError, f"vertex name '' {JOINS}"),
+    ({"atoms": ["red"], "cells": [{"vertices": ["E", "D"], "atoms": ["red"]}]},
+     MissingFaceError, "cell 'D-E' requires face 'D', which is not listed"),
+    ({"atoms": [], "vertices": ["A", "C"], "cells": [
+        {"vertices": ["C"], "atoms": []}, {"vertices": ["C", "B"], "atoms": []},
+    ]}, UnknownVertexError, "cell 'B-C' uses undeclared vertex 'B'"),
+    ({"atoms": [], "cells": [
+        {"vertices": ["A"], "atoms": []},
+        {"vertices": ["B"], "atoms": []},
+        {"vertices": ["A", "B"], "atoms": []},
+        {"vertices": ["B", "A"], "atoms": []},
+    ]}, ModelFormatError, "duplicate cell 'A-B'"),
+    ({"atoms": [], "cells": [{"vertices": ["A"]}]},
+     MissingValuationError, "cell 'A' has no atom list"),
+    ({"atoms": [], "vertices": "A", "cells": [{"vertices": ["A"], "atoms": []}]},
+     ModelFormatError, "vertices must be a list of strings"),
+    ({"atoms": [], "cells": [5]}, ModelFormatError, "malformed cell entry: 5"),
+    ({"atoms": [], "cells": [{"atoms": []}]},
+     ModelFormatError, "malformed cell entry: {'atoms': []}"),
+    ({"atoms": [], "cells": [{"vertices": [], "atoms": []}]},
+     ModelFormatError, "cells must have at least one vertex"),
+    ({"atoms": [], "cells": [{"vertices": [["a"]], "atoms": []}]},
+     ModelFormatError, "cell vertices must be a list of strings"),
+    ({"atoms": [], "cells": [{"vertices": [1], "atoms": []}]},
+     ModelFormatError, "cell vertices must be a list of strings"),
+    ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": [["p"]]}]},
+     ModelFormatError, "atoms of cell 'a' must be a list of strings"),
+    ([{"vertices": ["a"], "atoms": []}],
+     ModelFormatError, "model document must be a JSON object"),
+]
+ILL_TYPED_IDS = [
+    "atoms-int", "cell-atoms-int", "cell-vertices-int", "geometry-list",
+    "geometry-value-int", "cell-atoms-string", "cell-vertices-string", "dash-vertex",
+    "repeated-vertex", "empty-vertex", "missing-face", "undeclared-vertex",
+    "duplicate-cell", "no-atoms", "vertices-string", "cell-entry-int",
+    "cell-entry-without-vertices", "no-vertices", "unhashable-vertex",
+    "vertex-int", "unhashable-atom", "document-list",
+]
+
+
+def cells_doc(cells, **top):
+    """A document of vertex lists, each cell with no atom."""
+    return {"atoms": [], "cells": [{"vertices": list(c), "atoms": []} for c in cells], **top}
+
+
+# Documents with faults of different kinds in different cells: the first
+# cell in file order names the fault, whichever column pass finds one first.
+SEVERAL_FAULTS = [
+    (cells_doc(["A", "B", "AB", "BA", "C"], vertices=["A", "B"]),
+     ModelFormatError, "duplicate cell 'A-B'"),
+    (cells_doc(["A", "CA", "A"], vertices=["A", "B"]),
+     UnknownVertexError, "cell 'A-C' uses undeclared vertex 'C'"),
+    (cells_doc(["a", "b", "c", "d", "e", "ab", "ac", "ad", "bc", "bd", "cd", "ce",
+                "abc", "abd", "acd", "abcd", "cde"]),
+     MissingFaceError, "cell 'a-b-c-d' requires face 'b-c-d', which is not listed"),
+    (cells_doc(["a", "b", "c", "d", "e", "ab", "ac", "ad", "bc", "bd", "cd", "ce",
+                "cde", "abc", "abd", "acd", "abcd"]),
+     MissingFaceError, "cell 'c-d-e' requires face 'd-e', which is not listed"),
+    ({"atoms": [], "cells": [{"vertices": ["A"], "atoms": 3}, {"vertices": ["b-c"], "atoms": []}]},
+     ModelFormatError, "atoms of cell 'A' must be a list of strings"),
+    ({"atoms": [], "cells": [{"vertices": ["A"]}, 5]},
+     MissingValuationError, "cell 'A' has no atom list"),
+    ({"atoms": [], "cells": [{"vertices": ["A"], "atoms": [["p"]]},
+                             {"vertices": ["A", "A"], "atoms": []}]},
+     ModelFormatError, "atoms of cell 'A' must be a list of strings"),
+    ({"atoms": [], "cells": [{"vertices": ["B", "A", "B"], "atoms": []},
+                             {"vertices": [""], "atoms": []}]},
+     ModelFormatError, "cell 'A-B-B' lists a vertex twice"),
+    (cells_doc(["DE", "E", "F", "F"]),
+     ModelFormatError, "duplicate cell 'F'"),
+    ({"atoms": [], "cells": [{"vertices": ["A"], "atoms": 3},
+                             {"vertices": [f"v{i}" for i in range(22)], "atoms": []}]},
+     ModelFormatError, "atoms of cell 'A' must be a list of strings"),
+]
+SEVERAL_FAULTS_IDS = [
+    "duplicate-then-undeclared", "undeclared-then-duplicate", "tetrahedron-face-then-triangle-face", "triangle-face-then-tetrahedron-face",
+    "atoms-then-dash", "no-atoms-then-malformed", "unhashable-atom-then-repeated",
+    "repeated-then-empty-vertex", "missing-face-then-duplicate", "atoms-then-over-budget",
+]
+
+
+def assert_rejected(document, error, message, tmp_path, capsys):
+    """Loading ``document`` raises ``error`` with ``message``, and ``poset``
+    exits 2 with that one line."""
+    payload = json.dumps(document)
+    with pytest.raises(error) as exc:
+        load_simplicial_model(payload)
+    assert type(exc.value) is error and str(exc.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    assert main(["poset", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
 
 
 class TestLoad:
@@ -105,84 +232,44 @@ class TestLoad:
         )
         assert load_simplicial_model(payload).vertices == ("B", "C", "A")
 
-    @pytest.mark.parametrize(
-        "document, error, message",
-        [
-            ({"atoms": 5, "cells": [{"vertices": ["a"], "atoms": []}]},
-             ModelFormatError, "atoms must be a list of strings"),
-            ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": 3}]},
-             ModelFormatError, "atoms of cell 'a' must be a list of strings"),
-            ({"atoms": [], "cells": [{"vertices": 3, "atoms": []}]},
-             ModelFormatError, "cell vertices must be a list of strings"),
-            ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": [1]},
-             ModelFormatError, "geometry must be an object of number lists"),
-            ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": []}], "geometry": {"a": 1}},
-             ModelFormatError, "geometry must be an object of number lists"),
-            ({"atoms": ["red"], "cells": [{"vertices": ["a"], "atoms": "red"}]},
-             ModelFormatError, "atoms of cell 'a' must be a list of strings"),
-            ({"atoms": [], "cells": [
-                {"vertices": ["A"], "atoms": []},
-                {"vertices": ["B"], "atoms": []},
-                {"vertices": "AB", "atoms": []},
-            ]}, ModelFormatError, "cell vertices must be a list of strings"),
-            ({"atoms": [], "cells": [{"vertices": ["a-b"], "atoms": []}]},
-             ModelFormatError, f"vertex name 'a-b' {JOINS}"),
-            ({"atoms": [], "cells": [
-                {"vertices": ["A"], "atoms": []}, {"vertices": ["A", "A"], "atoms": []},
-            ]}, ModelFormatError, "cell 'A-A' lists a vertex twice"),
-            ({"atoms": [], "cells": [
-                {"vertices": [""], "atoms": []},
-                {"vertices": ["A"], "atoms": []},
-                {"vertices": ["", "A"], "atoms": []},
-            ]}, ModelFormatError, f"vertex name '' {JOINS}"),
-            ({"atoms": ["red"], "cells": [{"vertices": ["E", "D"], "atoms": ["red"]}]},
-             MissingFaceError, "cell 'D-E' requires face 'D', which is not listed"),
-            ({"atoms": [], "vertices": ["A", "C"], "cells": [
-                {"vertices": ["C"], "atoms": []}, {"vertices": ["C", "B"], "atoms": []},
-            ]}, UnknownVertexError, "cell 'B-C' uses undeclared vertex 'B'"),
-            ({"atoms": [], "cells": [
-                {"vertices": ["A"], "atoms": []},
-                {"vertices": ["B"], "atoms": []},
-                {"vertices": ["A", "B"], "atoms": []},
-                {"vertices": ["B", "A"], "atoms": []},
-            ]}, ModelFormatError, "duplicate cell 'A-B'"),
-            ({"atoms": [], "cells": [{"vertices": ["A"]}]},
-             MissingValuationError, "cell 'A' has no atom list"),
-            ({"atoms": [], "vertices": "A", "cells": [{"vertices": ["A"], "atoms": []}]},
-             ModelFormatError, "vertices must be a list of strings"),
-            ({"atoms": [], "cells": [5]}, ModelFormatError, "malformed cell entry: 5"),
-            ({"atoms": [], "cells": [{"atoms": []}]},
-             ModelFormatError, "malformed cell entry: {'atoms': []}"),
-            ({"atoms": [], "cells": [{"vertices": [], "atoms": []}]},
-             ModelFormatError, "cells must have at least one vertex"),
-            ({"atoms": [], "cells": [{"vertices": [["a"]], "atoms": []}]},
-             ModelFormatError, "cell vertices must be a list of strings"),
-            ({"atoms": [], "cells": [{"vertices": [1], "atoms": []}]},
-             ModelFormatError, "cell vertices must be a list of strings"),
-            ({"atoms": [], "cells": [{"vertices": ["a"], "atoms": [["p"]]}]},
-             ModelFormatError, "atoms of cell 'a' must be a list of strings"),
-            ([{"vertices": ["a"], "atoms": []}],
-             ModelFormatError, "model document must be a JSON object"),
-        ],
-        ids=[
-            "atoms-int", "cell-atoms-int", "cell-vertices-int", "geometry-list",
-            "geometry-value-int", "cell-atoms-string", "cell-vertices-string", "dash-vertex",
-            "repeated-vertex", "empty-vertex", "missing-face", "undeclared-vertex",
-            "duplicate-cell", "no-atoms", "vertices-string", "cell-entry-int",
-            "cell-entry-without-vertices", "no-vertices", "unhashable-vertex",
-            "vertex-int", "unhashable-atom", "document-list",
-        ],
-    )
+    @pytest.mark.parametrize("document, error, message", ILL_TYPED, ids=ILL_TYPED_IDS)
     def test_ill_typed_document_is_rejected(self, document, error, message, tmp_path, capsys):
-        payload = json.dumps(document)
-        with pytest.raises(error) as exc:
-            load_simplicial_model(payload)
-        assert type(exc.value) is error and str(exc.value) == message
-        path = tmp_path / "bad.json"
-        path.write_text(payload)
-        assert main(["poset", str(path)]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {message}\n"
+        assert_rejected(document, error, message, tmp_path, capsys)
+
+    @pytest.mark.parametrize("document, error, message", SEVERAL_FAULTS, ids=SEVERAL_FAULTS_IDS)
+    def test_first_cell_with_a_fault_names_it(self, document, error, message, tmp_path, capsys):
+        assert_rejected(document, error, message, tmp_path, capsys)
+
+    def test_order_budget_is_checked_after_the_cells_before_the_faces(self, tmp_path, capsys):
+        # one cell of 22 vertices, 2**22 - 1 order pairs, and none of its faces
+        document = cells_doc([[f"v{i}" for i in range(22)]])
+        message = (f"the cell poset would have {2**22 - 1:,} order pairs, "
+                   f"over the budget of {ORDER_PAIR_BUDGET:,}")
+        assert_rejected(document, ModelSizeError, message, tmp_path, capsys)
+        with pytest.raises(MissingFaceError):
+            load_by_cell(json.dumps(document))
+        # a fault of the cell itself still comes first
+        vertices = document["cells"][0]["vertices"]
+        vertices.append("v0")
+        message = f"cell {'-'.join(sorted(vertices))!r} lists a vertex twice"
+        assert_rejected(document, ModelFormatError, message, tmp_path, capsys)
+
+    def test_over_budget_simplex_exits_2_at_once(self, tmp_path, capsys):
+        # every face of a 14-simplex: 32,767 cells, 3**15 - 2**15 order pairs
+        vertices = [f"v{i}" for i in range(15)]
+        model = tmp_path / "simplex14.json"
+        model.write_text(doc(["p"], [(c, ["p"]) for k in range(1, 16)
+                                     for c in combinations(vertices, k)]))
+        script = tmp_path / "script.txt"
+        script.write_text('save "s" ap("p")\n')
+        message = (f"error: the cell poset would have {3**15 - 2**15:,} order pairs, "
+                   f"over the budget of {ORDER_PAIR_BUDGET:,}\n")
+        for argv in (["poset", model], ["minimize", model, "-o", tmp_path / "out"],
+                     ["check", script, "--model", model, "-o", tmp_path / "results.json"]):
+            start = time.perf_counter()
+            assert main(list(map(str, argv))) == 2
+            assert time.perf_counter() - start < 2
+            assert capsys.readouterr().err == message
 
     @pytest.mark.parametrize("document, message", [
         (b"\xff{}", "model document is not valid UTF-8"),
@@ -213,7 +300,7 @@ class TestLoad:
         entries = [Entry(vertices=list(c), atoms=sorted(v)) for c, v in zip(m.cells, m.valuations)]
         refs = [weakref.ref(e) for e in entries]
         assert _read_cells(entries, list(m.vertices), list(m.atoms), None) == m
-        assert entries == [None] * len(refs) and all(r() is None for r in refs)
+        assert entries == [] and all(r() is None for r in refs)
 
     @pytest.mark.parametrize("seed", range(60))
     def test_document_round_trip(self, seed):
@@ -401,6 +488,70 @@ class TestFaceBuiltTables:
         cells = [c for k in range(1, 11) for c in combinations(vertices, k)]
         p = self.check(load_simplicial_model(doc(["p"], [(c, ["p"]) for c in cells])))
         assert len(p) == 1023 and p.pred[-1] == tuple(range(1023))
+
+
+def load_by_cell(document):
+    """``load_simplicial_model`` with the cell-by-cell reference loader."""
+    with mock.patch.object(simplicial, "_read_cells", read_cells_by_cell):
+        return load_simplicial_model(document)
+
+
+def shuffled(document: str, seed: int) -> str:
+    """The document with its cells in a seeded order, not listed by size."""
+    doc = json.loads(document)
+    random.Random(seed).shuffle(doc["cells"])
+    return json.dumps(doc)
+
+
+class TestColumnPassesMatchTheCellByCellReference:
+    """The loader's column passes and ``cell_poset``'s size groups build the
+    tables, and raise the errors, of the cell-by-cell reference loops."""
+
+    def check(self, document):
+        m, ref = load_simplicial_model(document), load_by_cell(document)
+        assert (m.cells, m.valuations, m.atoms, m.vertices) == (
+            ref.cells, ref.valuations, ref.atoms, ref.vertices)
+        assert list(m._index.items()) == list(ref._index.items())
+        assert sorted(zip(m._covers[::2], m._covers[1::2])) == sorted(
+            zip(ref._covers[::2], ref._covers[1::2]))
+        p, q = cell_poset(m), cell_poset_by_cell(ref)
+        assert p.succ == q.succ and p.pred == q.pred
+
+    @pytest.mark.parametrize("name", ["segment3.json", "triangle_abc.json", "strip4.json"])
+    def test_fixtures(self, name):
+        self.check((Path(__file__).parent / "fixtures" / name).read_text())
+
+    @pytest.mark.parametrize("n", range(3, 23))
+    def test_grids(self, n):
+        self.check(maze_document(n))
+
+    def test_corridor_kuhn_cubes_and_9_simplex(self):
+        self.check(corridor_document(50))
+        self.check(kuhn3d_document(3, 1))
+        vertices = [f"v{i}" for i in range(10)]
+        cells = [c for k in range(1, 11) for c in combinations(vertices, k)]
+        self.check(doc(["p"], [(c, ["p"] * (len(c) % 2)) for c in cells]))
+
+    def test_random_models_up_to_dimension_4(self):
+        for seed in range(200):
+            self.check(model_to_document(random_model(seed, 5 + seed % 4, seed % 5, seed % 3)))
+
+    def test_cells_not_listed_by_size(self):
+        self.check(shuffled(maze_document(5), 1))
+        self.check(shuffled(kuhn3d_document(2, 1), 2))
+        for seed in range(20):
+            m = random_model(seed, 6, 1 + seed % 4, 2)
+            self.check(shuffled(model_to_document(m), seed))
+
+    @pytest.mark.parametrize("document, error, message", ILL_TYPED + SEVERAL_FAULTS,
+                             ids=ILL_TYPED_IDS + SEVERAL_FAULTS_IDS)
+    def test_same_first_fault(self, document, error, message):
+        payload = json.dumps(document)
+        with pytest.raises(InputError) as exc:
+            load_simplicial_model(payload)
+        with pytest.raises(InputError) as ref:
+            load_by_cell(payload)
+        assert (type(exc.value), str(exc.value)) == (type(ref.value), str(ref.value))
 
 
 class TestRandomModel:
