@@ -5,7 +5,7 @@ labels ``atom sets + {s, d}``; strong bisimilarity on it, pulled back to the
 cells, is logical equivalence of the reach logic on the poset, and it is the
 route minimisation uses.  Its numbered tables (:func:`abstract_tables`: each
 component's valuation and its ``s`` and ``d`` successors) are built from
-component down-unions, and minimisation refines them directly.  The concrete
+component down-unions, and minimisation refines them once per model.  The concrete
 encoding, over the labels ``atoms + {tau, c, d}``, has branching bisimilarity
 for the same classes.  It is stated once, by :func:`branching_quotient`: one
 pass over the poset tables projects it on a partition and checks that the
@@ -14,12 +14,13 @@ bisimilarity.  Minimality and the relation are read from that quotient,
 which ``minimize --emit-aut`` writes; the concrete LTS itself, for Aldebaran
 export, is the same pass on the discrete partition.  An LTS is the tuple of
 its moves by state number.  Every refinement runs through one engine,
-:func:`refine`, over per-label successor tables; :func:`strong_partition`
-reduces any LTS to it.  A direct fixpoint computation straight from the
-model is kept as an oracle."""
+:func:`refine`, over per-label successor tables, whose rounds report the
+keys they split blocks by; :func:`strong_partition` reduces any LTS to it.
+A direct fixpoint computation from the model is kept as an oracle."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
@@ -155,23 +156,26 @@ def encode_abstract(p: PosetModel) -> tuple[Moves, Partition]:
 
 def refine(
     block: Sequence[int], tables: Sequence[Sequence[Iterable[int]]]
-) -> Iterator[Sequence[int]]:
+) -> Iterator[tuple[Sequence[int], dict[tuple, int] | None]]:
     """Signature-based refinement, round by round, from the block table
     ``block`` (blocks numbered in order of first state).
 
     Each table of ``tables`` holds one label's successors by state.  A round
     splits every block by its states' sets of successor blocks under each
-    label, with new block numbers in order of first state.  The first table
-    yielded is ``block`` itself; the last is stable.
+    label, with new block numbers in order of first state.  A round yields
+    its table with its blocks' keys in block order: the old block, then per
+    label a frozenset of old successor blocks, or None if the old block is one
+    state.  The first table is ``block`` itself, with None; the last is stable.
     """
-    n_blocks = len(set(block))
+    n_blocks, groups = len(set(block)), None
     while True:
-        yield block
+        yield block, groups
         if n_blocks == len(block):  # every block is one state: stable
             return
-        get = block.__getitem__
-        signatures = [[frozenset(map(get, targets)) for targets in t] for t in tables]
-        groups: dict[tuple, int] = {}
+        get, size = block.__getitem__, Counter(block)  # a block of one state cannot split
+        signatures = [[frozenset(map(get, ts)) if size[b] > 1 else None
+                       for b, ts in zip(block, t)] for t in tables]
+        groups = {}
         new = [groups.setdefault(key, len(groups)) for key in zip(block, *signatures)]
         if len(groups) == n_blocks:
             return
@@ -197,7 +201,7 @@ def strong_partition(moves: Moves) -> tuple[int, ...]:
             else:
                 loops.append(lab)
         block.append(first.setdefault(frozenset(loops), len(first)))
-    for block in refine(block, list(tables.values())):
+    for block, _ in refine(block, list(tables.values())):
         pass
     return tuple(block)
 

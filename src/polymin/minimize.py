@@ -7,13 +7,13 @@ back to the cells; its accessibility relation holds between two classes when
 some member pair is ordered, and is read from the components' down-sets.  The
 result is a reflexive Kripke model but in general not a poset (transitivity
 can fail), so it is never re-interpreted as one.  Distinguishing formulas are
-read off a split tree of that same refinement, kept once per model: each
-block is stored once, in the round where it splits off its parent.
-"""
+read off the splits of that same refinement: one record per model, kept as
+long as the model is, holds the classes, the quotient and the split tree."""
 
 from __future__ import annotations
 
 import weakref
+from array import array
 from dataclasses import dataclass
 
 from . import bisim
@@ -59,34 +59,10 @@ def minimal_model(p: PosetModel) -> MinimalModel:
     components' valuations and pulled back to cells, gives the classes.  The
     relation holds between classes with an ordered member pair, read from the
     components' down-sets, so it is reflexive; the valuation is lifted from
-    any member (all members agree, which is asserted).
-    """
-    components, valuations, step, down = bisim.abstract_tables(p)
-    for block in bisim.refine(_valuation_split(valuations), (step, down)):
-        pass
-    part = bisim.pull_back(tuple(block), components)
-    ids = [class_id(i) for i in range(len(part))]
-
-    below: list[set[int]] = [set() for _ in ids]
-    lifted: dict[int, frozenset[str]] = {}
-    for k, v, d in zip(block, valuations, down):
-        below[k].update(map(block.__getitem__, d))
-        if lifted.setdefault(k, v) != v:
-            raise AssertionError(f"class {ids[k]} mixes valuations: {sorted(part.classes[k])}")
-    # ascending sources leave every successor list sorted
-    succ: list[list[int]] = [[] for _ in ids]
-    for k, ys in enumerate(below):
-        for y in ys:
-            succ[y].append(k)
-
-    kripke = ReflexiveKripkeModel(ids, succ, [lifted[i] for i in range(len(ids))], p.atoms)
-    return MinimalModel(kripke=kripke, partition=part, source=p)
-
-
-def _valuation_split(valuations: list[frozenset[str]]) -> list[int]:
-    """The block table of equal valuations, numbered in order of first state."""
-    first: dict[frozenset[str], int] = {}
-    return [first.setdefault(v, len(first)) for v in valuations]
+    any member (all members agree, which is asserted).  Both are read from
+    the model's record (see :func:`distinguishing_formula`)."""
+    r = _refinement(p)
+    return MinimalModel(kripke=r.kripke, partition=r.partition, source=p)
 
 
 def rmin_via_quotient_d(quotient: Moves) -> tuple[tuple[int, ...], ...]:
@@ -132,48 +108,69 @@ def _differences(own: frozenset, others: list[frozenset]) -> list[tuple]:
     return [e for e in own.union(*others) if any((e in own) != (e in o) for o in others)]
 
 
-class _SplitTree:
-    """The splits of the abstract route's strong refinement, with an exact
+class _Refinement:
+    """A model's record: the classes and quotient of :func:`minimal_model`
+    and the split tree of :func:`distinguishing_formula`, with an exact
     formula (its extension is the node's cells) for every node, on demand.
 
     Node 0 holds every component; round 1 splits it by valuation, when there
     are several, and each child keeps its valuation.  Every later node is a
-    block of components, stored once, in the round where it split off its
-    parent, with its members' signature from the round before: their ``s``
-    and ``d`` moves as (label, target block in that round, that block's
-    node) entries.  A node's children are numbered consecutively, after
-    every node of an earlier round.  ``leaf`` holds each cell's leaf."""
+    block, stored once, in the round where it split off its parent, as the
+    ``s`` and ``d`` sets of its :func:`polymin.bisim.refine` key and the
+    round before's block nodes, which spell its signature, its (label, target
+    block, its node) entries, when first read.  Children are numbered
+    consecutively, after every node of an earlier round.  ``leaf`` holds each
+    class's leaf."""
 
     def __init__(self, p: PosetModel):
-        self.atoms = p.atoms
         components, valuations, step, down = bisim.abstract_tables(p)
-        self.parent, self.signature = [-1], [frozenset()]
+        self.parent, self.signature = parent, signature = [-1], [frozenset()]
         self.children: dict[int, range] = {}
-        # the previous round's block table, each block's last component and
-        # each block's node; round 0 is one block
-        prev, last, node = [0] * len(valuations), [len(valuations) - 1], [0]
-        for block in bisim.refine(_valuation_split(valuations), (step, down)):
-            # blocks are numbered in order of first component, so the dict's
-            # keys arrive in block order; a later component overwrites its value
-            lasts = list(dict(zip(block, range(len(block)))).values())
-            # a parent's last component is still the last of one child; a
-            # child whose last component is new has split off
-            kids: dict[int, list[int]] = {}
-            for s in sorted(set(lasts).difference(last)):
-                kids.setdefault(prev[s], [last[prev[s]]]).append(s)
-            nodes = list(map(node.__getitem__, map(prev.__getitem__, lasts)))
-            for b, reps in kids.items():
-                self.children[node[b]] = range(len(self.parent), len(self.parent) + len(reps))
-                for s in reps:
-                    nodes[block[s]] = len(self.parent)
-                    self.parent.append(node[b])
-                    self.signature.append(valuations[s] if node[b] == 0 else frozenset(
-                        (lab, prev[t], node[prev[t]])
-                        for lab, ts in ((STEP, step[s]), (DOWN, down[s])) for t in ts
-                    ))
-            prev, last, node = block, lasts, nodes
-        self.leaf = list(map(node.__getitem__, map(prev.__getitem__, components.block)))
+        first: dict[frozenset[str], int] = {}  # round 1 splits node 0 by valuation
+        split = [first.setdefault(v, len(first)) for v in valuations]
+        code = "H" if len(valuations) < 1 << 15 else "i"  # nodes < 2 * components
+        node = array(code, [0])  # each block's node in the round before; round 0 is one block
+        for block, keys in bisim.refine(split, (step, down)):
+            keys = list(keys or ((0, v, None) for v in first))
+            kids: dict[int, list[int]] = {}  # each old block's blocks
+            nodes = array(code)
+            for k, (b, _, _) in enumerate(keys):
+                nodes.append(node[b])
+                kids.setdefault(b, []).append(k)
+            for b, ks in kids.items():
+                if len(ks) > 1:  # b split: each of its blocks is a new node
+                    up = node[b]
+                    self.children[up] = range(len(parent), len(parent) + len(ks))
+                    for k in ks:
+                        nodes[k] = len(parent)
+                        parent.append(up)
+                        _, ss, ds = keys[k]
+                        signature.append((ss, ds, node) if up else ss)
+            self.leaf = node = nodes  # the last round's are the leaves
+        self.partition = part = bisim.pull_back(tuple(block), components)
+        ids = [class_id(i) for i in range(len(part))]
+        below: list[set[int]] = [set() for _ in ids]
+        lifted: dict[int, frozenset[str]] = {}
+        for k, v, d in zip(block, valuations, down):
+            below[k].update(map(block.__getitem__, d))
+            if lifted.setdefault(k, v) != v:
+                raise AssertionError(f"class {ids[k]} mixes valuations: {sorted(part.classes[k])}")
+        # ascending sources leave every successor list sorted
+        succ: list[list[int]] = [[] for _ in ids]
+        for k, ys in enumerate(below):
+            for y in ys:
+                succ[y].append(k)
+        self.kripke = ReflexiveKripkeModel(ids, succ, list(lifted.values()), p.atoms)
         self._formulas: dict[int, tuple[Formula, Formula]] = {}
+
+    def entries(self, m: int) -> frozenset:
+        """Node ``m``'s signature, spelled from its key when first read."""
+        sig = self.signature[m]  # read once: another thread may spell it meanwhile
+        if isinstance(sig, tuple):
+            step, down, node = sig
+            sig = self.signature[m] = frozenset(
+                (lab, t, node[t]) for lab, ts in ((STEP, step), (DOWN, down)) for t in ts)
+        return sig
 
     def build(self, n: int) -> None:
         """Memoise every node's valuation formula and exact formula up to
@@ -183,12 +180,12 @@ class _SplitTree:
         Threads that build at once store equal pairs of the same objects."""
         memo = self._formulas
         for m in range(len(memo), n + 1):
-            up, own = self.parent[m], self.signature[m]
+            up, own = self.parent[m], self.entries(m)
             if up <= 0:
-                v = out = TOP if up < 0 else _valuation_formula(self.atoms, own)
+                v = out = TOP if up < 0 else _valuation_formula(self.kripke.atoms, own)
             else:
                 v, out = memo[up]
-                siblings = [self.signature[k] for k in self.children[up] if k != m]
+                siblings = [self.entries(k) for k in self.children[up] if k != m]
                 for lit in self.separate(v, own, siblings):
                     out = And(out, lit)
             memo[m] = (v, out)
@@ -218,12 +215,13 @@ class _SplitTree:
         """The separating literal of two same-valuation cells at their
         lowest common ancestor, or None if they share a leaf.  A higher
         node is never an ancestor of a lower one."""
-        a, b, parent = self.leaf[i], self.leaf[j], self.parent
+        block, parent = self.partition.block, self.parent
+        a, b = self.leaf[block[i]], self.leaf[block[j]]
         while parent[a] != parent[b]:
             a, b = (parent[a], b) if a > b else (a, parent[b])
         if a == b:
             return None
-        own, other = self.signature[a], self.signature[b]
+        own, other = self.entries(a), self.entries(b)
         # every entry's node, the parent's among them (each component has a
         # d move to itself), is older than a and b
         self.build(max(n for _, _, n in own | other))
@@ -231,8 +229,13 @@ class _SplitTree:
         return witness
 
 
-# each poset's split tree, freed with the poset
-_LOGS: weakref.WeakKeyDictionary[PosetModel, _SplitTree] = weakref.WeakKeyDictionary()
+# each poset's record, freed with the poset, as no record holds its poset
+_LOGS: weakref.WeakKeyDictionary[PosetModel, _Refinement] = weakref.WeakKeyDictionary()
+
+
+def _refinement(p: PosetModel) -> _Refinement:
+    """The model's record; threads that miss at once may each build one."""
+    return _LOGS.get(p) or _LOGS.setdefault(p, _Refinement(p))
 
 
 def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
@@ -243,18 +246,11 @@ def distinguishing_formula(p: PosetModel, a: str, b: str) -> Formula | None:
     literal (different valuations) or one signature entry that differs
     between their components in the first refinement round that splits them.
 
-    The first call on a model that needs the refinement builds its split
-    tree; later calls on that model reuse it, with every node formula built
-    so far.  The tree is kept only as long as the model is.
+    The model's record (see :func:`minimal_model`) is built once and kept as
+    long as the model is, with every node formula built so far.
     """
     i, j = p.index_of(a), p.index_of(b)
-    if a == b:
-        return None
     va, vb = p.valuations[i], p.valuations[j]
     if va != vb:
-        gained = sorted(va - vb)
-        if gained:
-            return Atom(gained[0])
-        return Not(Atom(sorted(vb - va)[0]))
-    # threads that miss at once may each build one; the first stored wins
-    return (_LOGS.get(p) or _LOGS.setdefault(p, _SplitTree(p))).witness(i, j)
+        return Atom(min(va - vb)) if va - vb else Not(Atom(min(vb - va)))
+    return None if i == j else _refinement(p).witness(i, j)

@@ -1,0 +1,89 @@
+"""Byte-identity guard for minimisation: SHA-256 digests of the files
+``minimize --emit-aut`` writes and of sampled distinguishing formulas.
+
+Each case is a model document.  Its digests are those of the classes file,
+the minimal model file, the concrete ``.aut`` and the quotient ``.aut``, and
+of the ``format_formula`` text of the witnesses of evenly spread
+same-valuation pairs, in both orders.  ``tests/golden_digests.json`` holds the
+recorded digests, which a tier-1 test compares against; rewrite it with::
+
+    PYTHONPATH=src python tests/golden.py --record
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import sys
+import tempfile
+from itertools import combinations
+from pathlib import Path
+
+from polymin import cell_poset, distinguishing_formula, format_formula, load_simplicial_model
+from polymin import minimal_model, random_model
+from polymin.cli import main
+from polymin.simplicial import model_to_document
+
+from families import corridor_document, kuhn3d_document, maze_document
+
+HERE = Path(__file__).parent
+DIGESTS = HERE / "golden_digests.json"
+OUTPUTS = ("classes.json", "minmodel.json", "concrete.aut", "quotient.aut")
+PAIRS = 40  # same-valuation pairs in different classes sampled per model
+
+
+def cases() -> dict[str, str]:
+    """Every case's model document, by case name."""
+    docs = {stem: (HERE / "fixtures" / f"{stem}.json").read_text(encoding="utf-8")
+            for stem in ("segment3", "triangle_abc", "strip4")}
+    docs.update({f"random {s}": model_to_document(random_model(s, 6, 3, 2)) for s in range(30)})
+    docs.update({f"grid {n}": maze_document(n) for n in (3, 4)})
+    docs["corridor 12"] = corridor_document(12)
+    docs["kuhn3d 3"] = kuhn3d_document(3, 1)
+    return docs
+
+
+def witness_text(document: str) -> str:
+    """The witnesses of sampled same-valuation pairs on a fresh model, one
+    line a pair: the two cells and the formula's text, or None.  About
+    ``PAIRS`` pairs lie in different classes and a quarter as many in one."""
+    block = minimal_model(cell_poset(load_simplicial_model(document))).partition.block
+    p = cell_poset(load_simplicial_model(document))
+    apart: list[tuple[int, int]] = []
+    together: list[tuple[int, int]] = []
+    for i, j in combinations(range(len(p)), 2):
+        if p.valuations[i] == p.valuations[j]:
+            (apart if block[i] != block[j] else together).append((i, j))
+    sample = apart[:: max(1, len(apart) // PAIRS)] + together[:: max(1, 4 * len(together) // PAIRS)]
+    lines = []
+    for i, j in sample:
+        for x, y in ((i, j), (j, i)):
+            a, b = p.elements[x], p.elements[y]
+            f = distinguishing_formula(p, a, b)
+            lines.append(f"{a} {b} {f and format_formula(f)}\n")
+    return "".join(lines)
+
+
+def digests() -> dict[str, dict[str, str]]:
+    """Every case's digests, by case name and output."""
+    out: dict[str, dict[str, str]] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, document in cases().items():
+            model = Path(tmp) / "model.json"
+            model.write_text(document, encoding="utf-8")
+            outdir = Path(tmp) / "out"
+            if main(["minimize", str(model), "-o", str(outdir), "--emit-aut"]) != 0:
+                raise AssertionError(f"minimize failed on {name}")
+            out[name] = {
+                kind: hashlib.sha256((outdir / f"model.{kind}").read_bytes()).hexdigest()
+                for kind in OUTPUTS
+            }
+            text = witness_text(document).encode("utf-8")
+            out[name]["witnesses"] = hashlib.sha256(text).hexdigest()
+    return out
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/golden.py --record")
+    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")

@@ -18,7 +18,7 @@ from polymin.logic import (
     TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure,
 )
 from polymin.minimize import (
-    MinimalModel, _differences, _valuation_formula, _valuation_split, class_id,
+    MinimalModel, _differences, _valuation_formula, class_id,
 )
 from polymin.simplicial import (
     MissingFaceError, MissingValuationError, ModelFormatError, PosetModel, SimplicialModel,
@@ -456,6 +456,13 @@ def quotient_succ_by_pairs(p: PosetModel, part: Partition) -> tuple[tuple[int, .
 
 # -- the round log, kept as the reference for the split tree's witnesses --------
 
+def valuation_split(valuations: list[frozenset[str]]) -> list[int]:
+    """The block table of equal valuations, numbered in order of first state,
+    from which the abstract route's refinement starts."""
+    first: dict[frozenset[str], int] = {}
+    return [first.setdefault(v, len(first)) for v in valuations]
+
+
 class _RoundLog:
     """The rounds of the abstract route's strong refinement (block tables over
     component numbers), with an exact formula (its extension is the block's
@@ -469,8 +476,8 @@ class _RoundLog:
     def __init__(self, p: PosetModel):
         self.atoms = p.atoms
         self.components, self.valuations, self.step, self.down = bisim.abstract_tables(p)
-        split = _valuation_split(self.valuations)
-        rounds = bisim.refine(split, (self.step, self.down))
+        split = valuation_split(self.valuations)
+        rounds = (block for block, _ in bisim.refine(split, (self.step, self.down)))
         # round 0 is one block; refinement starts at round 1, the valuation
         # split, which is round 0 itself when there is one valuation
         if max(split, default=0) > 0:

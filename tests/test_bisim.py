@@ -37,13 +37,13 @@ from polymin.bisim import (
     pull_back,
     refine,
 )
-from polymin.minimize import _SplitTree, _valuation_split
+from polymin.minimize import _Refinement
 
 from oracles import (
     as_moves, as_partition, aut_by_sorted_triples, aut_moves, branching_partition, class_names,
     encode_abstract_by_pairs, encode_concrete_by_rule, is_weak_pm_bisimulation, n_blocks,
     named_transitions, poset_from_covers, quotient_lts, quotient_succ_by_pairs, random_formula,
-    strong_rounds_by_pairs, transitions,
+    strong_rounds_by_pairs, transitions, valuation_split,
 )
 
 from conftest import load_fixture, random_posets
@@ -511,8 +511,8 @@ class TestNumberedTables:
             rounds = [list(block) for block in strong_rounds_by_pairs(reference)]
             # the oracle starts from one block, refine from the valuation split
             _, valuations, step, down = abstract_tables(p)
-            split = _valuation_split(valuations)
-            refined = [list(block) for block in refine(split, (step, down))]
+            split = valuation_split(valuations)
+            refined = [list(block) for block, _ in refine(split, (step, down))]
             if max(split, default=0) > 0:
                 refined.insert(0, [0] * len(split))
             assert refined == rounds
@@ -531,9 +531,9 @@ class TestNumberedTables:
             "discrete": lambda: [cell_poset(random_model(223, 6, 3, 3))],
         }
         for p in models[family]():
-            tree = _SplitTree(p)
+            tree = _Refinement(p)
             first: dict[int, int] = {}
-            leaves = tuple(first.setdefault(n, len(first)) for n in tree.leaf)
+            leaves = tuple(first.setdefault(tree.leaf[k], len(first)) for k in tree.partition.block)
             assert leaves == minimal_model(p).partition.block
             if family == "one-valuation":
                 assert len(p) > 1 and tree.parent == [-1]

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -28,8 +29,9 @@ from polymin.checker import SatSet
 from polymin.cli import main
 from polymin.kripke import UnknownElementError
 from polymin.logic import TOP, is_eta_pure
-from polymin.minimize import UnknownClassError, _SplitTree
+from polymin.minimize import UnknownClassError, _Refinement
 
+import golden
 from conftest import FIXTURES, concrete_d_relation, load_fixture, random_posets
 from families import corridor_document, maze_document
 from oracles import (
@@ -93,8 +95,9 @@ class TestMinimalModel:
             out = str(tmp_path / f"{stem}.results.json")
             assert main(["check", str(script), "--model", model, "--on-minimal", "-o", out]) == 0
 
-    def test_refinement_is_looked_up_in_bisim(self, strip4, monkeypatch):
-        # a tracer that wraps the refinement in polymin.bisim must see its call
+    def test_refinement_is_looked_up_in_bisim(self, strip4_model, monkeypatch):
+        # a tracer that wraps the refinement in polymin.bisim must see its
+        # call; a fresh model, as a refined one keeps its refinement
         calls = []
         real = bisim.refine
 
@@ -103,8 +106,9 @@ class TestMinimalModel:
             return real(block, tables)
 
         monkeypatch.setattr(bisim, "refine", counted)
-        assert len(minimal_model(strip4).partition) == 4
-        assert calls == [len(bisim.encode_abstract(strip4)[0])]
+        p = cell_poset(strip4_model)
+        assert len(minimal_model(p).partition) == 4
+        assert calls == [len(bisim.encode_abstract(p)[0])]
 
     def test_relation_is_reflexive(self):
         for _, p in random_posets(15):
@@ -223,10 +227,10 @@ class TestDistinguishingFormula:
 
     def test_refinement_agrees_with_direct_fixpoint(self):
         for seed, p in random_posets(20):
-            tree = _SplitTree(p)
-            # a cell is under its leaf and under every ancestor of it
+            tree = _Refinement(p)
+            # a cell is under its class's leaf and under every ancestor of it
             cells: list[set[str]] = [set() for _ in tree.parent]
-            for w, n in zip(p.elements, tree.leaf):
+            for w, n in zip(p.elements, map(tree.leaf.__getitem__, tree.partition.block)):
                 while n >= 0:
                     cells[n].add(w)
                     n = tree.parent[n]
@@ -297,7 +301,8 @@ def same_valuation_pairs(p, k):
 
 
 class TestSharedLog:
-    """One refinement log per model, kept as long as the model is."""
+    """One record per model, built by one refinement and kept as long as the
+    model is; minimal_model and distinguishing_formula both read it."""
 
     def test_many_pairs_refine_once(self, monkeypatch):
         calls = []
@@ -323,14 +328,42 @@ class TestSharedLog:
                 # witnesses are too large as trees to print
                 assert distinguishing_formula(p, a, b) is distinguishing_formula(make(), a, b)
 
+    @pytest.mark.parametrize("order", [("minimize", "explain"), ("explain", "minimize")])
+    def test_minimal_model_and_witnesses_refine_once(self, monkeypatch, order):
+        calls = []
+        for name in ("abstract_tables", "refine"):
+            def counted(*args, real=getattr(bisim, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(bisim, name, counted)
+        p = cell_poset(load_simplicial_model(corridor_document(8)))
+        steps = {
+            "minimize": lambda: len(minimal_model(p).partition) == 9,
+            "explain": lambda: distinguishing_formula(p, "x0y0", "x2y0") is not None,
+        }
+        for step in order:
+            assert steps[step]()
+        assert calls == ["abstract_tables", "refine"]
+        # later minimal_model calls wrap the same record, each in a new MinimalModel
+        mm1, mm2 = minimal_model(p), minimal_model(p)
+        assert mm1 is not mm2 and mm1.kripke is mm2.kripke and mm2.source is p
+        assert calls == ["abstract_tables", "refine"]
+
     def test_log_is_freed_with_its_model(self):
-        p = cell_poset(load_simplicial_model(corridor_document(5)))
-        assert distinguishing_formula(p, "x0y0", "x2y0") is not None
-        logs = len(minimize._LOGS)
-        model = weakref.ref(p)
-        del p
-        assert model() is None
-        assert len(minimize._LOGS) == logs - 1
+        # the record is a weak dictionary's value: one that held the model, or
+        # a MinimalModel, whose source is the model, would keep its key alive
+        for minimised in (False, True):
+            p = cell_poset(load_simplicial_model(corridor_document(5)))
+            logs = len(minimize._LOGS)
+            if minimised:
+                assert len(minimal_model(p).partition) == 6
+            assert distinguishing_formula(p, "x0y0", "x2y0") is not None
+            assert len(minimize._LOGS) == logs + 1
+            model = weakref.ref(p)
+            del p
+            assert model() is None
+            assert len(minimize._LOGS) == logs
 
     def test_threads_get_the_serial_witnesses(self):
         doc = maze_document(5)
@@ -390,3 +423,10 @@ class TestIdempotence:
                 assert f is not None
                 extension = sat(mm.kripke, f).members
                 assert (c1 in extension) != (c2 in extension)
+
+
+class TestGoldenDigests:
+    def test_outputs_and_witnesses_match_the_recorded_digests(self):
+        # the classes, minimal model and .aut bytes of minimize --emit-aut,
+        # and the text of sampled witnesses, as tests/golden.py records them
+        assert golden.digests() == json.loads(golden.DIGESTS.read_text(encoding="utf-8"))
