@@ -50,11 +50,15 @@ def _classes_payload(mm: minimize.MinimalModel) -> list[dict]:
     ]
 
 
-def _write(path: str | None, text: str) -> None:
+def _write(path: str | Path | None, text: str) -> None:
+    """Write ``text`` to standard output, or to a file in slices of at most
+    64 KiB of UTF-8, so no encoded copy of the whole text is ever made."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+        return
+    with open(path, "w", encoding="utf-8") as f:
+        for k in range(0, len(text), 1 << 14):  # up to 4 bytes a character
+            f.write(text[k:k + (1 << 14)])
 
 
 def _self_check_pipeline(
@@ -105,7 +109,7 @@ def cmd_minimize(args) -> int:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name, text in files.items():
-        (outdir / name).write_text(text, encoding="utf-8")
+        _write(outdir / name, text)
     return 0
 
 

@@ -103,9 +103,9 @@ def _valuation_formula(atoms: tuple[str, ...], held: frozenset[str]) -> Formula:
     return f if f is not None else TOP
 
 
-def _differences(own: frozenset, others: list[frozenset]) -> list[tuple]:
-    """The signature entries on which ``own`` disagrees with some of ``others``."""
-    return [e for e in own.union(*others) if any((e in own) != (e in o) for o in others)]
+def _differences(own: frozenset, others: list[frozenset]) -> frozenset:
+    """The entries on which ``own`` disagrees with some of ``others``."""
+    return own.union(*others) - own.intersection(*others)
 
 
 class _Refinement:
@@ -193,23 +193,32 @@ class _Refinement:
     def separate(self, v: Formula, own: frozenset, others: list[frozenset]) -> list[Formula]:
         """Literals true on the signature ``own`` of components valued ``v``
         that together fail on each of ``others``: greedily, the smallest still
-        separating one.
+        separating one.  Candidates are ranked by a size computed from their
+        operands (:meth:`rank`), and only the literals kept are built.
 
         With F exact for an entry's node, ``d`` gives ``eta(v, F)`` and ``s``
         gives ``eta(v | F, F)``: a path inside v stays in its component, and
         a path that steps into F has made an ``s`` move."""
-        literals = {}
-        for e in _differences(own, others):
-            target = self._formulas[e[2]][1]
-            lit = Eta(v, target) if e[0] == DOWN else Eta(Or(v, target), target)
-            literals[e] = lit if e in own else Not(lit)
         chosen = []
-        for e in sorted(literals, key=lambda e: (literals[e].size, e)):
+        for e in sorted(_differences(own, others), key=lambda e: (self.rank(v, own, e), e)):
             rest = [o for o in others if (e in own) == (e in o)]
             if len(rest) < len(others):
-                chosen.append(literals[e])
+                chosen.append(self.literal(v, own, e))
+                if not rest:
+                    break
                 others = rest
         return chosen
+
+    def literal(self, v: Formula, own: frozenset, e: tuple) -> Formula:
+        """The literal of entry ``e``, true where the signature is like ``own``."""
+        target = self._formulas[e[2]][1]
+        lit = Eta(v, target) if e[0] == DOWN else Eta(Or(v, target), target)
+        return lit if e in own else Not(lit)
+
+    def rank(self, v: Formula, own: frozenset, e: tuple) -> int:
+        """The size of :meth:`literal`, from its operands' sizes."""
+        f = self._formulas[e[2]][1].size
+        return (1 + v.size + f if e[0] == DOWN else 2 + v.size + 2 * f) + (e not in own)
 
     def witness(self, i: int, j: int) -> Formula | None:
         """The separating literal of two same-valuation cells at their

@@ -2,9 +2,10 @@
 ``minimize --emit-aut`` writes and of sampled distinguishing formulas.
 
 Each case is a model document.  Its digests are those of the classes file,
-the minimal model file, the concrete ``.aut`` and the quotient ``.aut``, and
-of the ``format_formula`` text of the witnesses of evenly spread
-same-valuation pairs, in both orders.  ``tests/golden_digests.json`` holds the
+the minimal model file, the concrete ``.aut`` and the quotient ``.aut``, of
+the ``format_formula`` text of the witnesses of evenly spread same-valuation
+pairs, in both orders, and of every split-tree node's exact formula, written
+one line per distinct formula node.  ``tests/golden_digests.json`` holds the
 recorded digests, which a tier-1 test compares against; rewrite it with::
 
     PYTHONPATH=src python tests/golden.py --record
@@ -20,8 +21,9 @@ from itertools import combinations
 from pathlib import Path
 
 from polymin import cell_poset, distinguishing_formula, format_formula, load_simplicial_model
-from polymin import minimal_model, random_model
+from polymin import minimal_model, minimize, random_model
 from polymin.cli import main
+from polymin.logic import Atom, postorder
 from polymin.simplicial import model_to_document
 
 from families import corridor_document, kuhn3d_document, maze_document
@@ -64,6 +66,25 @@ def witness_text(document: str) -> str:
     return "".join(lines)
 
 
+def node_formula_text(document: str) -> str:
+    """Every split-tree node's exact formula on a fresh model: each distinct
+    formula node once, from :func:`postorder`, as its number, type and
+    operands' numbers (an atom's name), then the tree node's formula's
+    number.  A corridor node's text as a tree is far too large to write."""
+    record = minimize._refinement(cell_poset(load_simplicial_model(document)))
+    record.build(len(record.parent) - 1)
+    number: dict = {}
+    lines = []
+    for m in range(len(record.parent)):
+        f = record._formulas[m][1]
+        for g in postorder(f, number):
+            number[g] = len(number)
+            args = [repr(g.name)] if isinstance(g, Atom) else [str(number[h]) for h in g.operands]
+            lines.append(" ".join([str(number[g]), type(g).__name__, *args]) + "\n")
+        lines.append(f"node {m} {number[f]}\n")
+    return "".join(lines)
+
+
 def digests() -> dict[str, dict[str, str]]:
     """Every case's digests, by case name and output."""
     out: dict[str, dict[str, str]] = {}
@@ -80,6 +101,8 @@ def digests() -> dict[str, dict[str, str]]:
             }
             text = witness_text(document).encode("utf-8")
             out[name]["witnesses"] = hashlib.sha256(text).hexdigest()
+            text = node_formula_text(document).encode("utf-8")
+            out[name]["node formulas"] = hashlib.sha256(text).hexdigest()
     return out
 
 

@@ -17,9 +17,7 @@ from polymin.kripke import ReflexiveKripkeModel
 from polymin.logic import (
     TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure,
 )
-from polymin.minimize import (
-    MinimalModel, _differences, _valuation_formula, class_id,
-)
+from polymin.minimize import MinimalModel, _valuation_formula, class_id
 from polymin.simplicial import (
     MissingFaceError, MissingValuationError, ModelFormatError, PosetModel, SimplicialModel,
     UnknownVertexError, _atoms_type, _check_vertex_name,
@@ -463,6 +461,12 @@ def valuation_split(valuations: list[frozenset[str]]) -> list[int]:
     return [first.setdefault(v, len(first)) for v in valuations]
 
 
+def differences_by_entry(own: frozenset, others: list[frozenset]) -> list[tuple]:
+    """The signature entries on which ``own`` disagrees with some of
+    ``others``, entry by entry: the reference for ``minimize._differences``."""
+    return [e for e in own.union(*others) if any((e in own) != (e in o) for o in others)]
+
+
 class _RoundLog:
     """The rounds of the abstract route's strong refinement (block tables over
     component numbers), with an exact formula (its extension is the block's
@@ -535,7 +539,7 @@ class _RoundLog:
                 ]
                 own = self.signature(r - 1, rep)
                 stack += [(r, b, siblings), (1, self.rounds[1][rep], None), (r - 1, parent, None)]
-                stack += [(r - 1, t, None) for _, t in _differences(own, siblings)]
+                stack += [(r - 1, t, None) for _, t in differences_by_entry(own, siblings)]
             else:
                 out = self._formulas[r - 1, self.rounds[r - 1][rep]]
                 for lit in self.separate(r - 1, rep, siblings):
@@ -560,7 +564,7 @@ class _RoundLog:
         """Literals true on ``s``'s round-``k`` signature that together fail
         on each of ``others``: greedily, the smallest still separating one."""
         own = self.signature(k, s)
-        literals = {e: self.literal(k, s, e, e in own) for e in _differences(own, others)}
+        literals = {e: self.literal(k, s, e, e in own) for e in differences_by_entry(own, others)}
         chosen = []
         for e in sorted(literals, key=lambda e: (literals[e].size, e)):
             rest = [o for o in others if (e in own) == (e in o)]

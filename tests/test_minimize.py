@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -24,19 +25,19 @@ from polymin import (
     sat,
     weak_pm_partition,
 )
-from polymin.bisim import Partition
+from polymin.bisim import DOWN, STEP, Partition
 from polymin.checker import SatSet
 from polymin.cli import main
 from polymin.kripke import UnknownElementError
-from polymin.logic import TOP, is_eta_pure
-from polymin.minimize import UnknownClassError, _Refinement
+from polymin.logic import TOP, Not, Or, is_eta_pure
+from polymin.minimize import UnknownClassError, _differences, _Refinement
 
 import golden
 from conftest import FIXTURES, concrete_d_relation, load_fixture, random_posets
 from families import corridor_document, maze_document
 from oracles import (
-    _RoundLog, class_of_element, members_of, poset_from_covers, random_formula, relation_pairs,
-    round_log_witness,
+    _RoundLog, class_of_element, differences_by_entry, members_of, poset_from_covers,
+    random_formula, relation_pairs, round_log_witness,
 )
 
 
@@ -406,6 +407,100 @@ class TestSplitTree:
                     assert witness is round_log_witness(log, p, x, y), (k, x, y)
                     separated += witness is not None
         assert separated > 1500, separated
+
+
+def literal_calls(lit):
+    """The ``Eta``, ``Or`` and ``Not`` calls that build one of ``separate``'s
+    literals, sorted: a ``d`` literal's condition is a valuation formula,
+    which holds no ``Or``."""
+    calls = []
+    if isinstance(lit, Not):
+        calls.append("Not")
+        lit = lit.operand
+    return sorted(calls + ["Eta"] + ["Or"] * isinstance(lit.condition, Or))
+
+
+class TestSeparate:
+    """separate ranks its candidates by a size computed from their operands
+    and builds only the literals it keeps."""
+
+    def test_rank_is_the_literal_size(self):
+        models = [cell_poset(load_fixture(f"{stem}.json"))
+                  for stem in ("segment3", "triangle_abc", "strip4")]
+        models += [cell_poset(random_model(seed, 6, 3, 2)) for seed in range(40)]
+        models += [cell_poset(load_simplicial_model(maze_document(n))) for n in range(3, 9)]
+        models.append(cell_poset(load_simplicial_model(corridor_document(60))))
+        kinds = set()
+        for p in models:
+            r = _Refinement(p)
+            r.build(len(r.parent) - 1)
+            for m, up in enumerate(r.parent):
+                if up <= 0:  # pinned by its valuation
+                    continue
+                v, own = r._formulas[up][0], r.entries(m)
+                # a witness's candidates are among those of its node
+                siblings = [r.entries(k) for k in r.children[up] if k != m]
+                for e in _differences(own, siblings):
+                    assert r.rank(v, own, e) == r.literal(v, own, e).size, (m, e)
+                    kinds.add((e[0], e in own))
+        assert kinds == {(lab, positive) for lab in (DOWN, STEP) for positive in (False, True)}
+
+    @staticmethod
+    def count_calls(monkeypatch) -> list[str]:
+        calls = []
+        for name in ("Eta", "Or", "Not"):
+            def counted(*args, real=getattr(minimize, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(minimize, name, counted)
+        return calls
+
+    def test_a_warm_witness_builds_only_its_literal(self, strip4, monkeypatch):
+        for p in (strip4, cell_poset(load_simplicial_model(maze_document(4)))):
+            pairs = [(x, y) for a, b in same_valuation_pairs(p, 40) for x, y in ((a, b), (b, a))]
+            for a, b in pairs:
+                distinguishing_formula(p, a, b)
+            calls = self.count_calls(monkeypatch)
+            for a, b in pairs:
+                calls.clear()
+                witness = distinguishing_formula(p, a, b)
+                assert sorted(calls) == (literal_calls(witness) if witness else []), (a, b)
+            monkeypatch.undo()
+
+    def test_node_formulas_build_only_what_they_conjoin(self, monkeypatch):
+        r = _Refinement(cell_poset(load_simplicial_model(maze_document(8))))
+        pinned = max(r.children[0])  # valuation formulas call Not on atoms
+        r.build(pinned)
+        calls = self.count_calls(monkeypatch)
+        r.build(len(r.parent) - 1)
+        conjoined, kept, candidates = [], 0, 0
+        for m in range(pinned + 1, len(r.parent)):
+            up = r.parent[m]
+            f = r._formulas[m][1]
+            while f is not r._formulas[up][1]:  # each literal is a right operand
+                conjoined += literal_calls(f.right)
+                kept += 1
+                f = f.left
+            siblings = [r.entries(k) for k in r.children[up] if k != m]
+            candidates += len(_differences(r.entries(m), siblings))
+        assert sorted(calls) == sorted(conjoined)
+        assert 0 < kept < candidates
+
+    def test_differences_are_the_per_entry_reference(self):
+        rng = random.Random(0)
+        entries = [(lab, t, n) for lab in (DOWN, STEP) for t in range(3) for n in (0, 1)]
+
+        def pick(own):
+            return rng.choice([
+                own, frozenset(), frozenset(entries),
+                frozenset(e for e in entries if rng.random() < 0.5),
+            ])
+
+        for _ in range(1000):
+            own = pick(frozenset())
+            others = [pick(own) for _ in range(rng.randrange(5))]
+            assert _differences(own, others) == frozenset(differences_by_entry(own, others))
 
 
 class TestIdempotence:
