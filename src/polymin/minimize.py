@@ -120,7 +120,9 @@ class _Refinement:
     round before's block nodes, which spell its signature, its (label, target
     block, its node) entries, when first read.  Children are numbered
     consecutively, after every node of an earlier round.  ``leaf`` holds each
-    class's leaf."""
+    class's leaf.  A witness depends only on the two siblings where its
+    cells' leaves part, so each ordered sibling pair's literal is memoised
+    when first asked."""
 
     def __init__(self, p: PosetModel):
         components, valuations, step, down = bisim.abstract_tables(p)
@@ -162,6 +164,7 @@ class _Refinement:
                 succ[y].append(k)
         self.kripke = ReflexiveKripkeModel(ids, succ, list(lifted.values()), p.atoms)
         self._formulas: dict[int, tuple[Formula, Formula]] = {}
+        self._witnesses: dict[tuple[int, int], Formula] = {}
 
     def entries(self, m: int) -> frozenset:
         """Node ``m``'s signature, spelled from its key when first read."""
@@ -230,11 +233,14 @@ class _Refinement:
             a, b = (parent[a], b) if a > b else (a, parent[b])
         if a == b:
             return None
-        own, other = self.entries(a), self.entries(b)
-        # every entry's node, the parent's among them (each component has a
-        # d move to itself), is older than a and b
-        self.build(max(n for _, _, n in own | other))
-        [witness] = self.separate(self._formulas[parent[a]][0], own, [other])
+        witness = self._witnesses.get((a, b))
+        if witness is None:
+            own, other = self.entries(a), self.entries(b)
+            # every entry's node, the parent's among them (each component has
+            # a d move to itself), is older than a and b
+            self.build(max(n for _, _, n in own | other))
+            [witness] = self.separate(self._formulas[parent[a]][0], own, [other])
+            self._witnesses[a, b] = witness
         return witness
 
 

@@ -336,6 +336,68 @@ def _matching_path(
     return False
 
 
+def weak_pm_by_signatures(p: PosetModel) -> Partition:
+    """The coarsest weak ±-bisimulation by signature refinement, a reference
+    for ``bisim.weak_pm_partition`` that also runs on large models.
+
+    From the valuation partition, each round gives a cell the signature: its
+    block B; the blocks one downward step reaches from its comparability
+    component inside B; and, for each other block X that component touches,
+    X with that set from its component inside B ∪ X, where it differs.  A
+    path inside B ∪ X ending with a downward step is what the matching
+    condition asks of a related cell, for a comparable cell in X (or in B).
+    Rounds repeat until no block splits."""
+    block = valuation_split(list(p.valuations))
+    while True:
+        members: dict[int, list[int]] = {}
+        for w, b in enumerate(block):
+            members.setdefault(b, []).append(w)
+        own = _components(p, members.values())
+        pairs = {tuple(sorted((block[w], block[u])))
+                 for w in range(len(p)) for u in p.succ[w] if block[u] != block[w]}
+        joint = {pair: _components(p, [members[pair[0]] + members[pair[1]]]) for pair in pairs}
+
+        reached: dict[int, frozenset[int]] = {}  # by component, as its cells share one list
+
+        def reach(component: list[int]) -> frozenset[int]:
+            if id(component) not in reached:
+                reached[id(component)] = frozenset(block[d] for v in component for d in p.pred[v])
+            return reached[id(component)]
+
+        signature: dict[int, tuple] = {}  # by own component
+        for w, b in enumerate(block):
+            component = own[w]
+            if id(component) not in signature:
+                mine = reach(component)
+                touched = {block[u] for v in component for u in chain(p.succ[v], p.pred[v])}
+                others = {(x, reach(joint[min(b, x), max(b, x)][w])) for x in touched - {b}}
+                signature[id(component)] = (b, mine, frozenset((x, r) for x, r in others if r != mine))
+        signatures = [signature[id(own[w])] for w in range(len(p))]
+        first: dict[tuple, int] = {}
+        refined = [first.setdefault(s, len(first)) for s in signatures]
+        if len(first) == len(members):
+            return Partition(p.elements, tuple(refined))
+        block = refined
+
+
+def _components(p: PosetModel, groups: Iterable[list[int]]) -> dict[int, list[int]]:
+    """Each cell's comparability component inside its group, as one list
+    shared by the component's cells."""
+    component: dict[int, list[int]] = {}
+    for group in groups:
+        inside = set(group)
+        for w in group:
+            if w in component:
+                continue
+            cells = component[w] = [w]
+            for v in cells:
+                for u in chain(p.succ[v], p.pred[v]):
+                    if u in inside and u not in component:
+                        component[u] = cells
+                        cells.append(u)
+    return component
+
+
 # -- the concrete route: round-based branching bisimilarity -------------------
 
 def branching_partition(l: Moves, tau: Label = TAU) -> tuple[int, ...]:

@@ -43,7 +43,7 @@ from oracles import (
     as_moves, as_partition, aut_by_sorted_triples, aut_moves, branching_partition, class_names,
     encode_abstract_by_pairs, encode_concrete_by_rule, is_weak_pm_bisimulation, n_blocks,
     named_transitions, poset_from_covers, quotient_lts, quotient_succ_by_pairs, random_formula,
-    strong_rounds_by_pairs, transitions, valuation_split,
+    strong_rounds_by_pairs, transitions, valuation_split, weak_pm_by_signatures,
 )
 
 from conftest import load_fixture, random_posets
@@ -335,6 +335,23 @@ class TestWeakPm:
         by_val = tuple(first.setdefault(v, len(first)) for v in strip4.valuations)
         part = Partition(strip4.elements, by_val)
         assert not is_weak_pm_bisimulation(strip4, part)
+
+    def test_signature_refinement_is_the_direct_fixpoint(self, segment3, triangle, strip4):
+        models = [segment3, triangle, strip4]
+        models += [cell_poset(random_model(seed, 6, 3, 2)) for seed in range(40)]
+        models += [cell_poset(random_model(seed, 5, 2, 3)) for seed in range(20)]
+        models += [maze_grid(n) for n in (2, 3)]
+        models += [cell_poset(load_simplicial_model(corridor_document(k))) for k in range(2, 7)]
+        for k, p in enumerate(models):
+            assert weak_pm_by_signatures(p) == weak_pm_partition(p), k
+
+    def test_signature_refinement_gives_the_minimal_models_classes(self):
+        # the direct fixpoint takes tens of seconds from kuhn3d 2 on
+        documents = [maze_document(n) for n in (4, 8, 12, 16)]
+        documents += [corridor_document(60), kuhn3d_document(3, 1), kuhn3d_document(4, 1)]
+        for document in documents:
+            p = cell_poset(load_simplicial_model(document))
+            assert weak_pm_by_signatures(p) == minimal_model(p).partition
 
 
 class TestPipelineAgreement:

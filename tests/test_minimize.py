@@ -7,7 +7,7 @@ import threading
 import weakref
 from array import array
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -369,24 +369,32 @@ class TestSharedLog:
     def test_threads_get_the_serial_witnesses(self):
         doc = maze_document(5)
         p = cell_poset(load_simplicial_model(doc))
-        pairs = same_valuation_pairs(p, 30)
+        # both orders, and many cell pairs to each sibling pair, asked in a
+        # different order by each thread: the threads race on the memo too
+        pairs = [(x, y) for a, b in same_valuation_pairs(p, 30) for x, y in ((a, b), (b, a))]
         serial = [distinguishing_formula(p, a, b) for a, b in pairs]
         shared = cell_poset(load_simplicial_model(doc))
         start = threading.Barrier(4)
 
-        def explain():
+        def explain(k):
+            order = random.Random(k).sample(range(len(pairs)), len(pairs))
             start.wait(timeout=60)  # every thread misses the log at once
-            return [distinguishing_formula(shared, a, b) for a, b in pairs]
+            found = [None] * len(pairs)
+            for n in order:
+                found[n] = distinguishing_formula(shared, *pairs[n])
+            return found
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(4) as pool:
-                runs = [pool.submit(explain) for _ in range(4)]
+                runs = [pool.submit(explain, k) for k in range(4)]
                 results = [run.result(timeout=60) for run in runs]
         finally:
             sys.setswitchinterval(interval)
-        assert results == [serial] * 4
+        for found in results:
+            assert all(f is s for f, s in zip(found, serial))
+        assert sum(f is not None for f in serial) >= 10
 
 
 class TestSplitTree:
@@ -407,6 +415,20 @@ class TestSplitTree:
                     assert witness is round_log_witness(log, p, x, y), (k, x, y)
                     separated += witness is not None
         assert separated > 1500, separated
+
+
+def sibling_pair(r, i, j):
+    """The children of the lowest common ancestor of two cells' leaves in
+    the record's split tree, by their paths from the root; None for a
+    shared leaf."""
+    def path(i):
+        m, out = r.leaf[r.partition.block[i]], []
+        while m >= 0:
+            out.append(m)
+            m = r.parent[m]
+        return out[::-1]
+
+    return next(((a, b) for a, b in zip(path(i), path(j)) if a != b), None)
 
 
 def literal_calls(lit):
@@ -456,17 +478,46 @@ class TestSeparate:
             monkeypatch.setattr(minimize, name, counted)
         return calls
 
-    def test_a_warm_witness_builds_only_its_literal(self, strip4, monkeypatch):
-        for p in (strip4, cell_poset(load_simplicial_model(maze_document(4)))):
+    def test_a_warm_witness_builds_only_its_literal(self, monkeypatch):
+        # once the node formulas are built, the first call on a sibling pair
+        # builds exactly its literal's nodes, and a repeat, on any cells, none
+        for document in (FIXTURES / "strip4.json").read_bytes(), maze_document(5):
+            p = cell_poset(load_simplicial_model(document))
+            r = minimize._refinement(p)
+            r.build(len(r.parent) - 1)
             pairs = [(x, y) for a, b in same_valuation_pairs(p, 40) for x, y in ((a, b), (b, a))]
-            for a, b in pairs:
-                distinguishing_formula(p, a, b)
+            asked = {None}
             calls = self.count_calls(monkeypatch)
-            for a, b in pairs:
+            for a, b in pairs + pairs:
                 calls.clear()
                 witness = distinguishing_formula(p, a, b)
-                assert sorted(calls) == (literal_calls(witness) if witness else []), (a, b)
+                siblings = sibling_pair(r, p.index_of(a), p.index_of(b))
+                assert sorted(calls) == ([] if siblings in asked else literal_calls(witness)), (a, b)
+                asked.add(siblings)
             monkeypatch.undo()
+            assert len(asked) > 2
+
+    def test_memoised_witnesses_are_a_fresh_records(self):
+        # every same-valuation pair, asked twice of one record, against a
+        # record that has answered nothing; the memo keeps one literal for
+        # each ordered sibling pair asked
+        models = [cell_poset(load_fixture(f"{stem}.json"))
+                  for stem in ("segment3", "triangle_abc", "strip4")]
+        models += [cell_poset(load_simplicial_model(maze_document(n))) for n in (3, 4)]
+        models += [cell_poset(random_model(seed, 6, 3, 2)) for seed in range(20)]
+        separated = 0
+        for p in models:
+            r = _Refinement(p)
+            pairs = [(i, j) for i, j in permutations(range(len(p)), 2)
+                     if p.valuations[i] == p.valuations[j]]
+            first = [r.witness(i, j) for i, j in pairs]
+            for (i, j), witness in zip(pairs, first):
+                assert r.witness(i, j) is witness
+                if r.partition.block[i] != r.partition.block[j]:
+                    assert _Refinement(p).witness(i, j) is witness, (i, j)
+                    separated += 1
+            assert set(r._witnesses) == {sibling_pair(r, i, j) for i, j in pairs} - {None}
+        assert separated > 500, separated
 
     def test_node_formulas_build_only_what_they_conjoin(self, monkeypatch):
         r = _Refinement(cell_poset(load_simplicial_model(maze_document(8))))
