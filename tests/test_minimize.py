@@ -497,7 +497,7 @@ class TestSeparate:
             monkeypatch.undo()
             assert len(asked) > 2
 
-    def test_memoised_witnesses_are_a_fresh_records(self):
+    def test_memoised_witnesses_are_those_of_a_fresh_record(self):
         # every same-valuation pair, asked twice of one record, against a
         # record that has answered nothing; the memo keeps one literal for
         # each ordered sibling pair asked
