@@ -7,9 +7,9 @@ answers mapped back), plus generators and Aldebaran export for interop.
 Exit codes: 0 success, 1 self-check failure, 2 invalid input or a path
 that cannot be read or written, 3 an unexpected internal error.
 
-Every JSON file written is what ``json.dumps`` writes for its payload with an
-indent of 2, plus a newline, byte for byte, non-ASCII characters escaped
-(see :mod:`polymin.jsontext`).
+Every JSON file is ``json.dumps`` of its payload with an indent of 2, plus a
+newline, byte for byte: ``minimize``'s from the record's tables, the others by
+:mod:`polymin.jsontext`.  Every output is UTF-8, on standard output too.
 :func:`main` may be called many times in one process: the parser is built
 once, at import, and a call leaves nothing on it for the next.
 """
@@ -20,7 +20,9 @@ import argparse
 import gc
 import sys
 import traceback
+from contextlib import nullcontext
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import bisim, checker, minimize
@@ -40,25 +42,39 @@ def _load_poset(path: str) -> PosetModel:
     return cell_poset(load_simplicial_model(Path(path).read_bytes()))
 
 
-def _classes_payload(mm: minimize.MinimalModel) -> list[dict]:
+def _minimize_texts(mm: minimize.MinimalModel) -> tuple[str, str]:
+    """The classes file's text and the minimal-model file's, which continues
+    it with the relation's ``[i, j]`` pairs: what ``json_text`` writes for
+    their payloads, byte for byte, written from the record's tables."""
     members: list[list[str]] = [[] for _ in range(len(mm.partition))]
     for w, k in zip(mm.source.elements, mm.partition.block):
         members[k].append(w)
-    return [
-        {"id": i, "name": min(ws), "members": ws, "atoms": sorted(v)}
-        for i, (ws, v) in enumerate(zip(members, mm.kripke.valuations))
-    ]
+    item = ",\n        "
+    atoms = {v: f"[\n        {item.join(map(_quote, sorted(v)))}\n      ]" if v else "[]"
+             for v in set(mm.kripke.valuations)}
+    classes = ",".join([
+        f'\n    {{\n      "id": {i},\n      "name": {_quote(min(ws))},\n      "members": '
+        f'[\n        {item.join(map(_quote, ws))}\n      ],\n      "atoms": {atoms[v]}\n    }}'
+        for i, (ws, v) in enumerate(zip(members, mm.kripke.valuations))])
+    relation = ",".join([f"\n    [\n      {i},\n      {j}\n    ]"
+                         for i, targets in enumerate(mm.kripke.succ) for j in targets])
+    text = '{\n  "classes": [' + classes + "\n  ]\n}\n"
+    return text, text[:-3] + ',\n  "relation": [' + relation + "\n  ]\n}\n"
 
 
 def _write(path: str | Path | None, text: str) -> None:
-    """Write ``text`` to standard output, or to a file in slices of at most
-    64 KiB of UTF-8, so no encoded copy of the whole text is ever made."""
-    if path is None:
+    """Write ``text`` as UTF-8 to a file or to standard output, whatever the
+    latter's own encoding (a text-only stream, as ``io.StringIO``, takes the
+    text), in slices of at most 64 KiB, so no encoded copy is ever made."""
+    if path is None and not hasattr(sys.stdout, "buffer"):
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8") as f:
+    if path is None:
+        sys.stdout.flush()  # what was printed before goes first
+    with nullcontext(sys.stdout.buffer) if path is None else open(path, "wb") as f:
         for k in range(0, len(text), 1 << 14):  # up to 4 bytes a character
-            f.write(text[k:k + (1 << 14)])
+            f.write(text[k:k + (1 << 14)].encode())
+        f.flush()
 
 
 def _self_check_pipeline(
@@ -88,16 +104,9 @@ def cmd_minimize(args) -> int:
         quotient = bisim.branching_quotient(poset, mm.partition.block)
     if args.self_check:
         _self_check_pipeline(poset, mm, quotient)
-    relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
-    # Both files open with the classes array at one depth, so it is written
-    # once: the minimal model's text continues the classes file's, whose
-    # closing "\n}\n" gives way to a comma and the relation's member.
-    classes = json_text({"classes": _classes_payload(mm)})
+    classes, minmodel = _minimize_texts(mm)
     stem = Path(args.model).stem
-    files = {
-        f"{stem}.classes.json": classes,
-        f"{stem}.minmodel.json": classes[:-3] + "," + json_text({"relation": relation})[1:],
-    }
+    files = {f"{stem}.classes.json": classes, f"{stem}.minmodel.json": minmodel}
     if args.emit_aut:
         if quotient is None:  # only reached without --self-check
             raise AssertionError("the classes are not a branching bisimulation")

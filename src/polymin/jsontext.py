@@ -1,4 +1,4 @@
-"""The text of every JSON file polymin writes.
+"""The text of every JSON file polymin writes but ``minimize``'s two.
 
 ``json_text(value)`` is what ``json.dumps(value, indent=...)`` writes with an
 indent of 2, plus a newline, byte for byte, for values built of dicts with

@@ -6,9 +6,14 @@ the minimal model file, the concrete ``.aut`` and the quotient ``.aut``, of
 the ``format_formula`` text of the witnesses of evenly spread same-valuation
 pairs, in both orders, and of every split-tree node's exact formula, written
 one line per distinct formula node.  ``tests/golden_digests.json`` holds the
-recorded digests, which a tier-1 test compares against; rewrite it with::
+recorded digests, which a tier-1 test compares against.  Compare them without
+pytest, or rewrite the file, with::
 
+    PYTHONPATH=src python tests/golden.py --check
     PYTHONPATH=src python tests/golden.py --record
+
+``--check`` prints one line per case and output whose digest differs and
+exits 1 if there is one, else 0.
 """
 
 from __future__ import annotations
@@ -21,8 +26,7 @@ from itertools import combinations
 from pathlib import Path
 
 from polymin import cell_poset, distinguishing_formula, format_formula, load_simplicial_model
-from polymin import minimal_model, minimize, random_model
-from polymin.cli import main
+from polymin import cli, minimal_model, minimize, random_model
 from polymin.logic import Atom, postorder
 from polymin.simplicial import model_to_document
 
@@ -93,7 +97,7 @@ def digests() -> dict[str, dict[str, str]]:
             model = Path(tmp) / "model.json"
             model.write_text(document, encoding="utf-8")
             outdir = Path(tmp) / "out"
-            if main(["minimize", str(model), "-o", str(outdir), "--emit-aut"]) != 0:
+            if cli.main(["minimize", str(model), "-o", str(outdir), "--emit-aut"]) != 0:
                 raise AssertionError(f"minimize failed on {name}")
             out[name] = {
                 kind: hashlib.sha256((outdir / f"model.{kind}").read_bytes()).hexdigest()
@@ -106,7 +110,33 @@ def digests() -> dict[str, dict[str, str]]:
     return out
 
 
+def differences(recorded: dict[str, dict[str, str]], found: dict[str, dict[str, str]]) -> list[str]:
+    """One line per case and output whose digest differs between the record
+    and ``found``, or that only one of them has."""
+    lines = []
+    for name in sorted(recorded.keys() | found.keys()):
+        old, new = recorded.get(name, {}), found.get(name, {})
+        for kind in sorted(old.keys() | new.keys()):
+            if old.get(kind) != new.get(kind):
+                lines.append(f"{name} {kind}: recorded {old.get(kind)}, found {new.get(kind)}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--record"]:
+        DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+        return 0
+    if argv != ["--check"]:
+        print("usage: python tests/golden.py --check | --record", file=sys.stderr)
+        return 2
+    recorded = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    lines = differences(recorded, digests())
+    for line in lines:
+        print(line)
+    if not lines:
+        print(f"all {len(recorded)} cases match {DIGESTS.name}")
+    return 1 if lines else 0
+
+
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/golden.py --record")
-    DIGESTS.write_text(json.dumps(digests(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    sys.exit(main(sys.argv[1:]))

@@ -229,6 +229,21 @@ def members_of(mm: MinimalModel, cid: str) -> frozenset[str]:
     return mm.partition.classes[mm.kripke.index_of(cid)]
 
 
+def minimize_payloads(mm: MinimalModel) -> tuple[dict, dict]:
+    """The payloads of ``minimize``'s classes file and minimal-model file,
+    the reference for the text the CLI writes from the record's tables:
+    each is ``json.dumps(payload, indent=2)`` plus a newline."""
+    members: list[list[str]] = [[] for _ in range(len(mm.partition))]
+    for w, k in zip(mm.source.elements, mm.partition.block):
+        members[k].append(w)
+    classes = [
+        {"id": i, "name": min(ws), "members": ws, "atoms": sorted(v)}
+        for i, (ws, v) in enumerate(zip(members, mm.kripke.valuations))
+    ]
+    relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
+    return {"classes": classes}, {"classes": classes, "relation": relation}
+
+
 def atom_extension(model: ReflexiveKripkeModel, atom: str) -> frozenset[str]:
     return frozenset(w for w, v in zip(model.elements, model.valuations) if atom in v)
 

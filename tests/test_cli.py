@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import os
 import re
@@ -20,7 +22,7 @@ from polymin.errors import InputError
 from polymin.simplicial import model_to_document, random_model
 
 from families import corridor_document, kuhn3d_document, maze_document
-from oracles import aut_moves, quotient_lts
+from oracles import aut_moves, minimize_payloads, quotient_lts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -340,9 +342,57 @@ ODD_NAMES_MODEL = {
 }
 
 
+# vertex and atom names that meet every escape of the JSON writers: non-ASCII
+# text, '"', '\\', control characters and a lone surrogate, which the model
+# file spells as the escape "\\ud800"
+ESCAPES_DOCUMENT = json.dumps({
+    "atoms": ["na\u00efve", 'q"\\', "\ud800", "\x00\t\x1f", "\U0001f600"],
+    "cells": [
+        {"vertices": ["\u00e9\n"], "atoms": ["na\u00efve", "\ud800"]},
+        {"vertices": ['"\\'], "atoms": ['q"\\']},
+        {"vertices": ["\ud800\x7f\u20ac"], "atoms": []},
+        {"vertices": ["\u00e9\n", '"\\'], "atoms": ["na\u00efve", "\ud800"]},
+        {"vertices": ['"\\', "\ud800\x7f\u20ac"], "atoms": ["\x00\t\x1f", "\U0001f600"]},
+        {"vertices": ["\u00e9\n", "\ud800\x7f\u20ac"], "atoms": []},
+    ],
+})
+
+MINIMIZE_DOCUMENTS = {
+    **{stem: lambda stem=stem: (FIXTURES / f"{stem}.json").read_text(encoding="utf-8")
+       for stem in ("segment3", "triangle_abc", "strip4")},
+    "maze-8": lambda: maze_document(8),
+    "corridor-12": lambda: corridor_document(12),
+    "one-cell": lambda: json.dumps({"cells": [{"vertices": ["A"], "atoms": []}]}),
+    "odd-names": lambda: json.dumps(ODD_NAMES_MODEL),
+    "escapes": lambda: ESCAPES_DOCUMENT,
+}
+
+
 class TestResultWriter:
     """Every JSON file the commands write is byte for byte what the standard
     encoder writes for the same payload."""
+
+    @staticmethod
+    def expect_minimize_files(outdir, document):
+        """``minimize`` writes, for ``document``, what the standard encoder
+        writes for the oracle's payloads."""
+        model = outdir / "model.json"
+        model.write_text(document, encoding="utf-8")
+        assert run("minimize", str(model), "-o", str(outdir / "out")) == 0
+        mm = minimize.minimal_model(cell_poset(load_simplicial_model(document)))
+        for suffix, payload in zip(("classes", "minmodel"), minimize_payloads(mm)):
+            written = (outdir / "out" / f"model.{suffix}.json").read_bytes()
+            assert written == (json.dumps(payload, indent=2) + "\n").encode("ascii")
+
+    @pytest.mark.parametrize("name", MINIMIZE_DOCUMENTS)
+    def test_minimize_files_match_the_standard_encoder(self, outdir, name):
+        self.expect_minimize_files(outdir, MINIMIZE_DOCUMENTS[name]())
+
+    def test_minimize_files_match_the_standard_encoder_on_random_models(self, outdir):
+        # max_dim 2 and 3, 0 to 4 atoms: some classes have no atoms
+        for seed in range(200):
+            model = random_model(seed, 4 + seed % 4, 2 + seed % 2, seed % 5)
+            self.expect_minimize_files(outdir, model_to_document(model))
 
     @pytest.mark.parametrize("script, cells, model_name", [
         ("", [("A", ["p"])], "model.json"),
@@ -361,16 +411,6 @@ class TestResultWriter:
         assert len(results) == script.count("save")
         payload = {"model": str(model), "results": results}
         assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
-
-    @pytest.mark.parametrize("model", [FIXTURES / "strip4.json", None], ids=["strip4", "odd-names"])
-    def test_minimize_files_match_the_standard_encoder(self, outdir, model):
-        if model is None:
-            model = outdir / "odd.json"
-            model.write_text(json.dumps(ODD_NAMES_MODEL))
-        assert run("minimize", str(model), "-o", str(outdir / "out")) == 0
-        for suffix in ("classes", "minmodel"):
-            out = outdir / "out" / f"{model.stem}.{suffix}.json"
-            assert out.read_text(encoding="utf-8") == standard_text(out)
 
     def test_poset_file_matches_the_standard_encoder(self, outdir):
         model = outdir / "odd.json"
@@ -674,6 +714,31 @@ class TestStdout:
         assert run(*argv, "-o", str(out)) == 0
         assert run(*argv) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
+
+    def test_prints_utf8_whatever_the_stream_encoding(self, outdir):
+        # the .aut text spells a non-ASCII atom as it is, which an ASCII
+        # standard output cannot encode; it gets the bytes -o writes
+        model = outdir / "model.json"
+        model.write_text(json.dumps({"cells": [
+            {"vertices": ["A"], "atoms": ["na\u00efve", "\u20ac", "\U0001f600"]},
+        ]}), encoding="utf-8")
+        assert run("export-aut", str(model), "-o", str(outdir / "model.aut")) == 0
+        done = subprocess.run(
+            [sys.executable, "-m", "polymin.cli", "export-aut", str(model)],
+            env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent),
+                 "PYTHONIOENCODING": "ascii"},
+            capture_output=True, timeout=20,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout == (outdir / "model.aut").read_bytes()
+        assert "na\u00efve".encode() in done.stdout
+
+    def test_a_text_only_stream_takes_the_text(self, outdir):
+        out = outdir / "poset.json"
+        assert run("poset", str(FIXTURES / "strip4.json"), "-o", str(out)) == 0
+        with contextlib.redirect_stdout(io.StringIO()) as stream:
+            assert run("poset", str(FIXTURES / "strip4.json")) == 0
+        assert stream.getvalue() == out.read_text(encoding="utf-8")
 
 
 class TestCollectorPause:

@@ -572,7 +572,40 @@ class TestIdempotence:
 
 
 class TestGoldenDigests:
-    def test_outputs_and_witnesses_match_the_recorded_digests(self):
+    @pytest.fixture(scope="class")
+    def found(self):
+        return golden.digests()
+
+    def test_outputs_and_witnesses_match_the_recorded_digests(self, found):
         # the classes, minimal model and .aut bytes of minimize --emit-aut,
         # and the text of sampled witnesses, as tests/golden.py records them
-        assert golden.digests() == json.loads(golden.DIGESTS.read_text(encoding="utf-8"))
+        assert found == json.loads(golden.DIGESTS.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize("tamper", ["none", "digest", "case"])
+    def test_check_names_each_difference(self, found, tmp_path, monkeypatch, capsys, tamper):
+        recorded = json.loads(golden.DIGESTS.read_text(encoding="utf-8"))
+        expected = []
+        if tamper == "digest":
+            real = recorded["strip4"]["minmodel.json"]
+            recorded["strip4"]["minmodel.json"] = "0" * 64
+            expected = [f"strip4 minmodel.json: recorded {'0' * 64}, found {real}"]
+        elif tamper == "case":
+            kinds = recorded.pop("corridor 12")
+            expected = [f"corridor 12 {kind}: recorded None, found {kinds[kind]}"
+                        for kind in sorted(kinds)]
+        tampered = tmp_path / "digests.json"
+        tampered.write_text(json.dumps(recorded), encoding="utf-8")
+        monkeypatch.setattr(golden, "DIGESTS", tampered)
+        monkeypatch.setattr(golden, "digests", lambda: found)
+        assert golden.main(["--check"]) == (1 if expected else 0)
+        out = capsys.readouterr().out.splitlines()
+        assert out == (expected or [f"all {len(recorded)} cases match digests.json"])
+
+    def test_the_script_checks_without_pytest(self):
+        src = str(Path(polymin.__file__).parent.parent)
+        done = subprocess.run([sys.executable, golden.__file__, "--check"],
+                              env={**os.environ, "PYTHONPATH": src},
+                              capture_output=True, text=True, timeout=60)
+        recorded = json.loads(golden.DIGESTS.read_text(encoding="utf-8"))
+        assert (done.returncode, done.stdout, done.stderr) == (
+            0, f"all {len(recorded)} cases match golden_digests.json\n", "")
