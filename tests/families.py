@@ -10,6 +10,13 @@ from pathlib import Path
 from polymin.simplicial import SimplicialModel
 
 
+# the benchmark's input generators, read once from ``perfbench/gen.py``
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_gen", Path(__file__).parents[1] / "perfbench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
 def barycentric_subdivision(m: SimplicialModel) -> tuple[str, list[int]]:
     """The barycentric subdivision of ``m`` as a model document, with the
     carrier of each of its cells as a cell number of ``m``.
@@ -69,11 +76,7 @@ def grid_document(k: int) -> str:
 
 def maze_document(n: int) -> str:
     """The seeded maze on an n x n grid that the benchmark generates
-    (``perfbench/gen.py``, read from that file), as a model document."""
-    path = Path(__file__).parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
+    (:data:`gen`), as a model document."""
     return gen.grid_document(n, 1)
 
 

@@ -43,6 +43,22 @@ class TestResultLines:
         assert ab.failure(run(0, line(1.0, 20.0, correct=False))) == "correct is false"
         assert ab.failure(run(0, line(1.0, 20.0, failed=3))) == "3 of 100 requests failed"
 
+    def test_a_failed_run_is_named_with_its_last_stderr_line(self, tmp_path):
+        (tmp_path / "perfbench").mkdir()
+        (tmp_path / "perfbench" / "run.py").write_text(
+            "import sys\n"
+            "print('warming up', file=sys.stderr)\n"
+            "print('FileNotFoundError: tests/fixtures/segment3.json', file=sys.stderr)\n"
+            "print(file=sys.stderr)\n"
+            "sys.exit(1)\n", encoding="utf-8")
+        run = ab.run_side(tmp_path, "selfcheck-explain", 1, 1)
+        assert run["returncode"] == 1 and run["result"] is None
+        assert ab.failed_line(3, "head", run) == (
+            "FAILED pair 3 head: exit code 1; stderr: FileNotFoundError: tests/fixtures/segment3.json")
+        # a run that wrote nothing there is named alone
+        assert ab.failed_line(0, "base", {"returncode": 1, "result": None, "stderr_tail": []}) == (
+            "FAILED pair 0 base: exit code 1")
+
 
 class TestSummary:
     def test_medians_quartiles_and_wins(self):

@@ -4,7 +4,9 @@
 
 Run from inside the repository.  A revision is checked out with
 ``git archive`` into a temporary directory, which is removed afterwards; a
-directory is run as it is.  Each pair runs both sides' own
+``--head`` directory is run as it is, so it must hold ``src/``,
+``perfbench/`` and ``tests/fixtures/`` (``selfcheck-explain`` reads the
+fixtures).  Each pair runs both sides' own
 ``perfbench/run.py`` for the workload at the seed, for ``run_seconds`` from
 ``BENCHMARK.json`` with tracing off, each in a fresh process, the base first
 in even pairs and the head first in odd ones.
@@ -16,8 +18,9 @@ that wins at least nine tenths of all pairs run and whose median beats the
 base's by more than the base's interquartile range; ``over bound`` marks a
 head median worse than the base median by more than the metric's bound.  A
 run that exits non-zero, reads ``correct`` false or fails requests is named
-on standard error; a run without metrics counts for neither side.  Every run
-is written to ``BENCH_<workload>-seed<S>.json`` in the current directory.
+on standard error, with the last line it wrote there; a run without metrics
+counts for neither side.  Every run is written to
+``BENCH_<workload>-seed<S>.json`` in the current directory.
 """
 
 from __future__ import annotations
@@ -95,6 +98,13 @@ def failure(run: dict) -> str | None:
     if result.get("failed"):
         return f"{result['failed']} of {result.get('attempted')} requests failed"
     return None
+
+
+def failed_line(pair: int, side: str, run: dict) -> str:
+    """The console line naming a failed run, ending in its last standard-error line."""
+    tail = [line for line in run.get("stderr_tail", []) if line.strip()]
+    named = f"FAILED pair {pair} {side}: {failure(run)}"
+    return f"{named}; stderr: {tail[-1]}" if tail else named
 
 
 def table(rows: list[dict]) -> str:
@@ -175,9 +185,8 @@ def main(argv: list[str] | None = None) -> int:
             for side in order:
                 run = run_side(trees[side], args.workload, args.seed, bench["run_seconds"])
                 runs.append({"pair": i, "side": side, "first": side == order[0], **run})
-                why = failure(run)
-                if why:
-                    print(f"FAILED pair {i} {side}: {why}", file=sys.stderr)
+                if failure(run):
+                    print(failed_line(i, side, run), file=sys.stderr)
                 pair[side] = run["result"] if run["result"] and run["result"].get("metrics") else None
                 print(f"pair {i} {side}: " + ", ".join(
                     f"{k} {v['value']:.6g}" for k, v in (pair[side] or {}).get("metrics", {}).items()),
