@@ -1,11 +1,14 @@
-"""Byte-identity guard for minimisation: SHA-256 digests of the files
-``minimize --emit-aut`` writes and of sampled distinguishing formulas.
+"""Byte-identity guard for minimisation and checking: SHA-256 digests of the
+files ``minimize --emit-aut`` and ``check`` write and of sampled
+distinguishing formulas.
 
 Each case is a model document.  Its digests are those of the classes file,
 the minimal model file, the concrete ``.aut`` and the quotient ``.aut``, of
 the ``format_formula`` text of the witnesses of evenly spread same-valuation
-pairs, in both orders, and of every split-tree node's exact formula, written
-one line per distinct formula node.  ``tests/golden_digests.json`` holds the
+pairs, in both orders, of every split-tree node's exact formula, written
+one line per distinct formula node, and of the result files of ``check`` on
+a script built from the case's atoms (:func:`check_script_text`), run
+directly and, on its eta saves, with ``--on-minimal``.  ``tests/golden_digests.json`` holds the
 recorded digests, which a tier-1 test compares against.  Compare them without
 pytest, or rewrite the file, with::
 
@@ -27,7 +30,7 @@ from pathlib import Path
 
 from polymin import cell_poset, distinguishing_formula, format_formula, load_simplicial_model
 from polymin import cli, minimal_model, minimize, random_model
-from polymin.logic import Atom, postorder
+from polymin.logic import Atom, is_eta_pure, parse_formula, postorder
 from polymin.simplicial import model_to_document
 
 from families import corridor_document, kuhn3d_document, maze_document
@@ -47,6 +50,44 @@ def cases() -> dict[str, str]:
     docs["corridor 12"] = corridor_document(12)
     docs["kuhn3d 3"] = kuhn3d_document(3, 1)
     return docs
+
+
+# save name: formula over the let-bound atoms a, b and c; the saves without
+# gamma or diamond are the eta saves, which ``check --on-minimal`` also runs
+CHECK_SAVES = {
+    "eta": "eta(a | b, b)",
+    "nested": "eta(a, eta(a | b, b) | c)",
+    "not": "!eta(b, a)",
+    "and": "a & eta(true, !b)",
+    "or": "c | eta(!c, a & b)",
+    "gamma": "gamma(a | b, b)",
+    "gamma-alone": "gamma(!b, a)",
+    "diamond": "diamond(a) & !eta(b, c)",
+}
+
+
+def check_script_text(atoms: tuple[str, ...], eta_only: bool = False) -> str:
+    """The check script of a case declaring ``atoms``: ``a``, ``b`` and ``c``
+    bind its first three atoms, taken cyclically; with ``eta_only`` it saves
+    only the eta saves of :data:`CHECK_SAVES`."""
+    lets = "".join(f'let {x} = ap("{atoms[k % len(atoms)]}")\n' for k, x in enumerate("abc"))
+    return lets + "".join(f'save "{name}" {f}\n' for name, f in CHECK_SAVES.items()
+                          if not eta_only or is_eta_pure(parse_formula(f)))
+
+
+def check_texts(model: Path, atoms: tuple[str, ...]) -> dict[str, bytes]:
+    """The bytes ``check`` writes for the case's script, directly and, on its
+    eta saves, with ``--on-minimal``, with the model's path spelled
+    ``model.json``."""
+    texts = {}
+    for kind, eta_only, flags in (("check", False, []), ("check --on-minimal", True, ["--on-minimal"])):
+        script, output = model.with_name("script.txt"), model.with_name("results.json")
+        script.write_text(check_script_text(atoms, eta_only), encoding="utf-8")
+        argv = ["check", str(script), "--model", str(model), "-o", str(output), *flags]
+        if cli.main(argv) != 0:
+            raise AssertionError(f"{kind} failed on {model}")
+        texts[kind] = output.read_bytes().replace(json.dumps(str(model)).encode(), b'"model.json"', 1)
+    return texts
 
 
 def witness_text(document: str) -> str:
@@ -107,6 +148,9 @@ def digests() -> dict[str, dict[str, str]]:
             out[name]["witnesses"] = hashlib.sha256(text).hexdigest()
             text = node_formula_text(document).encode("utf-8")
             out[name]["node formulas"] = hashlib.sha256(text).hexdigest()
+            atoms = load_simplicial_model(document).atoms
+            for kind, text in check_texts(model, atoms).items():
+                out[name][kind] = hashlib.sha256(text).hexdigest()
     return out
 
 
