@@ -5,6 +5,20 @@ numbers, and a :class:`SatSet` keeps those numbers; element names are made
 only when its ``members`` are read.  The reach operators are computed with
 linear breadth-first traversals over the model's successor and predecessor
 tables.
+
+On a cell poset those tables are whole up-sets and down-sets, so the order
+is transitively closed (``model.transitive``), and the walk steps from each
+cell it finds one way only.  A cell y found by a downward step from x has
+its down-set inside x's, all of which that step took in; only an upward
+step from y can find more.  Likewise a cell found upward needs only a
+downward step, and the walk's seeds, the ``cond`` cells above a target,
+were found upward.  A quotient's relation need not be transitive, so there
+each found cell is walked both ways.
+
+``gamma(a, b)`` holds exactly below a cell where ``eta(a, b)`` holds: it is
+the down-image of that extension.  The checker evaluates the hash-consed
+node ``Eta(a, b)`` before each ``Gamma(a, b)`` and reads it as the gamma's
+operand, so a script with both walks once.
 """
 
 from __future__ import annotations
@@ -64,15 +78,33 @@ def _reach(
 ) -> frozenset[int]:
     """Elements of ``cond`` joined, by undirected steps that never leave
     ``cond``, to an element of ``cond`` with an accessibility predecessor in
-    ``target``: from there one final downward step reaches a target."""
-    succ, pred = model.succ, model.pred
-    frontier = cond.intersection(_image(succ, target))
+    ``target``: from there one final downward step reaches a target.
+
+    ``down`` holds the elements to step down from next and ``up`` those to
+    step up from.  With transitive tables an element found upward goes only
+    to ``down`` and one found downward only to ``up`` (see the module
+    notes); otherwise every found element goes to both."""
+    succ, pred, one_way = model.succ, model.pred, model.transitive
+    down = cond.intersection(_image(succ, target))  # the seeds, found upward
+    up = () if one_way else down
     rest = set(cond)
-    rest.difference_update(frontier)
-    while frontier and rest:
-        frontier = rest.intersection(chain(_image(succ, frontier), _image(pred, frontier)))
-        rest.difference_update(frontier)
+    rest.difference_update(down)
+    while rest and (up or down):
+        below = rest.intersection(_image(pred, down))
+        rest.difference_update(below)
+        above = rest.intersection(_image(succ, up))
+        rest.difference_update(above)
+        if one_way:
+            up, down = below, above
+        else:
+            up = down = below | above
     return cond - rest
+
+
+def _operands(f: Formula) -> tuple[Formula, ...]:
+    """The nodes whose extensions ``f``'s is made from: its operands, but for
+    ``Gamma(a, b)`` the node ``Eta(a, b)``, whose down-image it is."""
+    return (Eta(*f.operands),) if type(f) is Gamma else f.operands
 
 
 def _extensions(
@@ -81,20 +113,25 @@ def _extensions(
     """The extension of each root as element numbers, in root order.
 
     One walk lists every distinct node of the roots after its operands, from
-    :func:`postorder`, and notes each node's last reader: the last node in
-    that list with it as an operand, where its count of uses to come falls
-    to zero.  The nodes are then evaluated in that order, without
+    :func:`postorder`, with ``Eta(a, b)`` listed before each ``Gamma(a, b)``
+    as the gamma's one operand (:func:`_operands`), and notes each node's
+    last reader: the last node in that list with it as an operand, where its
+    count of uses to come falls to zero.  The nodes are then evaluated in that order, without
     recursion, at any depth, each once, and each extension but a root's is
     dropped once its last reader has read it.  ``TOP`` and atom extensions
     hold the model's own number objects."""
     roots = tuple(roots)
     nodes: dict[Formula, None] = {}
     for f in roots:
-        nodes.update(dict.fromkeys(postorder(f, nodes)))
-    last = {h: f for f in nodes for h in f.operands}
+        for g in postorder(f, nodes):
+            if type(g) is Gamma:
+                nodes[Eta(*g.operands)] = None  # kept in place if already listed
+            nodes[g] = None
+    last = {h: f for f in nodes for h in _operands(f)}
     last.update(dict.fromkeys(roots))  # a root is kept to the end
     numbers = model._index.values()
     everything = frozenset(numbers)
+    distinct = set(model.valuations)
     memo: dict[Formula, frozenset[int]] = {}
     for f in nodes:
         match f:
@@ -103,7 +140,8 @@ def _extensions(
             case Atom(name):
                 if strict_atoms and name not in model.atoms:
                     raise UnknownAtomError(f"atom {name!r} is not declared by the model")
-                result = frozenset(compress(numbers, [name in v for v in model.valuations]))
+                holds = {v: name in v for v in distinct}
+                result = frozenset(compress(numbers, map(holds.__getitem__, model.valuations)))
             case Not(g):
                 result = everything - memo[g]
             case And(a, b):
@@ -113,11 +151,11 @@ def _extensions(
             case Eta(a, b):
                 result = _reach(model, memo[a], memo[b])
             case Gamma(a, b):
-                result = frozenset(_image(model.pred, _reach(model, memo[a], memo[b])))
+                result = frozenset(_image(model.pred, memo[Eta(a, b)]))
             case Diamond(g):
                 result = frozenset(_image(model.pred, memo[g]))
         memo[f] = result
-        for g in f.operands:
+        for g in _operands(f):
             if last[g] is f:
                 memo.pop(g, None)  # None: both operands of f are g
     return [memo[f] for f in roots]

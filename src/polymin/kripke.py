@@ -40,6 +40,11 @@ class ReflexiveKripkeModel:
 
     __slots__ = ("elements", "atoms", "_index", "valuations", "succ", "pred", "__weakref__")
 
+    # Whether ``succ`` and ``pred`` are transitively closed, each row a whole
+    # up-set or down-set: a fact of the type, not of one model, which lets
+    # the checker's reach walk step from each found element one way only.
+    transitive = False
+
     def __init__(
         self,
         elements: Iterable[str],

@@ -404,6 +404,8 @@ class PosetModel(ReflexiveKripkeModel):
 
     __slots__ = ("_covers",)
 
+    transitive = True  # the tables are the up-sets and down-sets
+
     def __init__(self, index: dict[str, int], succ: tuple[tuple[int, ...], ...],
                  pred: tuple[tuple[int, ...], ...], valuations: tuple[frozenset[str], ...],
                  atoms: tuple[str, ...], covers: array):
