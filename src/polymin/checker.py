@@ -15,8 +15,8 @@ downward step, and the walk's seeds, the ``cond`` cells above a target,
 were found upward.  A quotient's relation need not be transitive, so there
 each found cell is walked both ways.
 
-``gamma(a, b)`` holds exactly below a cell where ``eta(a, b)`` holds: it is
-the down-image of that extension.  The checker evaluates the hash-consed
+``gamma(a, b)`` holds exactly at and below the elements where ``eta(a, b)``
+holds: it is the down-image of that extension.  The checker evaluates the hash-consed
 node ``Eta(a, b)`` before each ``Gamma(a, b)`` and reads it as the gamma's
 operand, so a script with both walks once.
 """
@@ -116,9 +116,9 @@ def _extensions(
     :func:`postorder`, with ``Eta(a, b)`` listed before each ``Gamma(a, b)``
     as the gamma's one operand (:func:`_operands`), and notes each node's
     last reader: the last node in that list with it as an operand, where its
-    count of uses to come falls to zero.  The nodes are then evaluated in that order, without
-    recursion, at any depth, each once, and each extension but a root's is
-    dropped once its last reader has read it.  ``TOP`` and atom extensions
+    count of uses to come falls to zero.  The nodes are then evaluated in
+    that order, without recursion, at any depth, each once, and each
+    extension but a root's is dropped once its last reader has read it.  ``TOP`` and atom extensions
     hold the model's own number objects."""
     roots = tuple(roots)
     nodes: dict[Formula, None] = {}

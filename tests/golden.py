@@ -8,9 +8,10 @@ the ``format_formula`` text of the witnesses of evenly spread same-valuation
 pairs, in both orders, of every split-tree node's exact formula, written
 one line per distinct formula node, and of the result files of ``check`` on
 a script built from the case's atoms (:func:`check_script_text`), run
-directly and, on its eta saves, with ``--on-minimal``.  ``tests/golden_digests.json`` holds the
-recorded digests, which a tier-1 test compares against.  Compare them without
-pytest, or rewrite the file, with::
+directly and, on its eta saves, with ``--on-minimal``.
+``tests/golden_digests.json`` holds the recorded digests, which a tier-1
+test compares against.  Compare them without pytest, or rewrite the file,
+with::
 
     PYTHONPATH=src python tests/golden.py --check
     PYTHONPATH=src python tests/golden.py --record
@@ -80,9 +81,10 @@ def check_texts(model: Path, atoms: tuple[str, ...]) -> dict[str, bytes]:
     eta saves, with ``--on-minimal``, with the model's path spelled
     ``model.json``."""
     texts = {}
-    for kind, eta_only, flags in (("check", False, []), ("check --on-minimal", True, ["--on-minimal"])):
-        script, output = model.with_name("script.txt"), model.with_name("results.json")
-        script.write_text(check_script_text(atoms, eta_only), encoding="utf-8")
+    script, output = model.with_name("script.txt"), model.with_name("results.json")
+    for flags in ([], ["--on-minimal"]):
+        kind = " ".join(["check", *flags])
+        script.write_text(check_script_text(atoms, eta_only=bool(flags)), encoding="utf-8")
         argv = ["check", str(script), "--model", str(model), "-o", str(output), *flags]
         if cli.main(argv) != 0:
             raise AssertionError(f"{kind} failed on {model}")

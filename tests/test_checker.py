@@ -13,13 +13,16 @@ from polymin import (
     parse_script,
     sat,
 )
+from polymin import checker
 from polymin.checker import UnknownAtomError
 from polymin.logic import (
     And, Atom, Diamond, Eta, Gamma, Not, Or, Script, TOP,
 )
 
 from conftest import random_posets
-from families import grid_document
+from families import (
+    barycentric_subdivision, corridor_document, grid_document, kuhn3d_document, maze_document,
+)
 from oracles import (
     BoundTooSmallError, EtaPurityError, atom_extension, check_script_by_names, down,
     encode_eta_to_gamma, neighbours, not_chain, random_formula, sat_eta_path_oracle,
@@ -302,8 +305,13 @@ class TestUseCounts:
         lambda x, y: {"top": TOP, "atom": x, "both": And(TOP, x)},
         lambda x, y: {"twice": And(Or(y, x), Or(y, x)), "not": Not(And(x, x))},
         lambda x, y: {},
+        lambda x, y: {"gamma": Gamma(y, x)},  # its eta is listed only as its operand
+        lambda x, y: {"eta": Eta(y, x), "gamma": Gamma(y, x)},  # it reads a root
+        lambda x, y: {"gamma": Gamma(y, x), "eta": Eta(y, x)},  # a root it read first
+        lambda x, y: {"gamma": And(Gamma(y, x), Eta(y, x)), "other": Gamma(x, Gamma(y, x))},
     ], ids=["saved-twice", "root-then-operand", "operand-then-root", "true-and-atom",
-            "one-node-both-slots", "empty"])
+            "one-node-both-slots", "empty", "gamma-only", "gamma-after-eta", "eta-after-gamma",
+            "gamma-and-eta-in-one-root"])
     def test_agrees_with_the_name_evaluator(self, strip4, saves):
         script = Script(bindings={}, saves=saves(Atom("green"), Atom("grey")))
         for model in (strip4, minimal_model(strip4).kripke):
@@ -319,6 +327,67 @@ class TestUseCounts:
         script = Script(bindings={}, saves={"top": TOP, "wall": Atom("wall")})
         for s in check_script(p, script).values():
             assert s.numbers and all(i is numbers[i] for i in s.numbers)
+
+
+def walk_saves(rng, atoms):
+    """Saves whose reach walks run long on stripes and mazes, then random
+    saves over every operator."""
+    x, y, z = (Atom(atoms[k % len(atoms)]) for k in range(3))
+    saves = {"or": Eta(Or(x, y), z), "not": Eta(Not(x), y), "gamma": Gamma(Not(z), x),
+             "nested": Eta(x, Or(Eta(Or(x, y), z), z)), "diamond": Diamond(Eta(Or(y, z), z))}
+    saves.update({f"s{i}": any_formula(rng, 4, atoms) for i in range(8)})
+    return saves
+
+
+class TestOneWayWalk:
+    """A cell poset's tables are whole up-sets and down-sets, so the checker
+    walks each cell it finds one way only; a plain model over the same tables
+    is walked both ways, and every save has the same extension in both."""
+
+    @pytest.mark.parametrize("document", [
+        lambda: maze_document(8), lambda: maze_document(16),
+        lambda: corridor_document(12), lambda: corridor_document(60),
+        lambda: kuhn3d_document(2, 1), lambda: kuhn3d_document(3, 2),
+        lambda: barycentric_subdivision(load_simplicial_model(maze_document(3)))[0],
+    ], ids=["maze 8", "maze 16", "corridor 12", "corridor 60", "kuhn3d 2", "kuhn3d 3",
+            "subdivided maze 3"])
+    def test_the_poset_answers_like_its_two_way_twin(self, document):
+        p = cell_poset(load_simplicial_model(document()))
+        twin = ReflexiveKripkeModel(p.elements, p.succ, p.valuations, p.atoms)
+        assert p.transitive and not twin.transitive
+        assert (twin.succ, twin.pred) == (p.succ, p.pred)
+        for seed in range(3):
+            script = Script(bindings={}, saves=walk_saves(random.Random(seed), list(p.atoms)))
+            got, expected = check_script(p, script), check_script(twin, script)
+            assert {k: v.numbers for k, v in got.items()} == {
+                k: v.numbers for k, v in expected.items()}, seed
+            assert any(0 < len(v.numbers) < len(p) for v in got.values()), seed
+
+    def test_only_posets_claim_transitive_tables(self, strip4):
+        # a quotient's relation need not be transitive, so it keeps the two-way walk
+        assert strip4.transitive
+        assert not minimal_model(strip4).kripke.transitive
+
+    @pytest.mark.parametrize("order", ["eta-first", "gamma-first"])
+    def test_eta_and_gamma_of_one_pair_walk_once(self, strip4, monkeypatch, order):
+        walks = []
+        real = checker._reach
+
+        def counted(model, cond, target):
+            walks.append((cond, target))
+            return real(model, cond, target)
+
+        monkeypatch.setattr(checker, "_reach", counted)
+        cond, target = Or(Atom("green"), Atom("grey")), Atom("green")
+        saves = {"eta": Eta(cond, target), "gamma": Gamma(cond, target),
+                 "other": Gamma(target, cond)}
+        if order == "gamma-first":
+            saves = dict(reversed(saves.items()))
+        script = Script(bindings={}, saves=saves)
+        got = check_script(strip4, script)
+        # one walk for the pair, one for the other gamma's own eta
+        assert len(walks) == 2
+        assert {k: v.members for k, v in got.items()} == check_script_by_names(strip4, script, False)
 
 
 def test_peak_does_not_grow_with_a_nested_eta_chain():

@@ -19,9 +19,9 @@ spec.loader.exec_module(stages)
 
 # grid 4's classes are its three valuations, so only the corridor has pairs to witness
 SMALL = {
-    "grid 4": ("load minimise certify check", lambda: [gen.grid_document(4, 1)], ()),
+    "grid 4": ("load minimise certify check peaks", lambda: [gen.grid_document(4, 1)], ()),
     "corridor 3": ("minimise witness pairs", lambda: [corridor_document(3)], (("x0y0", "x2y0"),)),
-    "kuhn3d 2": ("load minimise certify", lambda: [kuhn3d_document(2, 1)], ()),
+    "kuhn3d 2": ("load minimise certify check", lambda: [kuhn3d_document(2, 1)], ()),
     "sweep (3 models)": (
         "load", lambda: [model_to_document(m) for _, m in gen.sweep(1, 1, random_model)[:3]], ()),
 }
@@ -39,6 +39,8 @@ TABLES = {
                       ["corridor 3"]),
     "all_pairs": ("### Every same-valuation cross-class ordered pair of corridor 3 (27 cells), on one record",
                   "| pairs | sibling pairs | all pairs | per pair | record after |", ["128"]),
+    "check_times": ("### In-process `check_script` of six saves, best of 5",
+                    "| model | cells | check_script |", ["grid 4", "kuhn3d 2"]),
     "check_peaks": ("### `tracemalloc` peaks of a direct `check` of grid 4 (113 cells), six saves",
                     "| stage | peak | live after |",
                     ["`load_simplicial_model`", "`cell_poset`", "`check_script`", "`json_text`"]),
@@ -102,11 +104,11 @@ def test_every_timed_minimal_model_call_builds_a_fresh_record(small):
     assert len(calls) == 1 and len(builds) == 2 and builds[1] is calls[0]
 
 
-def test_main_prints_the_five_tables(small, capsys):
+def test_main_prints_every_table(small, capsys):
     stages.main()
     text = capsys.readouterr().out
     headings = [line for line in text.splitlines() if line.startswith("### ")]
-    assert len(headings) == 5
+    assert len(headings) == len(TABLES) == 6
     assert all(h.startswith(title) for h, (title, _, _) in zip(headings, TABLES.values()))
 
 

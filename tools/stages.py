@@ -18,13 +18,14 @@ from polymin.jsontext import json_text
 from polymin.simplicial import model_to_document
 
 
-# name: (its tables, of load minimise certify witness pairs check; a function making its
-# documents; pairs it witnesses before random ones, as the pair a corridor's last round splits)
+# name: (its tables, of load minimise certify witness pairs check peaks; a function making
+# its documents; pairs it witnesses before random ones, as the pair a corridor's last round
+# splits)
 MODELS = {
     **{f"grid {n}": ("load", lambda n=n: [gen.grid_document(n, 1)], ()) for n in (13, 16, 22)},
-    "grid 64": ("load minimise certify witness check", lambda: [gen.grid_document(64, 1)], ()),
+    "grid 64": ("load minimise certify witness check peaks", lambda: [gen.grid_document(64, 1)], ()),
     "corridor 1000": ("minimise witness", lambda: [corridor_document(1000)], (("x0y0", "x2y0"),)),
-    "kuhn3d 10": ("load minimise certify", lambda: [kuhn3d_document(10, 1)], ()),
+    "kuhn3d 10": ("load minimise certify check", lambda: [kuhn3d_document(10, 1)], ()),
     "random-minimize sweep (50 models)": (
         "load", lambda: [model_to_document(m) for _, m in gen.sweep(1, 10, random_model)], ()),
     "grid 8": ("pairs", lambda: [gen.grid_document(8, 1)], ()),
@@ -149,8 +150,25 @@ def all_pairs(documents):
                 f"{seconds / len(names) * 1e6:.2f} µs", f"{size / 1e6:.2f} MB")])
 
 
-def check_peaks(documents):
+def big_check_script():
+    """perfbench's big ``grid-check`` request: six saves over the grid atoms,
+    which the kuhn3d models declare too."""
+    return parse_script(gen.grid_script("1.2", 6))
+
+
+def check_times(documents):
+    script, rows = big_check_script(), []
     for name, [document], _, _ in each("check", documents):
+        poset = cell_poset(load_simplicial_model(document))
+        best = best_of(5, lambda: check_script(poset, script))[1]
+        rows.append((name, f"{len(poset):,}", duration(best)))
+    table("In-process `check_script` of six saves, best of 5, collector off",
+          "The script is perfbench's big `grid-check` request, `gen.grid_script(\"1.2\", 6)`.",
+          "model | cells | check_script", rows)
+
+
+def check_peaks(documents):
+    for name, [document], _, _ in each("peaks", documents):
         def stage(label, step):
             tracemalloc.reset_peak()
             result = step()
@@ -159,7 +177,7 @@ def check_peaks(documents):
             return result
         rows = []
         tracemalloc.start()
-        script = parse_script(gen.grid_script("1.2", 6))  # perfbench's big grid-check request
+        script = big_check_script()
         # the CLI holds no copy of the file's bytes while it parses them
         model = stage("load_simplicial_model", lambda: load_simplicial_model(document.encode()))
         poset = stage("cell_poset", lambda: cell_poset(model))
@@ -177,7 +195,7 @@ def check_peaks(documents):
 def main():
     gc.disable()
     documents = {name: make() for name, (_, make, _) in MODELS.items()}
-    for report in (load_times, minimise_times, witness_times, all_pairs, check_peaks):
+    for report in (load_times, minimise_times, witness_times, all_pairs, check_times, check_peaks):
         report(documents)
 
 
