@@ -16,9 +16,9 @@ were found upward.  A quotient's relation need not be transitive, so there
 each found cell is walked both ways.
 
 ``gamma(a, b)`` holds exactly at and below the elements where ``eta(a, b)``
-holds: it is the down-image of that extension.  The checker evaluates the hash-consed
-node ``Eta(a, b)`` before each ``Gamma(a, b)`` and reads it as the gamma's
-operand, so a script with both walks once.
+holds: it is the down-image of that extension.  The checker evaluates the
+hash-consed node ``Eta(a, b)`` before each ``Gamma(a, b)`` and reads it as
+the gamma's operand, so a script with both walks once.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ def _extensions(
     last reader: the last node in that list with it as an operand, where its
     count of uses to come falls to zero.  The nodes are then evaluated in
     that order, without recursion, at any depth, each once, and each
-    extension but a root's is dropped once its last reader has read it.  ``TOP`` and atom extensions
-    hold the model's own number objects."""
+    extension but a root's is dropped once its last reader has read it.
+    ``TOP`` and atom extensions hold the model's own number objects."""
     roots = tuple(roots)
     nodes: dict[Formula, None] = {}
     for f in roots:

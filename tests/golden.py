@@ -88,7 +88,8 @@ def check_texts(model: Path, atoms: tuple[str, ...]) -> dict[str, bytes]:
         argv = ["check", str(script), "--model", str(model), "-o", str(output), *flags]
         if cli.main(argv) != 0:
             raise AssertionError(f"{kind} failed on {model}")
-        texts[kind] = output.read_bytes().replace(json.dumps(str(model)).encode(), b'"model.json"', 1)
+        path = json.dumps(str(model)).encode()
+        texts[kind] = output.read_bytes().replace(path, b'"model.json"', 1)
     return texts
 
 

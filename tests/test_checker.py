@@ -387,7 +387,8 @@ class TestOneWayWalk:
         got = check_script(strip4, script)
         # one walk for the pair, one for the other gamma's own eta
         assert len(walks) == 2
-        assert {k: v.members for k, v in got.items()} == check_script_by_names(strip4, script, False)
+        expected = check_script_by_names(strip4, script, False)
+        assert {k: v.members for k, v in got.items()} == expected
 
 
 def test_peak_does_not_grow_with_a_nested_eta_chain():

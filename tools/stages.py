@@ -23,7 +23,8 @@ from polymin.simplicial import model_to_document
 # splits)
 MODELS = {
     **{f"grid {n}": ("load", lambda n=n: [gen.grid_document(n, 1)], ()) for n in (13, 16, 22)},
-    "grid 64": ("load minimise certify witness check peaks", lambda: [gen.grid_document(64, 1)], ()),
+    "grid 64": (
+        "load minimise certify witness check peaks", lambda: [gen.grid_document(64, 1)], ()),
     "corridor 1000": ("minimise witness", lambda: [corridor_document(1000)], (("x0y0", "x2y0"),)),
     "kuhn3d 10": ("load minimise certify check", lambda: [kuhn3d_document(10, 1)], ()),
     "random-minimize sweep (50 models)": (
