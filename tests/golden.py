@@ -8,7 +8,8 @@ the ``format_formula`` text of the witnesses of evenly spread same-valuation
 pairs, in both orders, of every split-tree node's exact formula, written
 one line per distinct formula node, and of the result files of ``check`` on
 a script built from the case's atoms (:func:`check_script_text`), run
-directly and, on its eta saves, with ``--on-minimal``.
+directly and, on its eta saves, with ``--on-minimal``, and of what
+``poset`` prints, with its exit code.
 ``tests/golden_digests.json`` holds the recorded digests, which a tier-1
 test compares against.  Compare them without pytest, or rewrite the file,
 with::
@@ -23,9 +24,11 @@ exits 1 if there is one, else 0.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from itertools import combinations
 from pathlib import Path
 
@@ -93,6 +96,14 @@ def check_texts(model: Path, atoms: tuple[str, ...]) -> dict[str, bytes]:
     return texts
 
 
+def poset_stdout(model: Path) -> tuple[int, bytes]:
+    """``poset``'s exit code and the bytes it prints for the model."""
+    with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as stdout, redirect_stdout(stdout):
+        code = cli.main(["poset", str(model)])
+        stdout.flush()
+        return code, stdout.buffer.getvalue()
+
+
 def witness_text(document: str) -> str:
     """The witnesses of sampled same-valuation pairs on a fresh model, one
     line a pair: the two cells and the formula's text, or None.  About
@@ -154,6 +165,9 @@ def digests() -> dict[str, dict[str, str]]:
             atoms = load_simplicial_model(document).atoms
             for kind, text in check_texts(model, atoms).items():
                 out[name][kind] = hashlib.sha256(text).hexdigest()
+            code, text = poset_stdout(model)
+            out[name]["poset"] = hashlib.sha256(text).hexdigest()
+            out[name]["poset exit"] = str(code)
     return out
 
 
