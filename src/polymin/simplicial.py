@@ -7,12 +7,14 @@ face pass, which checks that every face is listed, is the one validation of
 that order; the poset is read from the faces and trusts them.  Vertex
 coordinates, when present in the input, are carried along untouched.
 
-Both the loader and :func:`cell_poset` work column by column: each check,
-and each face size of each cell size, is one pass over a column of cells,
-so the interpreter's loop runs per column rather than per cell.  Cells are
-grouped by size; when the document lists them by size, as meshes are
-written, each group is a slice.  A model whose order would exceed
-:data:`ORDER_PAIR_BUDGET` pairs is refused before any face is looked up.
+The loader works column by column: each check, and each face position of
+each cell size, is one pass over a column of cells, so the interpreter's
+loop runs per column rather than per cell.  Cells are grouped by size; when
+the document lists them by size, as meshes are written, each group is a
+slice.  The faces are looked up once, there, and kept as each cell's
+down-set, which :func:`cell_poset` only inverts.  A model whose order would
+exceed :data:`ORDER_PAIR_BUDGET` pairs is refused before any face is looked
+up.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cache
-from array import array
 from itertools import chain, combinations, repeat
 from operator import itemgetter, lt
 
@@ -76,9 +77,9 @@ class SimplicialModel:
     canonical cell order, and every per-cell table is indexed by that number:
     ``cells[i]`` is a sorted tuple of vertex names and ``valuations[i]`` its
     atom set.  ``_index`` maps each canonical cell name to its number, in
-    cell order, and ``_covers`` keeps the covering pairs (face, cell) that
-    the face pass found, in the order :func:`_read_cells` states;
-    :func:`cell_poset` reads both.
+    cell order, and ``_down[i]`` is the sorted tuple of the numbers of cell
+    i and all its faces, each the index's own int object; :func:`cell_poset`
+    reads both.
 
     :func:`_read_cells`, the one validation routine, builds every model.
     """
@@ -89,7 +90,7 @@ class SimplicialModel:
     atoms: tuple[str, ...]
     geometry: dict[str, tuple[float, ...]] | None
     _index: dict[str, int] = field(repr=False, compare=False)
-    _covers: array = field(repr=False, compare=False)
+    _down: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
 
 _NO_ATOMS = object()
@@ -115,12 +116,10 @@ def _read_cells(
     atom lists (equal ones share one frozenset) and, size group by size
     group, the faces.  Only when a pass fails are the cells scanned one by
     one, in file order, for the first fault, so errors are those of a
-    cell-by-cell check.  Faces are kept as a flat array of cell numbers,
-    face, cell, face, cell, ...: for each cell size k >= 2 in ascending
-    order and each (k - 1)-vertex face position in ``combinations`` order,
-    that face of every k-vertex cell, in cell order.  The model's atoms are
-    ``atoms`` (checked strings) followed by the undeclared ones in order of
-    first use.
+    cell-by-cell check.  Each cell's down-set, the cell and all its faces,
+    is looked up face size by face size, one face position at a time, and
+    kept sorted.  The model's atoms are ``atoms`` (checked strings) followed
+    by the undeclared ones in order of first use.
 
     A model whose order would have over :data:`ORDER_PAIR_BUDGET` pairs is
     refused with :class:`ModelSizeError` once its cells have passed their
@@ -197,27 +196,27 @@ def _read_cells(
         raise ModelSizeError(f"the cell poset would have {order_pairs:,} order pairs, "
                              f"over the budget of {ORDER_PAIR_BUDGET:,}")
 
-    # Face closure: checking the one-vertex-removed faces of every cell covers
-    # all smaller faces by induction.  Those faces are exactly its covers.
-    covers: list[int] = []
-    for k, highs, group in groups:
-        if k == 1:
-            continue
-        flat = [None] * (2 * len(group))  # face, cell, face, cell, ...
-        flat[1::2] = highs
-        for face in _faces(k, k - 1):
-            try:
-                flat[::2] = map(number.__getitem__, _names(face, k - 1, group))
-            except KeyError:
-                raise _missing_face(cells, number) from None
-            covers += flat
+    # Face closure: with the groups in ascending size, checking the
+    # one-vertex-removed faces of every cell covers all smaller faces by
+    # induction, so those are looked up first and no smaller one is missing.
+    nums = list(number.values())  # one int object per cell, shared by every down-set
+    down: list = [None] * n
+    for k, members, group in groups:
+        columns = [_take(nums, members)]
+        for size in range(k - 1, 0, -1):
+            for face in _faces(k, size):
+                try:
+                    columns.append(list(map(number.__getitem__, _names(face, size, group))))
+                except KeyError:
+                    raise _missing_face(cells, number) from None
+        _put(down, members, map(tuple, map(sorted, zip(*columns))))
 
     # A repeated valuation adds no atoms.
     used = dict.fromkeys(atoms)
     for atom_set in dict.fromkeys(shared.values()):
         used.update(dict.fromkeys(sorted(atom_set)))
     return SimplicialModel(tuple(seen if declared is None else declared), tuple(cells), valuations,
-                           tuple(used), geometry, number, array("i", covers))
+                           tuple(used), geometry, number, tuple(down))
 
 
 def _size_runs(sizes: list[int]) -> list[tuple[int, range | list[int]]]:
@@ -395,74 +394,59 @@ class PosetModel(ReflexiveKripkeModel):
     """A finite poset with a valuation, viewed as a reflexive Kripke model.
 
     The constructor stores the order's tables as built and checks nothing:
-    ``index`` maps element names to numbers in element order, ``succ[i]``
-    and ``pred[i]`` are the sorted up-set and down-set of element i (each
-    holding i) and the only stored copy of the order, and ``covers`` is a
-    flat array of covering pairs (low, high, low, high, ...).
+    ``index`` maps element names to numbers in element order, and
+    ``succ[i]`` and ``pred[i]`` are the sorted up-set and down-set of
+    element i (each holding i) and the only stored copy of the order.
     :func:`cell_poset` builds them from faces the loader has checked.
     """
 
-    __slots__ = ("_covers",)
+    __slots__ = ()
 
     transitive = True  # the tables are the up-sets and down-sets
 
     def __init__(self, index: dict[str, int], succ: tuple[tuple[int, ...], ...],
                  pred: tuple[tuple[int, ...], ...], valuations: tuple[frozenset[str], ...],
-                 atoms: tuple[str, ...], covers: array):
+                 atoms: tuple[str, ...]):
         self.elements = tuple(index)
         self._index = index
         self.succ = succ
         self.pred = pred
         self.valuations = valuations
         self.atoms = atoms
-        self._covers = covers
 
     @property
     def covers(self) -> tuple[tuple[str, str], ...]:
-        """The covering pairs (low, high), in element order of low, then high."""
-        c, names = self._covers, self.elements
-        return tuple((names[a], names[b]) for a, b in sorted(zip(c[::2], c[1::2])))
+        """The covering pairs (low, high), in element order of low, then high:
+        y covers x iff x < y and no z has x < z < y, in any poset.  Walking
+        the sorted up-sets in element order gives the pairs in that order."""
+        names = self.elements
+        above = [up[1:] if up[0] == x else tuple(filter(x.__ne__, up))  # each without x
+                 for x, up in enumerate(self.succ)]
+        pairs = []
+        for low, over in zip(names, above):
+            higher = set(chain.from_iterable(map(above.__getitem__, over)))
+            pairs += [(low, names[y]) for y in over if y not in higher]
+        return tuple(pairs)
 
 
 def cell_poset(m: SimplicialModel) -> PosetModel:
-    """Build the cell poset of a simplicial model from its cells' faces.
+    """Build the cell poset of a simplicial model.
 
     One element per cell, named canonically, in input cell order so results
-    map back to cells by position; the order is face inclusion.  The loader
-    has checked that every face is listed, so each down-set is read from the
-    faces, size group by size group and one face position at a time: the
-    cell, its covers (the loader's), its vertices and, from four vertices
-    on, its faces of 2 to k - 2 vertices.  Inverting the down-sets in cell
-    order leaves every up-set sorted.  The poset shares the model's index,
-    valuations and covers, and every number in its ``succ`` and ``pred`` is
-    the index's own object.
+    map back to cells by position; the order is face inclusion.  The
+    down-sets are the loader's, and inverting them in cell order leaves
+    every up-set sorted.  The poset shares the model's index, down-sets and
+    valuations, and every number in its ``succ`` and ``pred`` is the index's
+    own object.
     """
-    number = m._index.__getitem__
-    nums = list(m._index.values())  # one int object per element, shared by every table
-    n = len(nums)
-    pred: list = [None] * n
-    at = 0
-    for k, members in _size_runs(list(map(len, m.cells))):
-        highs = _take(nums, members)
-        if k == 1:
-            _put(pred, members, zip(highs))
-            continue
-        group = _take(m.cells, members)
-        columns = [highs]
-        for _ in range(k):  # the loader's covers: by size, then face, then cell
-            columns.append(list(map(nums.__getitem__, m._covers[at:at + 2 * len(group):2])))
-            at += 2 * len(group)
-        for size in range(1, k - 1):  # an edge's covers are its vertices
-            for face in _faces(k, size):
-                columns.append(list(map(number, _names(face, size, group))))
-        _put(pred, members, map(tuple, map(sorted, zip(*columns))))
-    succ: list = list(map(list, repeat((), n)))
-    for high, down in zip(nums, pred):
+    nums = list(m._index.values())
+    succ: list = list(map(list, repeat((), len(nums))))
+    for high, down in zip(nums, m._down):
         for low in down:
             succ[low].append(high)
     for i, up in enumerate(succ):
         succ[i] = tuple(up)  # each list is freed as its tuple is made
-    return PosetModel(m._index, tuple(succ), tuple(pred), m.valuations, m.atoms, m._covers)
+    return PosetModel(m._index, tuple(succ), m._down, m.valuations, m.atoms)
 
 
 def random_model(seed: int, n_vertices: int, max_dim: int, n_atoms: int) -> SimplicialModel:

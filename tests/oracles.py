@@ -40,7 +40,8 @@ def poset_from_covers(
     """The poset whose order is the reflexive-transitive closure of arbitrary
     covering pairs, given as a flat array of element numbers (low, high, low,
     high, ...): the reference for :func:`polymin.cell_poset`'s face-built
-    tables, and the way tests build hand-made posets.
+    tables, and the way tests build hand-made posets.  Only the order is
+    kept, so its ``covers`` are the Hasse pairs, whatever pairs it closed.
 
     A reflexive cover, or a cycle, which would break antisymmetry, raises
     ``ValueError``; so do duplicate element names.
@@ -76,7 +77,7 @@ def poset_from_covers(
         up[w] = tuple(sorted(reach))
 
     k = ReflexiveKripkeModel(elements, up, valuations, atoms)
-    return PosetModel(k._index, k.succ, k.pred, k.valuations, k.atoms, covers)
+    return PosetModel(k._index, k.succ, k.pred, k.valuations, k.atoms)
 
 
 _NO_ATOMS = object()
@@ -85,13 +86,13 @@ _VERTEX_TYPE = "cell vertices must be a list of strings"
 
 def read_cells_by_cell(
     entries: list, declared: list | None, atoms: list[str], geometry: dict | None
-) -> SimplicialModel:
+) -> tuple[SimplicialModel, array]:
     """The cell-by-cell loader: the reference for
     :func:`polymin.simplicial._read_cells`' column passes, with the same
-    errors and the same model.  Its covers run cell by cell, each cell's
-    faces in ``combinations`` order, so compare them as sorted pairs, and
-    build its posets with :func:`cell_poset_by_cell`, which does not read
-    them.
+    errors and the same model, its down-sets from :func:`down_sets_by_cell`.
+    Beside the model it returns the covering pairs its face check found, as
+    a flat array (face, cell, face, cell, ...), cell by cell and each cell's
+    faces in ``combinations`` order.
 
     One pass over the entries type-checks, sorts (in place), names and
     numbers each cell, checks each vertex name once and gives equal atom
@@ -177,31 +178,35 @@ def read_cells_by_cell(
     used = dict.fromkeys(atoms)
     for atom_set in dict.fromkeys(shared.values()):
         used.update(dict.fromkeys(sorted(atom_set)))
-    return SimplicialModel(tuple(order), tuple(cells), tuple(valuations), tuple(used), geometry,
-                           number, array("i", covers))
+    model = SimplicialModel(tuple(order), tuple(cells), tuple(valuations), tuple(used), geometry,
+                            number, down_sets_by_cell(cells, number))
+    return model, array("i", covers)
+
+
+def down_sets_by_cell(cells: Iterable[tuple[str, ...]], number: dict[str, int]
+                      ) -> tuple[tuple[int, ...], ...]:
+    """Each cell's down-set, cell by cell: the sorted numbers of the cell and
+    of its faces of every size, looked up by name."""
+    pred = []
+    for high, cell in zip(number.values(), cells):
+        down = [high]
+        for size in range(1, len(cell)):
+            down += map(number.__getitem__, map("-".join, combinations(cell, size)))
+        pred.append(tuple(sorted(down)))
+    return tuple(pred)
 
 
 def cell_poset_by_cell(m: SimplicialModel) -> PosetModel:
     """The cell-by-cell cell poset: the reference for
-    :func:`polymin.cell_poset`'s size-group passes.  Each cell's down-set is
-    the cell, its faces of one vertex fewer, its vertices and its faces of 2
-    to k - 2 vertices, looked up by name; inverting the down-sets in cell
-    order leaves every up-set sorted."""
-    number = m._index.__getitem__
-    nums = list(m._index.values())
+    :func:`polymin.cell_poset`.  Its down-sets are looked up by name again,
+    not read from the model, and inverting them in cell order leaves every
+    up-set sorted."""
+    pred = down_sets_by_cell(m.cells, m._index)
     succ: list = [[] for _ in m.cells]
-    pred: list[tuple[int, ...]] = []
-    for high, cell in zip(nums, m.cells):
-        k = len(cell)
-        down = [high]
-        for size in range(1, k):
-            down += map(number, map("-".join, combinations(cell, size)))
-        down.sort()
+    for high, down in enumerate(pred):
         for low in down:
             succ[low].append(high)
-        pred.append(tuple(down))
-    return PosetModel(m._index, tuple(map(tuple, succ)), tuple(pred), m.valuations, m.atoms,
-                      m._covers)
+    return PosetModel(m._index, tuple(map(tuple, succ)), pred, m.valuations, m.atoms)
 
 
 def relation_pairs(model: ReflexiveKripkeModel) -> frozenset[tuple[str, str]]:

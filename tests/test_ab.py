@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -111,3 +112,44 @@ class TestSummary:
         text = ab.table(ab.summarise(pairs, END_TO_END))
         assert len(text.splitlines()) == 2 + len(END_TO_END)
         assert "| latency_p50_ms (ms, lower) | 1 | 1 | 1 | 0.5 | -50.0% | 1/1 | yes | no |" in text
+
+
+class TestTheRecordFile:
+    def test_named_after_both_sides_and_never_overwritten(self, tmp_path, monkeypatch, capsys):
+        repo, head = tmp_path / "repo", tmp_path / "tree"
+        repo.mkdir()
+        head.mkdir()
+
+        def git(*args):
+            return subprocess.run(["git", "-c", "user.name=ab", "-c", "user.email=ab@localhost", *args],
+                                  cwd=repo, check=True, capture_output=True, text=True).stdout.strip()
+
+        git("init", "-q")
+        (repo / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"),
+                                             encoding="utf-8")
+        git("add", "BENCHMARK.json")
+        git("commit", "-qm", "benchmark")
+        # a record kept under the name every run used to be written to
+        kept = repo / "BENCH_grid-check-seed7.json"
+        kept.write_text("{}\n", encoding="utf-8")
+        runs = []
+
+        def run_side(tree, workload, seed, seconds):
+            runs.append(tree)
+            return {"returncode": 0, "result": json.loads(line(1.0, 20.0)), "wall_s": 0.1}
+
+        monkeypatch.setattr(ab, "run_side", run_side)
+        monkeypatch.chdir(repo)
+        argv = ["--base", "HEAD", "--head", str(head), "--workload", "grid-check", "--pairs", "2",
+                "--seed", "7"]
+        assert ab.main(argv) == 0
+        out = repo / f"BENCH_grid-check-seed7-{git('rev-parse', '--short', 'HEAD')}-tree.json"
+        record = out.read_bytes()
+        assert json.loads(record)["sides"]["head"] == {"dir": str(head)} and len(runs) == 4
+        assert kept.read_text(encoding="utf-8") == "{}\n"
+        # run again, it refuses before any run and leaves the record as it is
+        runs.clear()
+        capsys.readouterr()
+        assert ab.main(argv) == 2
+        assert runs == [] and out.read_bytes() == record
+        assert capsys.readouterr().err == f"error: {out.name} exists; move it away to run again\n"

@@ -42,6 +42,12 @@ def related(p, a, b):
     return p.index_of(b) in p.succ[p.index_of(a)]
 
 
+def cover_names(elements, covers):
+    """A flat array of covering pairs as ``PosetModel.covers`` gives them:
+    name pairs, by number of low, then high."""
+    return tuple((elements[a], elements[b]) for a, b in sorted(zip(covers[::2], covers[1::2])))
+
+
 def doc(atoms, cells):
     return json.dumps(
         {
@@ -309,7 +315,7 @@ class TestLoad:
 
         declared = load_simplicial_model(json.dumps({**doc, "vertices": list(m.vertices)}))
         assert declared == m and declared.vertices == m.vertices
-        assert declared._covers == m._covers
+        assert declared._down == m._down
         assert declared._index == m._index
 
         # Vertex lists in reverse: cells are sorted on load, and derived
@@ -321,7 +327,7 @@ class TestLoad:
             dict.fromkeys(v for cell in doc["cells"] for v in cell["vertices"])
         )
         assert (derived.cells, derived.valuations, derived.atoms) == (m.cells, m.valuations, m.atoms)
-        assert derived._covers == m._covers
+        assert derived._down == m._down
 
     def test_geometry_passthrough(self):
         payload = json.dumps(
@@ -357,6 +363,14 @@ class TestCellPoset:
             ("E", "E-F"),
             ("F", "E-F"),
         }
+
+    def test_covers_of_shuffled_cells_follow_the_element_order(self):
+        document = shuffled((Path(__file__).parent / "fixtures" / "strip4.json").read_text(), 3)
+        p = cell_poset(load_simplicial_model(document))
+        assert p.elements[:4] != ("A", "B", "C", "D")  # not listed by size
+        pairs = {(a, b) for a in p.elements for b in p.elements
+                 if set(a.split("-")) < set(b.split("-")) and b.count("-") == a.count("-") + 1}
+        assert p.covers == tuple(sorted(pairs, key=lambda ab: tuple(map(p.index_of, ab))))
 
     def test_triangle_poset(self, triangle):
         assert len(triangle.elements) == 7
@@ -431,16 +445,51 @@ class TestPartialOrderLaws:
             poset_from_covers(["a", "b"], array("i", [0, 1, 1, 0]), [(), ()], [])
 
 
+class TestCoversOfAnyPoset:
+    """``PosetModel.covers`` reads the Hasse pairs from the down-sets of any
+    poset, not only a cell poset, whatever pairs the order was closed from."""
+
+    def covers(self, elements, pairs):
+        flat = array("i", [elements.index(w) for pair in pairs for w in pair])
+        return poset_from_covers(elements, flat, [()] * len(elements), []).covers
+
+    def test_chain(self):
+        chain = [f"c{i}" for i in range(6)]
+        links = [(chain[i], chain[i + 1]) for i in range(5)]
+        assert self.covers(chain, links[::-1]) == tuple(links)
+        # a pair the closure implies anyway is no cover
+        assert self.covers(chain, links + [("c0", "c5"), ("c1", "c3")]) == tuple(links)
+
+    def test_diamond(self):
+        elements = ["top", "left", "right", "bottom"]
+        hasse = [("left", "top"), ("right", "top"), ("bottom", "left"), ("bottom", "right")]
+        assert self.covers(elements, hasse[::-1]) == tuple(hasse)
+        assert self.covers(elements, hasse + [("bottom", "top")]) == tuple(hasse)
+
+    def test_sides_of_unequal_length(self):
+        # the pentagon: bottom < a < b < top and bottom < c < top
+        elements = ["bottom", "a", "b", "c", "top"]
+        hasse = [("bottom", "a"), ("bottom", "c"), ("a", "b"), ("b", "top"), ("c", "top")]
+        assert self.covers(elements, hasse + [("a", "top")]) == tuple(hasse)
+
+    def test_antichain_and_one_element(self):
+        assert self.covers(["x", "y", "z"], []) == ()
+        assert self.covers(["x"], []) == ()
+
+
 class TestFaceBuiltTables:
     """``cell_poset`` reads the order from each cell's faces; the generic
-    closure of the loader's covers must give the same tables."""
+    closure of the covers the cell-by-cell loader finds must give the same
+    tables, and the same covers."""
 
     def check(self, m):
         p = cell_poset(m)
-        ref = poset_from_covers(tuple(m._index), m._covers, m.valuations, m.atoms)
+        entries = json.loads(model_to_document(m))["cells"]
+        _, covers = read_cells_by_cell(entries, list(m.vertices), list(m.atoms), None)
+        ref = poset_from_covers(tuple(m._index), covers, m.valuations, m.atoms)
         assert p.elements == ref.elements and p._index == ref._index
         assert p.succ == ref.succ and p.pred == ref.pred
-        assert p.covers == ref.covers
+        assert p.covers == cover_names(p.elements, covers)
         assert p.valuations == ref.valuations and p.atoms == ref.atoms
         # every table entry is the index's own number object
         numbers = list(p._index.values())
@@ -491,9 +540,17 @@ class TestFaceBuiltTables:
 
 
 def load_by_cell(document):
-    """``load_simplicial_model`` with the cell-by-cell reference loader."""
-    with mock.patch.object(simplicial, "_read_cells", read_cells_by_cell):
-        return load_simplicial_model(document)
+    """``load_simplicial_model`` with the cell-by-cell reference loader, and
+    the covers that loader found."""
+    found = []
+
+    def read(*args):
+        m, covers = read_cells_by_cell(*args)
+        found.append(covers)
+        return m
+
+    with mock.patch.object(simplicial, "_read_cells", read):
+        return load_simplicial_model(document), found[0]
 
 
 def shuffled(document: str, seed: int) -> str:
@@ -504,18 +561,19 @@ def shuffled(document: str, seed: int) -> str:
 
 
 class TestColumnPassesMatchTheCellByCellReference:
-    """The loader's column passes and ``cell_poset``'s size groups build the
-    tables, and raise the errors, of the cell-by-cell reference loops."""
+    """The loader's column passes build the tables, down-sets included, and
+    raise the errors of the cell-by-cell reference loops; ``cell_poset``
+    gives the reference's order and covers."""
 
     def check(self, document):
-        m, ref = load_simplicial_model(document), load_by_cell(document)
+        m, (ref, covers) = load_simplicial_model(document), load_by_cell(document)
         assert (m.cells, m.valuations, m.atoms, m.vertices) == (
             ref.cells, ref.valuations, ref.atoms, ref.vertices)
         assert list(m._index.items()) == list(ref._index.items())
-        assert sorted(zip(m._covers[::2], m._covers[1::2])) == sorted(
-            zip(ref._covers[::2], ref._covers[1::2]))
+        assert m._down == ref._down
         p, q = cell_poset(m), cell_poset_by_cell(ref)
-        assert p.succ == q.succ and p.pred == q.pred
+        assert p.succ == q.succ and p.pred == q.pred == m._down
+        assert p.covers == cover_names(p.elements, covers)
 
     @pytest.mark.parametrize("name", ["segment3.json", "triangle_abc.json", "strip4.json"])
     def test_fixtures(self, name):

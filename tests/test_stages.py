@@ -28,7 +28,7 @@ SMALL = {
 # per report: its title's start, its column headers and its rows' first cells
 TABLES = {
     "load_times": ("### In-process `load_simplicial_model` and `cell_poset`, best of 5",
-                   "| model | cells | load | cell_poset |",
+                   "| model | cells | load | cell_poset | load + cell_poset |",
                    ["grid 4", "kuhn3d 2", "sweep (3 models)"]),
     "minimise_times": ("### In-process `minimal_model`, `--self-check` certificate and `.aut` text",
                        "| model | cells | classes | minimal_model | certificate | .aut |",

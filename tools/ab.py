@@ -20,7 +20,9 @@ head median worse than the base median by more than the metric's bound.  A
 run that exits non-zero, reads ``correct`` false or fails requests is named
 on standard error, with the last line it wrote there; a run without metrics
 counts for neither side.  Every run is written to
-``BENCH_<workload>-seed<S>.json`` in the current directory.
+``BENCH_<workload>-seed<S>-<base>-<head>.json`` in the current directory,
+each side named by its short commit hash, or a directory by its name; if
+that file exists, nothing is run and the exit code is 2.
 """
 
 from __future__ import annotations
@@ -166,18 +168,25 @@ def main(argv: list[str] | None = None) -> int:
 
     repo = Path(git("rev-parse", "--show-toplevel", cwd=Path.cwd()))
     bench = json.loads((repo / "BENCHMARK.json").read_text(encoding="utf-8"))
-    label = f"{args.workload}-seed{args.seed}"
+    described, names = {}, []
+    for side in SIDES:
+        rev = getattr(args, side)
+        if side == "head" and Path(rev).is_dir():
+            described[side] = {"dir": rev}
+            names.append(Path(rev).resolve().name)
+        else:
+            described[side] = {"rev": git("rev-parse", rev, cwd=repo)}
+            names.append(git("rev-parse", "--short", rev, cwd=repo))
+    out = Path(f"BENCH_{args.workload}-seed{args.seed}-{names[0]}-{names[1]}.json")
+    if out.exists():
+        print(f"error: {out} exists; move it away to run again", file=sys.stderr)
+        return 2
     temp = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
-        trees, described = {}, {}
+        trees = {}
         for side in SIDES:
-            rev = getattr(args, side)
-            if side == "head" and Path(rev).is_dir():
-                trees[side] = Path(rev).resolve()
-                described[side] = {"dir": rev}
-            else:
-                trees[side] = checkout(rev, repo, temp / side)
-                described[side] = {"rev": git("rev-parse", rev, cwd=repo)}
+            d = described[side]
+            trees[side] = Path(d["dir"]).resolve() if "dir" in d else checkout(d["rev"], repo, temp / side)
         pairs, runs = [], []
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -198,7 +207,6 @@ def main(argv: list[str] | None = None) -> int:
     rows = summarise(pairs, bench["end_to_end"])
     print(f"{args.workload}, seed {args.seed}, {args.pairs} pairs of {bench['run_seconds']} s runs\n")
     print(table(rows))
-    out = Path(f"BENCH_{label}.json")
     out.write_text(json.dumps({
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
         "run_seconds": bench["run_seconds"], "python": platform.python_version(),
