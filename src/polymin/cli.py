@@ -8,8 +8,11 @@ Exit codes: 0 success, 1 self-check failure, 2 invalid input or a path
 that cannot be read or written, 3 an unexpected internal error.
 
 Every JSON file is ``json.dumps`` of its payload with an indent of 2, plus a
-newline, byte for byte: ``minimize``'s from the record's tables, the others by
-:mod:`polymin.jsontext`.  Every output is UTF-8, on standard output too.
+newline, byte for byte, written with no payload made: ``minimize``'s from the
+record's tables, ``check``'s from each save's extension and ``poset``'s from
+the poset's tables, by :mod:`polymin.jsontext`, which ``gen-random`` uses too.
+Every output is UTF-8, on standard output too, and is written only once the
+command has made all of it, so an input that fails writes nothing.
 :func:`main` may be called many times in one process: the parser is built
 once, at import, and a call leaves nothing on it for the next.
 """
@@ -22,12 +25,11 @@ import sys
 import traceback
 from contextlib import nullcontext
 from dataclasses import replace
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import bisim, checker, minimize
 from .errors import EncodingError, InputError
-from .jsontext import json_text
+from .jsontext import answer_words, minimize_texts, poset_text, results_bytes
 from .logic import is_eta_pure, parse_script
 from .simplicial import (
     PosetModel, cell_poset, load_simplicial_model, model_to_document, random_model,
@@ -42,38 +44,22 @@ def _load_poset(path: str) -> PosetModel:
     return cell_poset(load_simplicial_model(Path(path).read_bytes()))
 
 
-def _minimize_texts(mm: minimize.MinimalModel) -> tuple[str, str]:
-    """The classes file's text and the minimal-model file's, which continues
-    it with the relation's ``[i, j]`` pairs: what ``json_text`` writes for
-    their payloads, byte for byte, written from the record's tables."""
-    members: list[list[str]] = [[] for _ in range(len(mm.partition))]
-    for w, k in zip(mm.source.elements, mm.partition.block):
-        members[k].append(w)
-    item = ",\n        "
-    atoms = {v: f"[\n        {item.join(map(_quote, sorted(v)))}\n      ]" if v else "[]"
-             for v in set(mm.kripke.valuations)}
-    classes = ",".join([
-        f'\n    {{\n      "id": {i},\n      "name": {_quote(min(ws))},\n      "members": '
-        f'[\n        {item.join(map(_quote, ws))}\n      ],\n      "atoms": {atoms[v]}\n    }}'
-        for i, (ws, v) in enumerate(zip(members, mm.kripke.valuations))])
-    relation = ",".join([f"\n    [\n      {i},\n      {j}\n    ]"
-                         for i, targets in enumerate(mm.kripke.succ) for j in targets])
-    text = '{\n  "classes": [' + classes + "\n  ]\n}\n"
-    return text, text[:-3] + ',\n  "relation": [' + relation + "\n  ]\n}\n"
-
-
-def _write(path: str | Path | None, text: str) -> None:
-    """Write ``text`` as UTF-8 to a file or to standard output, whatever the
-    latter's own encoding (a text-only stream, as ``io.StringIO``, takes the
-    text), in slices of at most 64 KiB, so no encoded copy is ever made."""
+def _write(path: str | Path | None, data: str | bytes) -> None:
+    """Write ``data`` to a file or to standard output, whatever the latter's
+    own encoding: bytes, which are ASCII, as they are, and text as UTF-8 in
+    slices of at most 64 KiB, so no encoded copy of it is ever made.  A
+    text-only stream, as ``io.StringIO``, takes the text."""
     if path is None and not hasattr(sys.stdout, "buffer"):
-        sys.stdout.write(text)
+        sys.stdout.write(data if isinstance(data, str) else data.decode("ascii"))
         return
     if path is None:
         sys.stdout.flush()  # what was printed before goes first
     with nullcontext(sys.stdout.buffer) if path is None else open(path, "wb") as f:
-        for k in range(0, len(text), 1 << 14):  # up to 4 bytes a character
-            f.write(text[k:k + (1 << 14)].encode())
+        if isinstance(data, bytes):
+            f.write(data)
+        else:
+            for k in range(0, len(data), 1 << 14):  # up to 4 bytes a character
+                f.write(data[k:k + (1 << 14)].encode())
         f.flush()
 
 
@@ -104,7 +90,8 @@ def cmd_minimize(args) -> int:
         quotient = bisim.branching_quotient(poset, mm.partition.block)
     if args.self_check:
         _self_check_pipeline(poset, mm, quotient)
-    classes, minmodel = _minimize_texts(mm)
+    classes, minmodel = minimize_texts(
+        mm.source.elements, mm.partition.block, mm.kripke.valuations, mm.kripke.succ)
     stem = Path(args.model).stem
     files = {f"{stem}.classes.json": classes, f"{stem}.minmodel.json": minmodel}
     if args.emit_aut:
@@ -142,10 +129,11 @@ def cmd_check(args) -> int:
                     f"save {name!r} uses gamma or diamond, which the minimal "
                     "model does not preserve; check it without --on-minimal"
                 )
+    # each answer is a list of JSON words, one a cell; the extensions go
+    # once their words are made, before the write
     if args.self_check or not args.on_minimal:
-        # the extensions go once their vectors are made, before the write
         direct = {
-            name: sat_set.to_bools(poset) for name, sat_set
+            name: answer_words(len(poset), sat_set.numbers) for name, sat_set
             in checker.check_script(poset, script, strict_atoms=args.strict_atoms).items()
         }
     if args.self_check or args.on_minimal:
@@ -153,14 +141,18 @@ def cmd_check(args) -> int:
         eta = replace(script, saves={n: f for n, f in script.saves.items() if is_eta_pure(f)})
         mm = minimize.minimal_model(poset)
         class_results = checker.check_script(mm.kripke, eta, strict_atoms=args.strict_atoms)
-        minimal = {name: minimize.map_back(mm, sat_set) for name, sat_set in class_results.items()}
+        minimal = {  # each cell reads its class's word
+            name: list(map(answer_words(len(mm.kripke), sat_set.numbers).__getitem__,
+                           mm.partition.block))
+            for name, sat_set in class_results.items()
+        }
     if args.self_check:
         for name, answer in minimal.items():
             if answer != direct[name]:
                 raise SelfCheckFailure(f"direct and minimal answers differ for {name!r}")
 
     results = minimal if args.on_minimal else direct
-    _write(args.output, json_text({"model": str(model_path), "results": results}))
+    _write(args.output, results_bytes(str(model_path), results))
     return 0
 
 
@@ -178,13 +170,7 @@ def cmd_export_aut(args) -> int:
 
 def cmd_poset(args) -> int:
     poset = _load_poset(args.model)
-    payload = {
-        "elements": [
-            {"name": w, "atoms": sorted(v)} for w, v in zip(poset.elements, poset.valuations)
-        ],
-        "covers": [[a, b] for a, b in poset.covers],
-    }
-    _write(args.output, json_text(payload))
+    _write(args.output, poset_text(poset.elements, poset.valuations, poset.covers))
     return 0
 
 

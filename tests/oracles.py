@@ -11,13 +11,13 @@ from polymin import bisim
 from polymin.bisim import (
     CHANGE, DOWN, STEP, TAU, Label, LabelError, Moves, Partition, components_same_valuation,
 )
-from polymin.checker import SatSet, UnknownAtomError
+from polymin.checker import SatSet, UnknownAtomError, check_script
 from polymin.errors import InputError
 from polymin.kripke import ReflexiveKripkeModel
 from polymin.logic import (
-    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Top, is_eta_pure,
+    TOP, And, Atom, Diamond, Eta, Formula, Gamma, Not, Or, Script, Top, is_eta_pure,
 )
-from polymin.minimize import MinimalModel, _valuation_formula, class_id
+from polymin.minimize import MinimalModel, _valuation_formula, class_id, map_back, minimal_model
 from polymin.simplicial import (
     MissingFaceError, MissingValuationError, ModelFormatError, PosetModel, SimplicialModel,
     UnknownVertexError, _atoms_type, _check_vertex_name,
@@ -247,6 +247,27 @@ def minimize_payloads(mm: MinimalModel) -> tuple[dict, dict]:
     ]
     relation = [[i, j] for i, targets in enumerate(mm.kripke.succ) for j in targets]
     return {"classes": classes}, {"classes": classes, "relation": relation}
+
+
+def check_payload(model: str, p: PosetModel, script: Script, on_minimal: bool = False) -> dict:
+    """The payload of ``check``'s results file, the reference for the bytes
+    the CLI writes from the extensions: each save's answer is ``to_bools``
+    of its extension on ``p``, or with ``on_minimal`` ``map_back`` of its
+    extension on the minimal model; the file is ``json.dumps(payload,
+    indent=2)`` plus a newline."""
+    if on_minimal:
+        mm = minimal_model(p)
+        results = {name: map_back(mm, s) for name, s in check_script(mm.kripke, script).items()}
+    else:
+        results = {name: s.to_bools(p) for name, s in check_script(p, script).items()}
+    return {"model": model, "results": results}
+
+
+def poset_payload(p: PosetModel) -> dict:
+    """The payload of ``poset``'s file, the reference for the text the CLI
+    writes from the poset's tables."""
+    return {"elements": [{"name": w, "atoms": sorted(v)} for w, v in zip(p.elements, p.valuations)],
+            "covers": [[a, b] for a, b in p.covers]}
 
 
 def atom_extension(model: ReflexiveKripkeModel, atom: str) -> frozenset[str]:

@@ -17,12 +17,14 @@ from polymin import (
     Partition, PosetModel, bisim, cell_poset, checker, load_simplicial_model, minimize,
 )
 from polymin.checker import SatSet
+from polymin import cli, jsontext
 from polymin.cli import SelfCheckFailure, main
 from polymin.errors import InputError
+from polymin.logic import parse_script
 from polymin.simplicial import model_to_document, random_model
 
-from families import corridor_document, kuhn3d_document, maze_document
-from oracles import aut_moves, minimize_payloads, quotient_lts
+from families import corridor_document, gen, kuhn3d_document, maze_document
+from oracles import aut_moves, check_payload, minimize_payloads, poset_payload, quotient_lts
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -367,6 +369,12 @@ MINIMIZE_DOCUMENTS = {
     "escapes": lambda: ESCAPES_DOCUMENT,
 }
 
+# the check routes: the direct one, the minimal one, and each self-checked
+CHECK_ROUTES = {
+    "direct": (), "on-minimal": ("--on-minimal",), "self-check": ("--self-check",),
+    "on-minimal-self-check": ("--on-minimal", "--self-check"),
+}
+
 
 class TestResultWriter:
     """Every JSON file the commands write is byte for byte what the standard
@@ -394,30 +402,109 @@ class TestResultWriter:
             model = random_model(seed, 4 + seed % 4, 2 + seed % 2, seed % 5)
             self.expect_minimize_files(outdir, model_to_document(model))
 
+    @staticmethod
+    def expect_check_file(outdir, document, script, flags=(), model_name="model.json"):
+        """``check`` writes, for ``document`` and ``script``, the standard
+        encoder's bytes of the oracle's payload; they are returned."""
+        model = outdir / model_name
+        model.write_text(document, encoding="utf-8")
+        (outdir / "script.txt").write_text(script, encoding="utf-8")
+        out = outdir / "results.json"
+        argv = ["check", str(outdir / "script.txt"), "--model", str(model), *flags]
+        assert run(*argv, "-o", str(out)) == 0
+        poset = cell_poset(load_simplicial_model(document))
+        payload = check_payload(str(model), poset, parse_script(script), "--on-minimal" in flags)
+        expected = (json.dumps(payload, indent=2) + "\n").encode("ascii")
+        assert out.read_bytes() == expected
+        return argv, expected
+
+    @pytest.mark.parametrize("flags", CHECK_ROUTES.values(), ids=CHECK_ROUTES)
     @pytest.mark.parametrize("script, cells, model_name", [
         ("", [("A", ["p"])], "model.json"),
         ('save "x" ap("p")\nsave "na\u00efve \\ \u20ac" !ap("p")\n', [("A", ["p"])], "model.json"),
         ('save "x" eta(ap("p"), ap("q"))\n',
          [("A", ["p"]), ("B", ["q"]), ("AB", ["p"])], 'd\u00efr "q" \\ \u20ac.json'),
     ], ids=["no-saves", "one-cell", "odd-model-path"])
-    def test_matches_the_standard_encoder(self, outdir, script, cells, model_name):
-        model = outdir / model_name
-        model.write_text(json.dumps({"atoms": ["p", "q"], "cells": [
-            {"vertices": list(v), "atoms": a} for v, a in cells]}))
-        (outdir / "script.txt").write_text(script, encoding="utf-8")
-        out = outdir / "results.json"
-        assert run("check", str(outdir / "script.txt"), "--model", str(model), "-o", str(out)) == 0
-        results = json.loads(out.read_text())["results"]
-        assert len(results) == script.count("save")
-        payload = {"model": str(model), "results": results}
-        assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+    def test_matches_the_standard_encoder(self, outdir, script, cells, model_name, flags):
+        document = json.dumps({"atoms": ["p", "q"], "cells": [
+            {"vertices": list(v), "atoms": a} for v, a in cells]})
+        argv, expected = self.expect_check_file(outdir, document, script, flags, model_name)
+        assert len(json.loads(expected)["results"]) == script.count("save")
+        # standard output gets the same bytes: a text-only stream as text,
+        # an ASCII stream in a fresh interpreter as bytes
+        with contextlib.redirect_stdout(io.StringIO()) as stream:
+            assert run(*argv) == 0
+        assert stream.getvalue() == expected.decode("ascii")
+        done = subprocess.run(
+            [sys.executable, "-m", "polymin.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent),
+                 "PYTHONIOENCODING": "ascii"},
+            capture_output=True, timeout=20,
+        )
+        assert (done.returncode, done.stderr, done.stdout) == (0, b"", expected)
 
-    def test_poset_file_matches_the_standard_encoder(self, outdir):
-        model = outdir / "odd.json"
-        model.write_text(json.dumps(ODD_NAMES_MODEL))
+    def test_both_routes_match_the_standard_encoder_on_random_models(self, outdir):
+        # 1 to 4 atoms; the eta saves go on both routes, gamma and diamond
+        # on the direct one, and every other model is self-checked
+        for seed in range(200):
+            model = random_model(seed, 4 + seed % 4, 2 + seed % 2, 1 + seed % 4)
+            document = model_to_document(model)
+            eta, direct = gen.random_scripts(seed, list(model.atoms))
+            check = ["--self-check"] * (seed % 2)
+            self.expect_check_file(outdir, document, direct, check)
+            self.expect_check_file(outdir, document, eta, ["--on-minimal", *check])
+
+    @pytest.mark.parametrize("flags", CHECK_ROUTES.values(), ids=CHECK_ROUTES)
+    def test_odd_save_names_and_model_paths(self, outdir, flags):
+        # a save name holds any character but '"' and a line break
+        script = "".join(f'save "{name}" eta(ap("p"), ap("q"))\n' for name in (
+            "na\u00efve", "back\\slash", "\\", "tab\there", "it's", "\U0001f600 \u20ac", ""))
+        for model_name in ('q"uoted.json', "back\\slash.json", "\u00e9\u20ac.json", "\x7f.json"):
+            self.expect_check_file(outdir, json.dumps(ODD_NAMES_MODEL), script, flags, model_name)
+        self.expect_check_file(outdir, ESCAPES_DOCUMENT, "", flags, "\U0001f600.json")
+
+    @pytest.mark.parametrize("flags", CHECK_ROUTES.values(), ids=CHECK_ROUTES)
+    def test_check_writes_from_the_extensions(self, outdir, monkeypatch, flags):
+        # the payload route is gone from ``check``: none of its steps is called
+        def refused(*args, **kwargs):
+            raise AssertionError("the payload route was taken")
+
+        monkeypatch.setattr(SatSet, "to_bools", refused)
+        monkeypatch.setattr(minimize, "map_back", refused)
+        monkeypatch.setattr(jsontext, "json_text", refused)
+        assert not hasattr(cli, "json_text")
+        script = outdir / "script.txt"
+        script.write_text('save "reach" eta(ap("green") | ap("grey"), ap("green"))\n'
+                          'save "near" !eta(ap("grey"), ap("red"))\n')
+        out = outdir / "results.json"
+        argv = ["check", str(script), "--model", str(FIXTURES / "strip4.json"), "-o", str(out)]
+        assert run(*argv, *flags) == 0
+        monkeypatch.undo()
+        poset = cell_poset(load_simplicial_model((FIXTURES / "strip4.json").read_bytes()))
+        payload = check_payload(argv[3], poset, parse_script(script.read_text()))
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n"
+
+    def test_a_failed_self_check_writes_nothing(self, outdir, monkeypatch):
+        real = checker.check_script
+
+        def emptied(model, script, strict_atoms=False):  # the minimal route says no everywhere
+            got = real(model, script, strict_atoms)
+            if isinstance(model, PosetModel):
+                return got
+            return {name: SatSet(model, frozenset(), s.formula) for name, s in got.items()}
+
+        monkeypatch.setattr(checker, "check_script", emptied)
+        assert check_on_minimal_with_self_check(outdir) == 1
+        assert not (outdir / "results.json").exists()
+
+    @pytest.mark.parametrize("name", MINIMIZE_DOCUMENTS)
+    def test_poset_file_matches_the_standard_encoder(self, outdir, name):
+        model = outdir / "model.json"
+        model.write_text(MINIMIZE_DOCUMENTS[name](), encoding="utf-8")
         out = outdir / "poset.json"
         assert run("poset", str(model), "-o", str(out)) == 0
-        assert out.read_text(encoding="utf-8") == standard_text(out)
+        payload = poset_payload(cell_poset(load_simplicial_model(model.read_bytes())))
+        assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("ascii")
 
     def test_gen_random_file_matches_the_standard_encoder(self, outdir):
         out = outdir / "model.json"

@@ -39,11 +39,12 @@ TABLES = {
                       ["corridor 3"]),
     "all_pairs": ("### Every same-valuation cross-class ordered pair of corridor 3 (27 cells), on one record",
                   "| pairs | sibling pairs | all pairs | per pair | record after |", ["128"]),
-    "check_times": ("### In-process `check_script` of six saves, best of 5",
-                    "| model | cells | check_script |", ["grid 4", "kuhn3d 2"]),
+    "check_times": ("### In-process `check_script` of six saves and the write of their answers, best of 5",
+                    "| model | cells | check_script | write |", ["grid 4", "kuhn3d 2"]),
     "check_peaks": ("### `tracemalloc` peaks of a direct `check` of grid 4 (113 cells), six saves",
                     "| stage | peak | live after |",
-                    ["`load_simplicial_model`", "`cell_poset`", "`check_script`", "`json_text`"]),
+                    ["`load_simplicial_model`", "`cell_poset`", "`check_script`", "`answer_words`",
+                     "`results_bytes`"]),
 }
 
 
