@@ -418,30 +418,30 @@ class TestResultWriter:
         assert out.read_bytes() == expected
         return argv, expected
 
-    @pytest.mark.parametrize("flags", CHECK_ROUTES.values(), ids=CHECK_ROUTES)
     @pytest.mark.parametrize("script, cells, model_name", [
         ("", [("A", ["p"])], "model.json"),
         ('save "x" ap("p")\nsave "na\u00efve \\ \u20ac" !ap("p")\n', [("A", ["p"])], "model.json"),
         ('save "x" eta(ap("p"), ap("q"))\n',
          [("A", ["p"]), ("B", ["q"]), ("AB", ["p"])], 'd\u00efr "q" \\ \u20ac.json'),
     ], ids=["no-saves", "one-cell", "odd-model-path"])
-    def test_matches_the_standard_encoder(self, outdir, script, cells, model_name, flags):
+    def test_matches_the_standard_encoder(self, outdir, script, cells, model_name):
         document = json.dumps({"atoms": ["p", "q"], "cells": [
             {"vertices": list(v), "atoms": a} for v, a in cells]})
-        argv, expected = self.expect_check_file(outdir, document, script, flags, model_name)
-        assert len(json.loads(expected)["results"]) == script.count("save")
-        # standard output gets the same bytes: a text-only stream as text,
-        # an ASCII stream in a fresh interpreter as bytes
-        with contextlib.redirect_stdout(io.StringIO()) as stream:
-            assert run(*argv) == 0
-        assert stream.getvalue() == expected.decode("ascii")
-        done = subprocess.run(
-            [sys.executable, "-m", "polymin.cli", *argv],
-            env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent),
-                 "PYTHONIOENCODING": "ascii"},
-            capture_output=True, timeout=20,
-        )
-        assert (done.returncode, done.stderr, done.stdout) == (0, b"", expected)
+        for flags in CHECK_ROUTES.values():
+            argv, expected = self.expect_check_file(outdir, document, script, flags, model_name)
+            assert len(json.loads(expected)["results"]) == script.count("save")
+            # standard output gets the same bytes: a text-only stream as
+            # text, an ASCII stream in a fresh interpreter as bytes
+            with contextlib.redirect_stdout(io.StringIO()) as stream:
+                assert run(*argv) == 0
+            assert stream.getvalue() == expected.decode("ascii")
+            done = subprocess.run(
+                [sys.executable, "-m", "polymin.cli", *argv],
+                env={**os.environ, "PYTHONPATH": str(Path(polymin.__file__).parent.parent),
+                     "PYTHONIOENCODING": "ascii"},
+                capture_output=True, timeout=20,
+            )
+            assert (done.returncode, done.stderr, done.stdout) == (0, b"", expected), flags
 
     def test_both_routes_match_the_standard_encoder_on_random_models(self, outdir):
         # 1 to 4 atoms; the eta saves go on both routes, gamma and diamond
@@ -497,14 +497,13 @@ class TestResultWriter:
         assert check_on_minimal_with_self_check(outdir) == 1
         assert not (outdir / "results.json").exists()
 
-    @pytest.mark.parametrize("name", MINIMIZE_DOCUMENTS)
-    def test_poset_file_matches_the_standard_encoder(self, outdir, name):
-        model = outdir / "model.json"
-        model.write_text(MINIMIZE_DOCUMENTS[name](), encoding="utf-8")
-        out = outdir / "poset.json"
-        assert run("poset", str(model), "-o", str(out)) == 0
-        payload = poset_payload(cell_poset(load_simplicial_model(model.read_bytes())))
-        assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("ascii")
+    def test_poset_file_matches_the_standard_encoder(self, outdir):
+        model, out = outdir / "model.json", outdir / "poset.json"
+        for name, document in MINIMIZE_DOCUMENTS.items():
+            model.write_text(document(), encoding="utf-8")
+            assert run("poset", str(model), "-o", str(out)) == 0
+            payload = poset_payload(cell_poset(load_simplicial_model(model.read_bytes())))
+            assert out.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode("ascii"), name
 
     def test_gen_random_file_matches_the_standard_encoder(self, outdir):
         out = outdir / "model.json"
