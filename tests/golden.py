@@ -8,8 +8,10 @@ the ``format_formula`` text of the witnesses of evenly spread same-valuation
 pairs, in both orders, of every split-tree node's exact formula, written
 one line per distinct formula node, and of the result files of ``check`` on
 a script built from the case's atoms (:func:`check_script_text`), run
-directly and, on its eta saves, with ``--on-minimal``, and of what
-``poset`` prints, with its exit code.
+directly and, on its eta saves, with ``--on-minimal``, of what ``poset``
+prints, with its exit code, and of ``model_to_document`` of the loaded
+model.  A ``random s`` case also has the digest of what ``gen-random s 6 3
+2`` prints, with its exit code.
 ``tests/golden_digests.json`` holds the recorded digests, which a tier-1
 test compares against.  Compare them without pytest, or rewrite the file,
 with::
@@ -96,10 +98,10 @@ def check_texts(model: Path, atoms: tuple[str, ...]) -> dict[str, bytes]:
     return texts
 
 
-def poset_stdout(model: Path) -> tuple[int, bytes]:
-    """``poset``'s exit code and the bytes it prints for the model."""
+def cli_stdout(argv: list[str]) -> tuple[int, bytes]:
+    """The exit code of ``cli.main(argv)`` and the bytes it prints."""
     with io.TextIOWrapper(io.BytesIO(), encoding="utf-8") as stdout, redirect_stdout(stdout):
-        code = cli.main(["poset", str(model)])
+        code = cli.main(argv)
         stdout.flush()
         return code, stdout.buffer.getvalue()
 
@@ -165,9 +167,15 @@ def digests() -> dict[str, dict[str, str]]:
             atoms = load_simplicial_model(document).atoms
             for kind, text in check_texts(model, atoms).items():
                 out[name][kind] = hashlib.sha256(text).hexdigest()
-            code, text = poset_stdout(model)
+            code, text = cli_stdout(["poset", str(model)])
             out[name]["poset"] = hashlib.sha256(text).hexdigest()
             out[name]["poset exit"] = str(code)
+            text = model_to_document(load_simplicial_model(document)).encode()
+            out[name]["document"] = hashlib.sha256(text).hexdigest()
+            if name.startswith("random "):
+                code, text = cli_stdout(["gen-random", name.split()[1], "6", "3", "2"])
+                out[name]["gen-random"] = hashlib.sha256(text).hexdigest()
+                out[name]["gen-random exit"] = str(code)
     return out
 
 
