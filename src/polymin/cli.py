@@ -8,9 +8,9 @@ Exit codes: 0 success, 1 self-check failure, 2 invalid input or a path
 that cannot be read or written, 3 an unexpected internal error.
 
 Every JSON file is ``json.dumps`` of its payload with an indent of 2, plus a
-newline, byte for byte, written with no payload made: ``minimize``'s from the
-record's tables, ``check``'s from each save's extension and ``poset``'s from
-the poset's tables, by :mod:`polymin.jsontext`, which ``gen-random`` uses too.
+newline, byte for byte, written by :mod:`polymin.jsontext` with no payload
+made: ``minimize``'s from the record's tables, ``check``'s from the saves'
+extensions, and ``poset``'s and ``gen-random``'s from the poset's or model's.
 Every output is UTF-8, on standard output too, and is written only once the
 command has made all of it, so an input that fails writes nothing.
 :func:`main` may be called many times in one process: the parser is built

@@ -1,18 +1,13 @@
 """The text of polymin's JSON files, each ``json.dumps(payload, indent=2)``
 plus a newline, byte for byte, so ASCII throughout.
 
-The command outputs are written straight from their tables, with no payload
-made: :func:`results_bytes` joins each save's answer to ``check``, one JSON
-word a cell from :func:`answer_words`; :func:`minimize_texts` and
-:func:`poset_text` fill one template per class or element and per pair.
-
-``json_text(value)`` writes any value built of dicts with str keys, lists,
-str, int, bool and float, for model documents.  Given an indent,
-``json.dumps`` runs the standard library's pure-Python encoder, which is
-several times slower and leaves a cycle of closures for the collector on
-every call.  Strings here go through the C ``encode_basestring_ascii``, and a
-list of scalars of one type is joined in one pass, without a recursive call
-per item."""
+Every file is written straight from its tables, with no payload made:
+:func:`results_bytes` joins each save's answer to ``check``, one JSON word a
+cell from :func:`answer_words`; :func:`minimize_texts`, :func:`poset_text`
+and :func:`model_text` fill one template per class, element or cell and per
+pair or geometry list.  Strings go through the C
+``encode_basestring_ascii``; given an indent, ``json.dumps`` would run the
+standard library's pure-Python encoder, which is several times slower."""
 
 from __future__ import annotations
 
@@ -90,58 +85,33 @@ def poset_text(elements: tuple[str, ...], valuations: tuple[frozenset[str], ...]
                     "\n  ]\n}\n" if covers else "]\n}\n"])
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_text,
-    bool: {False: "false", True: "true"}.__getitem__,
-}
-
-
-def json_text(value) -> str:
-    """``json.dumps(value, indent=...)`` with an indent of 2, plus a newline."""
-    out: list[str] = []
-    _write(value, "\n", out)
-    out.append("\n")
+def model_text(atoms: Sequence[str], cells: Iterable[tuple[str, ...]],
+               valuations: Sequence[frozenset[str]],
+               geometry: dict[str, Sequence[float]] | None) -> str:
+    """A model document: ``json.dumps`` of ``{"atoms": [...], "cells":
+    [{"vertices", "atoms"}, ...], "geometry": {...}}`` with an indent of 2,
+    plus a newline, for a model's atoms, its cells and their valuations,
+    with no ``geometry`` field when ``geometry`` is None."""
+    quote, item, atom_lists = encode_basestring_ascii, ",\n        ", _atom_lists(valuations)
+    names = ",\n    ".join(map(quote, atoms))
+    entries = ",".join([f'\n    {{\n      "vertices": [\n        {item.join(map(quote, c))}\n      ],'
+                        f'\n      "atoms": {atom_lists[v]}\n    }}' for c, v in zip(cells, valuations)])
+    out = ['{\n  "atoms": ', f"[\n    {names}\n  ]" if atoms else "[]", ',\n  "cells": [', entries, "\n  ]"]
+    if geometry is not None:
+        points = ",".join([f"\n    {quote(k)}: {_numbers(xs)}" for k, xs in geometry.items()])
+        out += (',\n  "geometry": {', points, "\n  }" if geometry else "}")
+    out.append("\n}\n")
     return "".join(out)
 
 
-def _write(value, pad: str, out: list[str]) -> None:
-    """Append the text of ``value``, an item whose enclosing line breaks with
-    ``pad``, to ``out``; the pieces are joined once, by :func:`json_text`."""
-    kind = type(value)
-    if kind is dict and value:
-        inner = pad + "  "
-        opener = "{"
-        for k, v in value.items():
-            out.append(opener + inner + encode_basestring_ascii(k) + ": ")
-            _write(v, inner, out)
-            opener = ","
-        out.append(pad + "}")
-    elif kind is list and value:
-        inner = pad + "  "
-        kinds = set(map(type, value))
-        kind = kinds.pop() if len(kinds) == 1 else list
-        if kind in _SCALARS:
-            out += ("[", inner, ("," + inner).join(map(_SCALARS[kind], value)), pad, "]")
-        else:
-            opener = "["
-            for v in value:
-                out.append(opener + inner)
-                _write(v, inner, out)
-                opener = ","
-            out.append(pad + "]")
-    elif kind is dict:
-        out.append("{}")
-    elif kind is list:
-        out.append("[]")
-    else:
-        out.append(_SCALARS[kind](value))
+def _numbers(xs: Sequence[float]) -> str:
+    """A list of ints and floats as the value of a field of a top-level
+    field's object, each spelled as ``json.dumps`` spells it: its ``repr``,
+    with ``NaN``, ``Infinity`` and ``-Infinity`` for the floats that are not
+    finite."""
+    if not xs:
+        return "[]"
+    # a number's repr holds no letter but an exponent's e, so the non-finite
+    # floats are the only "nan" and "inf" in the text
+    text = ",\n      ".join(map(repr, xs))
+    return f"[\n      {text}\n    ]".replace("nan", "NaN").replace("inf", "Infinity")

@@ -29,7 +29,7 @@ from itertools import chain, combinations, repeat
 from operator import itemgetter, lt
 
 from .errors import EncodingError, InputError
-from .jsontext import json_text
+from .jsontext import model_text
 from .kripke import ReflexiveKripkeModel, UnknownElementError
 
 __all__ = [
@@ -378,16 +378,9 @@ def _is_number(x: object) -> bool:
 
 
 def model_to_document(m: SimplicialModel) -> str:
-    """Serialise a model back to its JSON document form (deterministic)."""
-    doc = {
-        "atoms": list(m.atoms),
-        "cells": [
-            {"vertices": list(c), "atoms": sorted(v)} for c, v in zip(m.cells, m.valuations)
-        ],
-    }
-    if m.geometry is not None:
-        doc["geometry"] = {k: list(v) for k, v in m.geometry.items()}
-    return json_text(doc)
+    """Serialise a model back to its JSON document form (deterministic), by
+    :func:`polymin.jsontext.model_text`."""
+    return model_text(m.atoms, m.cells, m.valuations, m.geometry)
 
 
 class PosetModel(ReflexiveKripkeModel):

@@ -270,6 +270,17 @@ def poset_payload(p: PosetModel) -> dict:
             "covers": [[a, b] for a, b in p.covers]}
 
 
+def model_payload(m: SimplicialModel) -> dict:
+    """The payload of a model document, the reference for the text
+    :func:`polymin.simplicial.model_to_document` writes from the model's
+    tables."""
+    doc = {"atoms": list(m.atoms),
+           "cells": [{"vertices": list(c), "atoms": sorted(v)} for c, v in zip(m.cells, m.valuations)]}
+    if m.geometry is not None:
+        doc["geometry"] = {k: list(xs) for k, xs in m.geometry.items()}
+    return doc
+
+
 def atom_extension(model: ReflexiveKripkeModel, atom: str) -> frozenset[str]:
     return frozenset(w for w, v in zip(model.elements, model.valuations) if atom in v)
 
@@ -928,3 +939,4 @@ def shared_and_chain(length: int, atom: str) -> Formula:
     for _ in range(length):
         f = And(f, f)
     return f
+

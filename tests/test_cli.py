@@ -471,8 +471,7 @@ class TestResultWriter:
 
         monkeypatch.setattr(SatSet, "to_bools", refused)
         monkeypatch.setattr(minimize, "map_back", refused)
-        monkeypatch.setattr(jsontext, "json_text", refused)
-        assert not hasattr(cli, "json_text")
+        assert not hasattr(jsontext, "json_text") and not hasattr(cli, "json_text")
         script = outdir / "script.txt"
         script.write_text('save "reach" eta(ap("green") | ap("grey"), ap("green"))\n'
                           'save "near" !eta(ap("grey"), ap("red"))\n')

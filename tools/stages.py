@@ -69,12 +69,15 @@ def load_times(documents):
         loaded, load = best_of(5, lambda: [load_simplicial_model(t) for t in texts])
         _, poset = best_of(5, lambda: [cell_poset(m) for m in loaded])
         _, both = best_of(5, lambda: [cell_poset(load_simplicial_model(t)) for t in texts])
+        _, write = best_of(5, lambda: [model_to_document(m) for m in loaded])
         rows.append((name, f"{sum(len(m.cells) for m in loaded):,}", duration(load), duration(poset),
-                     duration(both)))
-    table("In-process `load_simplicial_model` and `cell_poset`, best of 5, collector off",
+                     duration(both), duration(write)))
+    table("In-process `load_simplicial_model`, `cell_poset` and `model_to_document`, best of 5, "
+          "collector off",
           "The loader looks up every face and `cell_poset` only inverts the down-sets; "
-          "compare versions by the two stages' sum.",
-          "model | cells | load | cell_poset | load + cell_poset", rows)
+          "compare versions by the two stages' sum.  `model_to_document` writes the loaded "
+          "models back, as `gen-random` writes its model.",
+          "model | cells | load | cell_poset | load + cell_poset | model_to_document", rows)
 
 
 def certificate(mm):
