@@ -86,17 +86,19 @@ def poset_text(elements: tuple[str, ...], valuations: tuple[frozenset[str], ...]
 
 
 def model_text(atoms: Sequence[str], cells: Iterable[tuple[str, ...]],
-               valuations: Sequence[frozenset[str]],
+               valuations: Sequence[frozenset[str]], vertices: Sequence[str] | None,
                geometry: dict[str, Sequence[float]] | None) -> str:
     """A model document: ``json.dumps`` of ``{"atoms": [...], "cells":
-    [{"vertices", "atoms"}, ...], "geometry": {...}}`` with an indent of 2,
-    plus a newline, for a model's atoms, its cells and their valuations,
-    with no ``geometry`` field when ``geometry`` is None."""
+    [{"vertices", "atoms"}, ...], "vertices": [...], "geometry": {...}}``
+    with an indent of 2, plus a newline, for a model's atoms, its cells and
+    their valuations, with no ``vertices`` or ``geometry`` field when that
+    argument is None."""
     quote, item, atom_lists = encode_basestring_ascii, ",\n        ", _atom_lists(valuations)
-    names = ",\n    ".join(map(quote, atoms))
     entries = ",".join([f'\n    {{\n      "vertices": [\n        {item.join(map(quote, c))}\n      ],'
                         f'\n      "atoms": {atom_lists[v]}\n    }}' for c, v in zip(cells, valuations)])
-    out = ['{\n  "atoms": ', f"[\n    {names}\n  ]" if atoms else "[]", ',\n  "cells": [', entries, "\n  ]"]
+    out = ['{\n  "atoms": ', _strings(atoms), ',\n  "cells": [', entries, "\n  ]"]
+    if vertices is not None:
+        out += (',\n  "vertices": ', _strings(vertices))
     if geometry is not None:
         points = ",".join([f"\n    {quote(k)}: {_numbers(xs)}" for k, xs in geometry.items()])
         out += (',\n  "geometry": {', points, "\n  }" if geometry else "}")
@@ -104,14 +106,15 @@ def model_text(atoms: Sequence[str], cells: Iterable[tuple[str, ...]],
     return "".join(out)
 
 
+def _strings(xs: Sequence[str]) -> str:
+    """A list of strings as the value of a top-level field."""
+    return "[\n    " + ",\n    ".join(map(encode_basestring_ascii, xs)) + "\n  ]" if xs else "[]"
+
+
 def _numbers(xs: Sequence[float]) -> str:
     """A list of ints and floats as the value of a field of a top-level
-    field's object, each spelled as ``json.dumps`` spells it: its ``repr``,
-    with ``NaN``, ``Infinity`` and ``-Infinity`` for the floats that are not
-    finite."""
-    if not xs:
-        return "[]"
-    # a number's repr holds no letter but an exponent's e, so the non-finite
-    # floats are the only "nan" and "inf" in the text
+    field's object, with ``json.dumps``'s ``NaN``, ``Infinity`` and
+    ``-Infinity``: a number's repr holds no letter but an exponent's e, so
+    the non-finite floats are the only "nan" and "inf" in the text."""
     text = ",\n      ".join(map(repr, xs))
-    return f"[\n      {text}\n    ]".replace("nan", "NaN").replace("inf", "Infinity")
+    return f"[\n      {text}\n    ]".replace("nan", "NaN").replace("inf", "Infinity") if xs else "[]"

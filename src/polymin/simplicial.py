@@ -379,8 +379,11 @@ def _is_number(x: object) -> bool:
 
 def model_to_document(m: SimplicialModel) -> str:
     """Serialise a model back to its JSON document form (deterministic), by
-    :func:`polymin.jsontext.model_text`."""
-    return model_text(m.atoms, m.cells, m.valuations, m.geometry)
+    :func:`polymin.jsontext.model_text`, so that it reloads as ``m``.  The
+    vertex list is written unless it is the one a reload derives."""
+    derived = tuple(dict.fromkeys(chain.from_iterable(m.cells)))
+    vertices = None if m.vertices == derived else m.vertices
+    return model_text(m.atoms, m.cells, m.valuations, vertices, m.geometry)
 
 
 class PosetModel(ReflexiveKripkeModel):

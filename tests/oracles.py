@@ -276,6 +276,8 @@ def model_payload(m: SimplicialModel) -> dict:
     tables."""
     doc = {"atoms": list(m.atoms),
            "cells": [{"vertices": list(c), "atoms": sorted(v)} for c, v in zip(m.cells, m.valuations)]}
+    if m.vertices != tuple(dict.fromkeys(chain.from_iterable(m.cells))):
+        doc["vertices"] = list(m.vertices)
     if m.geometry is not None:
         doc["geometry"] = {k: list(xs) for k, xs in m.geometry.items()}
     return doc
