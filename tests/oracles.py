@@ -941,4 +941,3 @@ def shared_and_chain(length: int, atom: str) -> Formula:
     for _ in range(length):
         f = And(f, f)
     return f
-
