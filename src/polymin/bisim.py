@@ -170,8 +170,6 @@ def refine(
     n_blocks, groups = len(set(block)), None
     while True:
         yield block, groups
-        if n_blocks == len(block):  # every block is one state: stable
-            return
         get, size = block.__getitem__, Counter(block)  # a block of one state cannot split
         signatures = [[frozenset(map(get, ts)) if size[b] > 1 else None
                        for b, ts in zip(block, t)] for t in tables]
@@ -275,16 +273,9 @@ def weak_pm_partition(p: PosetModel) -> Partition:
     related = [{j for j in range(n) if p.valuations[j] == p.valuations[i]} for i in range(n)]
 
     def holds(w1: int, w2: int) -> bool:
-        z_w1 = frozenset(related[w1])
-        checked: set[tuple[frozenset[int], frozenset[int]]] = set()
         for u1 in set(p.succ[w1]).union(p.pred[w1]):
-            z_u1 = frozenset(related[u1])
-            allowed = z_w1 | z_u1
+            allowed = related[w1] | related[u1]
             for d1 in p.pred[u1]:
-                key = (z_u1, frozenset(related[d1]))
-                if key in checked:
-                    continue
-                checked.add(key)
                 if not _matching_path(p, w2, allowed, related[d1]):
                     return False
         return True
@@ -316,9 +307,7 @@ def weak_pm_partition(p: PosetModel) -> Partition:
     return Partition(p.elements, tuple(block))
 
 
-def _matching_path(
-    p: PosetModel, start: int, allowed: set[int] | frozenset[int], targets: set[int]
-) -> bool:
+def _matching_path(p: PosetModel, start: int, allowed: set[int], targets: set[int]) -> bool:
     """Is there an undirected chain of element numbers from ``start`` inside
     ``allowed`` ending with one downward step into ``targets``?"""
     if start not in allowed:

@@ -46,20 +46,17 @@ def _load_poset(path: str) -> PosetModel:
 
 def _write(path: str | Path | None, data: str | bytes) -> None:
     """Write ``data`` to a file or to standard output, whatever the latter's
-    own encoding: bytes, which are ASCII, as they are, and text as UTF-8 in
-    slices of at most 64 KiB, so no encoded copy of it is ever made.  A
-    text-only stream, as ``io.StringIO``, takes the text."""
+    own encoding: bytes, which are ASCII, as they are, and text encoded once
+    as UTF-8.  The command's peak memory is set before the write, so the
+    encoded copy raises no peak.  A text-only stream, as ``io.StringIO``,
+    takes the text."""
     if path is None and not hasattr(sys.stdout, "buffer"):
         sys.stdout.write(data if isinstance(data, str) else data.decode("ascii"))
         return
     if path is None:
         sys.stdout.flush()  # what was printed before goes first
     with nullcontext(sys.stdout.buffer) if path is None else open(path, "wb") as f:
-        if isinstance(data, bytes):
-            f.write(data)
-        else:
-            for k in range(0, len(data), 1 << 14):  # up to 4 bytes a character
-                f.write(data[k:k + (1 << 14)].encode())
+        f.write(data if isinstance(data, bytes) else data.encode())
         f.flush()
 
 

@@ -112,9 +112,10 @@ def _read_cells(
     order of first appearance.  The entries' ``vertices`` and ``atoms`` are
     read into two columns and ``entries`` is emptied, which frees the cell
     dicts before any table is built.  Each check is then one pass over a
-    column: list types, vertex names, repeated vertices, duplicate cells,
-    atom lists (equal ones share one frozenset) and, size group by size
-    group, the faces.  Only when a pass fails are the cells scanned one by
+    column: list types, vertex names, repeated vertices (each size group's
+    sorted cells must ascend, compared one vertex position at a time, for
+    every size), duplicate cells, atom lists (equal ones share one
+    frozenset) and, size group by size group, the faces.  Only when a pass fails are the cells scanned one by
     one, in file order, for the first fault, so errors are those of a
     cell-by-cell check.  Each cell's down-set, the cell and all its faces,
     is looked up face size by face size, one face position at a time, and
@@ -179,13 +180,9 @@ def _read_cells(
     del vertex_lists
     sizes = list(map(len, cells))
     groups = [(k, members, _take(cells, members)) for k, members in _size_runs(sizes)]
-    for k, _, group in groups:
-        if k > 3:  # one set a cell costs less than k - 1 passes
-            repeats = sum(map(len, map(set, group))) < k * len(group)
-        else:  # a sorted cell lists no vertex twice iff it ascends
-            repeats = not all(all(map(lt, map(itemgetter(j), group), map(itemgetter(j + 1), group)))
-                              for j in range(k - 1))
-        if repeats:
+    for k, _, group in groups:  # a sorted cell lists no vertex twice iff it ascends
+        if not all(all(map(lt, map(itemgetter(j), group), map(itemgetter(j + 1), group)))
+                   for j in range(k - 1)):
             raise _first_fault(map(list, cells), repeat([]), declared)
     number = dict(zip(map("-".join, cells), range(n)))
     if len(number) < n:

@@ -47,7 +47,7 @@ from oracles import (
 )
 
 from conftest import load_fixture, random_posets
-from families import corridor_document, kuhn3d_document, maze_document
+from families import corridor_document, gen, kuhn3d_document, maze_document
 
 
 def maze_grid(n):
@@ -311,6 +311,23 @@ class TestStrong:
             assert refines(strong_partition(lts), branching_partition(lts))
 
 
+class TestRefine:
+    def test_a_discrete_table_is_one_round(self):
+        rounds = refine([0, 1, 2], ([[1], [2], []],))
+        assert [(list(b), k) for b, k in rounds] == [([0, 1, 2], None)]
+
+    def test_a_table_discrete_after_two_rounds(self):
+        # a chain under one label, and one move back to the first state under another
+        rounds = refine([0, 0, 0, 0], ([[1], [2], [3], []], [[], [0], [], []]))
+        e = frozenset()
+        assert [(list(b), k and list(k.items())) for b, k in rounds] == [
+            ([0, 0, 0, 0], None),
+            ([0, 1, 0, 2], [((0, {0}, e), 0), ((0, {0}, {0}), 1), ((0, e, e), 2)]),
+            ([0, 1, 2, 3], [((0, {1}, e), 0), ((1, None, None), 1), ((0, {2}, e), 2),
+                            ((2, None, None), 3)]),
+        ]
+
+
 class TestWeakPm:
     def test_triangle(self, triangle):
         assert class_sets(weak_pm_partition(triangle)) == TRI_CLASSES
@@ -342,6 +359,9 @@ class TestWeakPm:
         models += [cell_poset(random_model(seed, 5, 2, 3)) for seed in range(20)]
         models += [maze_grid(n) for n in (2, 3)]
         models += [cell_poset(load_simplicial_model(corridor_document(k))) for k in range(2, 7)]
+        # perfbench's smaller selfcheck-explain grid
+        selfcheck = gen.grid_document(3, "selfcheck", vary_rooms=False)
+        models += [cell_poset(load_simplicial_model(selfcheck))]
         for k, p in enumerate(models):
             assert weak_pm_by_signatures(p) == weak_pm_partition(p), k
 

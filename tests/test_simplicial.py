@@ -165,6 +165,17 @@ SEVERAL_FAULTS_IDS = [
 ]
 
 
+def repeated_vertex(k):
+    """After valid cells, a cell of k vertex entries, unsorted, that lists c twice."""
+    vertices = "abcdefghijklm"[k - 1:0:-1] + "c"
+    return (cells_doc(["a", "b", "ab", vertices]), ModelFormatError,
+            f"cell {'-'.join(sorted(vertices))!r} lists a vertex twice")
+
+
+REPEATED_VERTEX = [repeated_vertex(k) for k in (4, 5, 6, 13)]
+REPEATED_VERTEX_IDS = [f"repeat-in-{k}-vertex-cell" for k in (4, 5, 6, 13)]
+
+
 def assert_rejected(document, error, message, tmp_path, capsys):
     """Loading ``document`` raises ``error`` with ``message``, and ``poset``
     exits 2 with that one line."""
@@ -242,7 +253,8 @@ class TestLoad:
     def test_ill_typed_document_is_rejected(self, document, error, message, tmp_path, capsys):
         assert_rejected(document, error, message, tmp_path, capsys)
 
-    @pytest.mark.parametrize("document, error, message", SEVERAL_FAULTS, ids=SEVERAL_FAULTS_IDS)
+    @pytest.mark.parametrize("document, error, message", SEVERAL_FAULTS + REPEATED_VERTEX,
+                             ids=SEVERAL_FAULTS_IDS + REPEATED_VERTEX_IDS)
     def test_first_cell_with_a_fault_names_it(self, document, error, message, tmp_path, capsys):
         assert_rejected(document, error, message, tmp_path, capsys)
 
@@ -623,8 +635,9 @@ class TestColumnPassesMatchTheCellByCellReference:
             m = random_model(seed, 6, 1 + seed % 4, 2)
             self.check(shuffled(model_to_document(m), seed))
 
-    @pytest.mark.parametrize("document, error, message", ILL_TYPED + SEVERAL_FAULTS,
-                             ids=ILL_TYPED_IDS + SEVERAL_FAULTS_IDS)
+    @pytest.mark.parametrize("document, error, message",
+                             ILL_TYPED + SEVERAL_FAULTS + REPEATED_VERTEX,
+                             ids=ILL_TYPED_IDS + SEVERAL_FAULTS_IDS + REPEATED_VERTEX_IDS)
     def test_same_first_fault(self, document, error, message):
         payload = json.dumps(document)
         with pytest.raises(InputError) as exc:

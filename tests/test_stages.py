@@ -24,6 +24,7 @@ SMALL = {
     "kuhn3d 2": ("load minimise certify check", lambda: [kuhn3d_document(2, 1)], ()),
     "sweep (3 models)": (
         "load", lambda: [model_to_document(m) for _, m in gen.sweep(1, 1, random_model)[:3]], ()),
+    "selfcheck 2": ("selfcheck", lambda: [gen.grid_document(2, "selfcheck", vary_rooms=False)], ()),
 }
 # per report: its title's start, its column headers and its rows' first cells
 TABLES = {
@@ -34,6 +35,10 @@ TABLES = {
     "minimise_times": ("### In-process `minimal_model`, `--self-check` certificate and `.aut` text",
                        "| model | cells | classes | minimal_model | certificate | .aut |",
                        ["grid 4", "corridor 3", "kuhn3d 2"]),
+    "selfcheck_times": ("### In-process `--self-check` of perfbench's `selfcheck-explain` grids, "
+                        "best of 3",
+                        "| model | cells | classes | weak_pm_partition | certificate |",
+                        ["selfcheck 2"]),
     "witness_times": ("### In-process `minimal_model` and `distinguishing_formula`, 20 same-valuation",
                       "| model | cells | record | all node formulas | minimal_model | first pair "
                       "| first pass | warm pass |",
@@ -110,7 +115,7 @@ def test_main_prints_every_table(small, capsys):
     stages.main()
     text = capsys.readouterr().out
     headings = [line for line in text.splitlines() if line.startswith("### ")]
-    assert len(headings) == len(TABLES) == 6
+    assert len(headings) == len(TABLES) == 7
     assert all(h.startswith(title) for h, (title, _, _) in zip(headings, TABLES.values()))
 
 

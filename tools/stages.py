@@ -18,9 +18,9 @@ from polymin.jsontext import answer_words, results_bytes
 from polymin.simplicial import model_to_document
 
 
-# name: (its tables, of load minimise certify witness pairs check peaks; a function making
-# its documents; pairs it witnesses before random ones, as the pair a corridor's last round
-# splits)
+# name: (its tables, of load minimise certify selfcheck witness pairs check peaks; a function
+# making its documents; pairs it witnesses before random ones, as the pair a corridor's last
+# round splits)
 MODELS = {
     **{f"grid {n}": ("load", lambda n=n: [gen.grid_document(n, 1)], ()) for n in (13, 16, 22)},
     "grid 64": (
@@ -30,6 +30,10 @@ MODELS = {
     "random-minimize sweep (50 models)": (
         "load", lambda: [model_to_document(m) for _, m in gen.sweep(1, 10, random_model)], ()),
     "grid 8": ("pairs", lambda: [gen.grid_document(8, 1)], ()),
+    # perfbench's two selfcheck-explain grids
+    **{f"selfcheck {n}": (
+        "selfcheck", lambda n=n: [gen.grid_document(n, "selfcheck", vary_rooms=False)], ())
+       for n in (3, 4)},
 }
 
 
@@ -100,6 +104,22 @@ def minimise_times(documents):
     table("In-process `minimal_model`, `--self-check` certificate and `.aut` text, best of 3, collector off",
           "The certificate is `branching_quotient`, `is_branching_minimal` and `rmin_via_quotient_d`.",
           "model | cells | classes | minimal_model | certificate | .aut", rows)
+
+
+def selfcheck_times(documents):
+    rows = []
+    for name, [document], _, _ in each("selfcheck", documents):
+        loaded = load_simplicial_model(document)
+        partition, fixpoint = best_of(3, bisim.weak_pm_partition, lambda: (cell_poset(loaded),))
+        mm = minimal_model(cell_poset(loaded))
+        assert partition == mm.partition
+        cert = best_of(3, certificate, lambda: (minimal_model(cell_poset(loaded)),))[1]
+        rows.append((name, f"{len(mm.source):,}", f"{len(mm.partition):,}", duration(fixpoint),
+                     duration(cert)))
+    table("In-process `--self-check` of perfbench's `selfcheck-explain` grids, best of 3, collector off",
+          "The direct fixpoint is `bisim.weak_pm_partition`; each call, the fixpoint's or the "
+          "certificate's, gets a fresh poset.",
+          "model | cells | classes | weak_pm_partition | certificate", rows)
 
 
 def witness_times(documents):
@@ -210,7 +230,8 @@ def check_peaks(documents):
 def main():
     gc.disable()
     documents = {name: make() for name, (_, make, _) in MODELS.items()}
-    for report in (load_times, minimise_times, witness_times, all_pairs, check_times, check_peaks):
+    for report in (load_times, minimise_times, selfcheck_times, witness_times, all_pairs,
+                   check_times, check_peaks):
         report(documents)
 
 
