@@ -47,8 +47,8 @@ def _load_poset(path: str) -> PosetModel:
 def _write(path: str | Path | None, data: str | bytes) -> None:
     """Write ``data`` to a file or to standard output, whatever the latter's
     own encoding: bytes, which are ASCII, as they are, and text encoded once
-    as UTF-8.  The command's peak memory is set before the write, so the
-    encoded copy raises no peak.  A text-only stream, as ``io.StringIO``,
+    as UTF-8: a command's peak memory is reached before the write, so the
+    encoded copy barely moves it.  A text-only stream, as ``io.StringIO``,
     takes the text."""
     if path is None and not hasattr(sys.stdout, "buffer"):
         sys.stdout.write(data if isinstance(data, str) else data.decode("ascii"))

@@ -112,15 +112,15 @@ def _read_cells(
     order of first appearance.  The entries' ``vertices`` and ``atoms`` are
     read into two columns and ``entries`` is emptied, which frees the cell
     dicts before any table is built.  Each check is then one pass over a
-    column: list types, vertex names, repeated vertices (each size group's
-    sorted cells must ascend, compared one vertex position at a time, for
-    every size), duplicate cells, atom lists (equal ones share one
-    frozenset) and, size group by size group, the faces.  Only when a pass fails are the cells scanned one by
-    one, in file order, for the first fault, so errors are those of a
-    cell-by-cell check.  Each cell's down-set, the cell and all its faces,
-    is looked up face size by face size, one face position at a time, and
-    kept sorted.  The model's atoms are ``atoms`` (checked strings) followed
-    by the undeclared ones in order of first use.
+    column: list types, vertex names, repeated vertices (sorted cells of
+    every size must ascend), duplicate cells, atom lists (equal ones share
+    one frozenset) and, size group by size group, the faces.  Only when a
+    pass fails are the cells scanned one by one, in file order, for the
+    first fault, so errors are those of a cell-by-cell check.  Each cell's
+    down-set, the cell and all its faces, is looked up face size by face
+    size, one face position at a time, and kept sorted.  The model's atoms
+    are ``atoms`` (checked strings) followed by the undeclared ones in order
+    of first use.
 
     A model whose order would have over :data:`ORDER_PAIR_BUDGET` pairs is
     refused with :class:`ModelSizeError` once its cells have passed their
